@@ -1,49 +1,11 @@
 #!/usr/bin/env sh
-# Full local CI gate, in order: invariant lints (cargo xtask lint),
-# documentation cross-references (cargo xtask docs: every §N pointer
-# resolves to a DESIGN.md heading, every committed results/*.json is
-# catalogued in EXPERIMENTS.md, every crate has a README crate-map row),
-# clippy -D warnings, static analysis (cargo xtask analyze: dimensional /
-# determinism / exhaustiveness passes), dataflow analysis (cargo xtask
-# flow: interval/range proofs over the sanitizer sites — sharpened by the
-# interprocedural summaries from the call graph — with a *ratchet* on the
-# proven-checks ratio: it may never drop below the baseline recorded in
-# the committed results/flow_report.json, and `cargo xtask flow --bless`
-# is the only way to advance it; plus telemetry schema conformance +
-# dead-schema audit and dropped-Result hygiene), interprocedural
-# call-graph analysis (cargo xtask graph: derived function summaries
-# cross-checked against every hand-written seed contract, race-freedom
-# proofs for every parallel_map worker closure, reachability/dead-pub
-# audit; writes results/graph_report.json), rustdoc with
-# RUSTDOCFLAGS="-D warnings" (cargo doc --no-deps — the telemetry
-# schema in solarcore::schema is rustdoc, so doc rot fails CI), release build,
-# workspace tests, the bitwise-reproducibility harness (cargo xtask
-# determinism — now also proves traced runs are bit-transparent and
-# their JSONL byte-identical, and that a sharded campaign digests
-# identically across thread counts and a kill/resume cycle), the chaos
-# smoke gate (cargo xtask chaos --smoke), the campaign smoke gate
-# (cargo xtask campaign --smoke: four shards, byte-identity across
-# 1/N threads and kill+resume, DESIGN.md §18), and a benchmark smoke
-# run (cargo xtask bench --smoke) that validates every bench target
-# and archives BENCH_pr3.json at the repo root.
-#
-# The gate order is load-bearing: flow consumes the summaries graph
-# derives, so a summary regression surfaces in flow first (as a proven-
-# ratio drop against the ratchet); graph then re-checks the same
-# workspace independently so a seed/summary mismatch cannot hide behind
-# a flow waiver.
-# Exits non-zero on the first failing gate. See DESIGN.md §11 for the
-# invariant catalog, §12 for the static analysis passes, §13 for the
-# caching/benchmark layer, §14 for the observability contract, §15
-# for the dataflow passes and their proof/runtime split, §16 for the
-# call-graph analysis and the proven-ratio ratchet, §17 for fault
-# injection, and §18 for the campaign engine; docs/HANDBOOK.md is the
-# operator-facing walkthrough of this gate order.
-#
-# Note on proptest regressions: the vendored proptest stub does not read
-# tests/tests/properties.proptest-regressions. The corpus is replayed as
-# explicit tests in tests/tests/regressions.rs (covered by the workspace
-# test step); see DESIGN.md §13 for the workflow when adding a new seed.
+# Full local CI gate (`cargo xtask ci`), in order:
+#   docs -> clippy -D warnings -> analyze -> flow -> graph
+#   -> rustdoc -D warnings -> release build -> tests -> determinism
+#   -> chaos smoke -> campaign smoke -> profile smoke -> tdiff self-check
+#   -> bench smoke
+# Exits non-zero on the first failing gate. docs/HANDBOOK.md walks through
+# what each gate proves and what to do when one goes red.
 set -eu
 cd "$(dirname "$0")"
 exec cargo xtask ci

@@ -32,12 +32,23 @@
 //! ## Panic policy
 //!
 //! Non-test code in this crate must not panic on recoverable conditions:
-//! `unwrap`/`expect`/`panic!` are denied by the gate below and by
-//! `cargo xtask lint`; justified sites carry an explicit allow + waiver.
+//! `unwrap`/`expect`/`panic!` are denied by the gate below; a justified
+//! site carries `#[expect(clippy::…, reason = "…")]`, which fails the
+//! build once the waiver is no longer needed. Silently dropped `Result`s
+//! (`let _ =`, `.ok()` as a statement) are denied too.
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
 )]
+// Every match on an enum names each variant, so adding a state or a
+// policy forces every match site to be revisited.
+#![deny(clippy::wildcard_enum_match_arm)]
 #![cfg_attr(test, allow(clippy::float_cmp))] // unit tests assert exact constructed values
 
 pub mod availability;

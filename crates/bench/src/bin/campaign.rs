@@ -76,8 +76,11 @@ fn scratch_checkpoint(tag: &str) -> PathBuf {
 
 /// Wall-clock seconds of `f` — scaling measurement only; every
 /// deterministic artifact byte is independent of this.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock scaling measurement, never folded into deterministic output"
+)]
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // lint:allow(determinism): wall-clock scaling measurement, never folded into deterministic output
     let start = std::time::Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())

@@ -172,7 +172,14 @@ impl CampaignSpec {
             if !in_campaign {
                 return perr(line_no, "key before the [campaign] header");
             }
-            entries.push((line_no, key.trim().to_owned(), value.trim().to_owned()));
+            let key = key.trim();
+            if let Some((first, ..)) = entries.iter().find(|(_, k, _)| k == key) {
+                return perr(
+                    line_no,
+                    format!("duplicate key `{key}` (first set on line {first})"),
+                );
+            }
+            entries.push((line_no, key.to_owned(), value.trim().to_owned()));
         }
 
         let mut name = None;
@@ -1183,12 +1190,17 @@ fn load_checkpoint(
             return Err(invalid("checkpoint rows are not a canonical prefix").into());
         }
     }
+    // `write_checkpoint` always writes both fields, so a mismatch or a
+    // missing aggregate means a truncated or hand-edited file: resuming
+    // from it would silently drop the restored rows' telemetry.
+    let completed = doc.get("completed").and_then(Value::as_u64);
+    if completed != u64::try_from(rows.len()).ok() {
+        return Err(invalid("checkpoint `completed` does not match its rows").into());
+    }
     let aggregate = doc
         .get("aggregate")
-        .map(fold_from_json)
-        .transpose()?
-        .unwrap_or_default();
-    Ok((rows, aggregate))
+        .ok_or_else(|| invalid("checkpoint missing `aggregate`"))?;
+    Ok((rows, fold_from_json(aggregate)?))
 }
 
 #[cfg(test)]
@@ -1239,6 +1251,16 @@ checkpoint_every = 1
             .is_err());
         assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\nmonths = \"Smarch\"\n").is_err());
         assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\ndays_per_month = 0\n").is_err());
+        match CampaignSpec::parse("[campaign]\nname = \"x\"\nsites = \"AZ\"\n\nsites = \"CO\"\n") {
+            Err(CampaignError::Parse { line, reason }) => {
+                assert_eq!(line, 5);
+                assert!(
+                    reason.contains("`sites`") && reason.contains("line 3"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected duplicate-key error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -41,6 +41,10 @@ fn committed_spec() -> CampaignSpec {
 /// Loads the committed report, regenerating it first under `BLESS=1`
 /// (a serial run, a wide run, and a kill/resume cycle — the same three
 /// schedules `cargo xtask campaign` performs).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "BLESS-only wall-clock scaling measurement, never folded into the digest"
+)]
 fn load_report() -> Value {
     let path = repo_path("results/campaign_report.json");
     if std::env::var_os("BLESS").is_some() {

@@ -145,3 +145,55 @@ fn tampered_checkpoint_rows_survive_resume_verbatim() {
         assert_eq!(r.digest, c.digest, "untampered shard {} drifted", r.index);
     }
 }
+
+/// A checkpoint that lost its `aggregate`, or whose `completed` count
+/// disagrees with its rows, is truncated or hand-edited: resume must
+/// refuse it rather than restore the rows with an empty or wrong fold.
+#[test]
+fn incomplete_checkpoints_are_rejected_on_resume() {
+    let spec = CampaignSpec::parse(SPEC).expect("spec parses");
+    let scenarios = scenarios_dir();
+    let checkpoint = scratch(98);
+    let _ = std::fs::remove_file(&checkpoint);
+    run(&spec, &scenarios, &RunOptions {
+        threads: 1,
+        checkpoint: Some(checkpoint.clone()),
+        kill_after: Some(2),
+        ..RunOptions::default()
+    })
+    .expect("killed run returns");
+    let text = std::fs::read_to_string(&checkpoint).expect("checkpoint exists");
+    let serde_json::Value::Object(entries) =
+        serde_json::from_str(&text).expect("checkpoint parses")
+    else {
+        panic!("checkpoint is not a JSON object");
+    };
+
+    let stripped: Vec<_> = entries
+        .iter()
+        .filter(|(k, _)| k != "aggregate")
+        .cloned()
+        .collect();
+    let bumped: Vec<_> = entries
+        .iter()
+        .map(|(k, v)| match (k.as_str(), v.as_u64()) {
+            ("completed", Some(n)) => (k.clone(), serde_json::Value::UInt(n + 1)),
+            _ => (k.clone(), v.clone()),
+        })
+        .collect();
+    assert_ne!(bumped, entries, "checkpoint has no `completed` count to bump");
+
+    for (edited, expected) in [(stripped, "aggregate"), (bumped, "completed")] {
+        let edited = serde_json::to_string(&serde_json::Value::Object(edited)).expect("renders");
+        std::fs::write(&checkpoint, edited).expect("edited checkpoint written");
+        let err = run(&spec, &scenarios, &RunOptions {
+            threads: 1,
+            checkpoint: Some(checkpoint.clone()),
+            kill_after: None,
+            ..RunOptions::default()
+        })
+        .expect_err("resume from an edited checkpoint must fail");
+        assert!(err.to_string().contains(expected), "{expected}: {err}");
+    }
+    let _ = std::fs::remove_file(&checkpoint);
+}

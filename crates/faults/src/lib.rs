@@ -27,7 +27,13 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
 )]
 #![cfg_attr(test, allow(clippy::float_cmp))]
 

@@ -58,9 +58,11 @@ impl AutomaticTransferSwitch {
 
     /// The SolarCore default: transfer at 25 W available solar power (the
     /// lowest fixed budget the paper sweeps) with 3 W hysteresis.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time-constant paper configuration, pinned by a unit test"
+    )]
     pub fn solarcore_default() -> Self {
-        // lint:allow(panic): compile-time-constant paper configuration, pinned by a unit test
         Self::new(Watts::new(25.0), Watts::new(3.0)).expect("static configuration is valid")
     }
 

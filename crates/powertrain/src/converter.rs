@@ -91,9 +91,11 @@ impl DcDcConverter {
     /// the comparison is apples-to-apples. (The paper's analysis assumes
     /// `P_in = P_out`; use [`DcDcConverter::new`] with `efficiency = 1.0`
     /// for that idealization.)
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time-constant paper configuration, pinned by a unit test"
+    )]
     pub fn solarcore_default() -> Self {
-        // lint:allow(panic): compile-time-constant paper configuration, pinned by a unit test
         Self::new(3.0, 0.8, 8.0, 0.05, 0.95).expect("static configuration is valid")
     }
 

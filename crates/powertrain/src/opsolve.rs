@@ -140,6 +140,7 @@ impl<G: PvGenerator + ?Sized> PvGenerator for CountingGenerator<'_, G> {
 /// [`solve_operating_point`] with work counters: identical output bits,
 /// plus `stats` accumulates the solve/evaluation/iteration tallies the
 /// telemetry subsystem reports (DESIGN.md §14).
+#[must_use = "a dropped operating point is a wasted solve"]
 pub fn solve_operating_point_traced<G: PvGenerator + ?Sized>(
     generator: &G,
     env: CellEnv,
@@ -157,6 +158,7 @@ pub fn solve_operating_point_traced<G: PvGenerator + ?Sized>(
 
 /// Solves the operating point of `generator` + `converter` + `load` under
 /// environment `env`.
+#[must_use = "a dropped operating point is a wasted solve"]
 pub fn solve_operating_point<G: PvGenerator + ?Sized>(
     generator: &G,
     env: CellEnv,

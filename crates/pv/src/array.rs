@@ -4,6 +4,11 @@
 //! chip drawing up to ≈150 W); [`PvArray::solarcore_default`] provides that
 //! configuration.
 
+// Conversion-heavy numeric kernel: every `as` cast here must be lossless.
+// `cast_possible_truncation` is denied workspace-wide; these two close
+// the remaining silent-conversion holes.
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::cell::CellEnv;
 use crate::error::PvError;
 use crate::generator::PvGenerator;
@@ -67,9 +72,11 @@ impl PvArray {
     /// a single BP3180N module (180 W nameplate), matching the ≈75–150 W
     /// power range of the simulated 8-core processor (Figures 13–14 plot
     /// budgets up to ~100 W and ~150 W).
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time-constant paper layout, pinned by a unit test"
+    )]
     pub fn solarcore_default() -> Self {
-        // lint:allow(panic): compile-time-constant paper layout, pinned by a unit test
         Self::new(PvModule::bp3180n(), 1, 1).expect("static layout is valid")
     }
 

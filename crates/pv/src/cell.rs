@@ -166,7 +166,8 @@ impl CellParams {
 
     /// Derivative of [`Self::current_residual`] with respect to `I` (always
     /// negative), used by the Newton step in the module solver.
-    // lint:allow(raw-f64): dF/dI is dimensionless (amps per amp) — no newtype fits
+    // A raw `f64` on purpose: dF/dI is dimensionless (amps per amp), so no
+    // unit newtype fits.
     pub fn current_residual_di(&self, env: CellEnv, voltage: Volts, current: Amps) -> f64 {
         CellCoeffs::resolve(self, env).residual_di(voltage, current)
     }

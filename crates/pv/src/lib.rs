@@ -34,12 +34,20 @@
 //! ## Panic policy
 //!
 //! Non-test code in this crate must not panic on recoverable conditions:
-//! `unwrap`/`expect`/`panic!` are denied by the gate below and by
-//! `cargo xtask lint`; justified sites carry an explicit allow + waiver.
+//! `unwrap`/`expect`/`panic!` are denied by the gate below; a justified
+//! site carries `#[expect(clippy::…, reason = "…")]`, which fails the
+//! build once the waiver is no longer needed. Silently dropped `Result`s
+//! (`let _ =`, `.ok()` as a statement) are denied too.
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
 )]
 #![cfg_attr(test, allow(clippy::float_cmp))] // unit tests assert exact constructed values
 

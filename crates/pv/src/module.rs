@@ -6,6 +6,11 @@
 //! equation reduces to the cell equation with `v_cell = V / Ns` and
 //! `i_cell = I / Np`.
 
+// Conversion-heavy numeric kernel: every `as` cast here must be lossless.
+// `cast_possible_truncation` is denied workspace-wide; these two close
+// the remaining silent-conversion holes.
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use crate::cell::{CellEnv, CellParams};
 use crate::datasheet::Datasheet;
 use crate::error::PvError;
@@ -74,11 +79,13 @@ impl PvModule {
     /// 72 series cells, `Pmax = 180 W`, `Vmp = 36.1 V`, `Imp = 4.98 A`,
     /// `Voc = 44.8 V`, `Isc = 5.4 A`. Parameters are extracted from the
     /// datasheet via [`Datasheet::fit`].
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time-constant datasheet, pinned by a unit test"
+    )]
     pub fn bp3180n() -> Self {
         Datasheet::bp3180n()
             .fit()
-            // lint:allow(panic): compile-time-constant datasheet, pinned by a unit test
             .expect("BP3180N datasheet parameters are known-good")
     }
 
@@ -119,10 +126,12 @@ impl PvModule {
     }
 
     /// Short-circuit current `Isc` under the given environment.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "V=0 root is bracketed by construction (residual invariant test)"
+    )]
     pub fn short_circuit_current(&self, env: CellEnv) -> Amps {
         self.current_at(env, Volts::ZERO)
-            // lint:allow(panic): V=0 root is bracketed by construction (residual invariant test)
             .expect("short-circuit solve is always bracketed")
     }
 

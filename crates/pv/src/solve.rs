@@ -27,8 +27,8 @@
 //! the bitwise-reproducibility contract (see DESIGN.md §13).
 //!
 //! The memo structure is a fixed-capacity array of 4-way sets with
-//! eldest-stamp replacement — no `HashMap` (iteration-order hazard flagged
-//! by `cargo xtask analyze`), no unbounded growth, no ambient state.
+//! eldest-stamp replacement — no `HashMap` (an iteration-order hazard the
+//! root `clippy.toml` disallows), no unbounded growth, no ambient state.
 
 use core::cell::RefCell;
 

@@ -449,9 +449,11 @@ impl SolarCoreController {
 }
 
 impl Default for SolarCoreController {
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the paper defaults are validated by a unit test"
+    )]
     fn default() -> Self {
-        // lint:allow(panic): the paper defaults are validated by a unit test
         Self::new(ControllerConfig::paper_defaults()).expect("paper defaults are valid")
     }
 }

@@ -53,7 +53,7 @@ impl Error for CoreError {
             CoreError::Arch(e) => Some(e),
             CoreError::Power(e) => Some(e),
             CoreError::Telemetry(e) => Some(e),
-            _ => None,
+            CoreError::InvalidConfig { .. } | CoreError::LevelExhausted { .. } => None,
         }
     }
 }

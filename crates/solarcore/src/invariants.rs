@@ -2,9 +2,10 @@
 //! simulation hot paths.
 //!
 //! Three invariant layers guard this workspace (see `DESIGN.md`):
-//! compile-time unit newtypes, the `cargo xtask lint` passes, and — this
-//! module — runtime checks for properties only a running simulation can
-//! witness. Every check states a law of the modelled physics:
+//! compile-time unit newtypes, clippy (the root `clippy.toml` plus the
+//! crate lint attributes), and — this module — runtime checks for
+//! properties only a running simulation can witness. Every check states
+//! a law of the modelled physics:
 //!
 //! * **power sanity** — powers are finite and non-negative;
 //! * **budget conservation** — power drawn from the array never exceeds

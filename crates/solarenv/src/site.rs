@@ -162,8 +162,10 @@ impl Site {
             ("TN", Oct) => ([0.15, 0.23, 0.30, 0.32], 8.0, 1.4),
             _ => ([0.5, 0.25, 0.15, 0.10], 20.0, 1.0),
         };
-        #[allow(clippy::expect_used)]
-        // lint:allow(panic): compile-time-constant site climatology, pinned by a unit test
+        #[expect(
+            clippy::expect_used,
+            reason = "compile-time-constant site climatology, pinned by a unit test"
+        )]
         WeatherProfile::new(weights, dwell, jitter).expect("static site profiles are valid")
     }
 

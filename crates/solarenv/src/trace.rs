@@ -62,18 +62,16 @@ pub struct EnvTrace {
 impl EnvTrace {
     /// Generates the paper's daytime window (07:30–17:30 inclusive) for one
     /// site, season and day index. Deterministic per input tuple.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "compile-time-constant window bounds")]
     pub fn generate(site: &Site, season: Season, day: u32) -> Self {
         Self::generate_window(site, season, day, DAY_START_MINUTE, DAY_END_MINUTE)
-            // lint:allow(panic): compile-time-constant window bounds
             .expect("static daytime window is valid")
     }
 
     /// Generates a full civil day (00:00–24:00), used for Table 2 daily
     /// insolation statistics.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "compile-time-constant window bounds")]
     pub fn generate_full_day(site: &Site, season: Season, day: u32) -> Self {
-        // lint:allow(panic): compile-time-constant window bounds
         Self::generate_window(site, season, day, 0, 1439).expect("full-day window is valid")
     }
 

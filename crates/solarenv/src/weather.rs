@@ -7,6 +7,11 @@
 //! square steps. Everything is driven by a caller-supplied RNG so traces are
 //! reproducible.
 
+// Conversion-heavy numeric kernel: every `as` cast here must be lossless.
+// `cast_possible_truncation` is denied workspace-wide; these two close
+// the remaining silent-conversion holes.
+#![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+
 use rand::Rng;
 
 use crate::error::EnvError;

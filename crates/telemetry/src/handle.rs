@@ -10,7 +10,7 @@
 //! Time is the **simulation clock only**: the engine calls
 //! [`Telemetry::set_minute`] once per simulated minute and every subsequent
 //! record is stamped with that minute. Nothing here reads `SystemTime` or
-//! `Instant` — the determinism pass of `cargo xtask analyze` checks that.
+//! `Instant` — the root `clippy.toml` disallows both outside `prof`.
 
 use crate::metrics::{Counter, Histogram};
 use crate::record::{Event, Record, Span};

@@ -20,8 +20,8 @@
 //!   wall-clock [`prof`]iler, which is fenced so nothing it measures can
 //!   flow into a record, a digest, or any simulated value — so instrumented
 //!   simulations stay bitwise deterministic (the PR-2 contract);
-//!   `cargo xtask analyze` enforces the fence (the sole `Instant` waiver is
-//!   `crates/telemetry/src/prof.rs` in `xtask/lint-allow.txt`);
+//!   the root `clippy.toml` disallows `Instant::now` everywhere else (the
+//!   sole waiver is the module-level `#![expect]` in `prof.rs`);
 //! * a hierarchical wall-clock [`Profiler`] ([`prof`]): scoped [`ProfSpan`]
 //!   guards aggregate into a per-thread span tree ([`ProfTree`]) whose
 //!   *structure* (shape, call counts, sim-minute attribution) is
@@ -61,13 +61,14 @@
 //! ## Error policy
 //!
 //! Every emission path returns `Result<(), SinkError>` and call sites must
-//! propagate — `cargo xtask lint` refuses `unwrap`/`expect` waivers inside
-//! this crate, so there is no way to smuggle a panic into the telemetry
-//! path of a production run.
+//! propagate — the crate `forbid`s `unwrap`/`expect`/`panic!`, so an
+//! `#[allow]` waiver is itself a compile error and there is no way to
+//! smuggle a panic into the telemetry path of a production run.
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic),
+    deny(clippy::let_underscore_must_use, clippy::unused_result_ok)
 )]
 #![cfg_attr(test, allow(clippy::float_cmp))] // unit tests assert exact constructed values
 

@@ -3,7 +3,8 @@
 //!
 //! Everything else in this crate runs on the **simulation clock**; this
 //! module is the one sanctioned home of ambient time (`std::time::Instant`,
-//! waived for the `determinism` analysis pass in `xtask/lint-allow.txt`).
+//! disallowed by the root `clippy.toml` everywhere else and waived by the
+//! module-level `#![expect]` below).
 //! The fence is directional: the profiler *reads* the sim clock (via
 //! [`Profiler::set_minute`]) to attribute wall time to simulated time, but
 //! nothing ever flows back — no simulated value, no record, no digest input
@@ -43,6 +44,10 @@
 //! let _nothing = off.scope("day");
 //! assert!(off.tree().roots.is_empty());
 //! ```
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the profiler is the one sanctioned home of ambient time; nothing it measures flows into a record, a digest or a simulated value"
+)]
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

@@ -11,8 +11,8 @@
 //! `trace_report` writes a [`JsonlSink`] buffer to
 //! `results/telemetry_golden_co_jan_hm2.jsonl`). That keeps the sink trait
 //! infallible in practice while the `Result` signature still forces every
-//! call site to propagate — the contract `cargo xtask lint` enforces for
-//! this crate.
+//! call site to propagate — the crate `forbid`s `unwrap`/`expect`/`panic!`
+//! outside tests, so no waiver can opt out of that contract.
 
 use crate::record::{Event, Record, Span};
 use crate::value::{Field, Value};

@@ -1,41 +1,36 @@
 //! `cargo xtask analyze`: token-level static analysis the compiler cannot
-//! do for us (ISSUE 2).
+//! do for us.
 //!
-//! Three passes run over every crate source, experiment binaries included:
+//! One pass runs over every crate source, experiment binaries included:
 //!
 //! * [`dims`] — dimensional analysis: learns the unit algebra from
 //!   `crates/pv/src/units.rs` and shadows it through arithmetic, catching
-//!   cross-unit `+`/`-`, undeclared product dimensions, and `.0` unit
-//!   laundering even after values pass through raw `f64` locals;
-//! * [`determinism`] — hash-ordered iteration, ambient randomness/time,
-//!   and completion-order reductions that would break bitwise
-//!   reproducibility of the day simulations;
-//! * [`exhaustive`] — wildcard/catch-all arms on the state-machine enums
-//!   of `solarcore::{controller,policy}` and `archsim::dvfs`, plus
-//!   dead (never-referenced) states.
+//!   cross-unit `+`/`-` and undeclared product dimensions even after
+//!   values pass through raw `f64` locals.
 //!
-//! Findings use the same waiver machinery as `cargo xtask lint`: inline
-//! `// lint:allow(<pass>): <reason>` markers and `xtask/lint-allow.txt`
-//! path prefixes — and like lint, an unused waiver is itself an error.
+//! Determinism hazards and wildcard enum matches are not checked here:
+//! `clippy.toml`'s disallowed types and methods and
+//! `clippy::wildcard_enum_match_arm` carry them (DESIGN.md §11).
+//!
+//! Findings use the shared waiver machinery in [`crate::lint`]: inline
+//! `// lint:allow(<pass>): <reason>` markers — and an unused waiver is
+//! itself an error.
 
-pub mod determinism;
 pub mod dims;
-pub mod exhaustive;
 pub mod units;
 
 use std::fs;
 use std::path::Path;
 
-use crate::lint::{self, Report, Violation};
+use crate::lint::{self, Report};
 use crate::syntax::files;
 use crate::syntax::source::SourceFile;
 
 /// The passes `cargo xtask analyze` runs; scopes unused-waiver accounting.
-pub const PASSES: &[&str] = &[dims::PASS, determinism::PASS, exhaustive::PASS];
+pub const PASSES: &[&str] = &[dims::PASS];
 
-/// Runs the three analysis passes over the workspace rooted at `root`.
+/// Runs the analysis passes over the workspace rooted at `root`.
 pub fn run(root: &Path) -> Result<Report, String> {
-    let mut allow = lint::Allowlist::load(root)?;
     let algebra = units::UnitAlgebra::learn(root)?;
     if algebra.unit_count() == 0 {
         return Err(
@@ -44,57 +39,24 @@ pub fn run(root: &Path) -> Result<Report, String> {
                 .to_owned(),
         );
     }
-    let enums = exhaustive::Enums::learn(root)?;
     let mut report = Report::default();
 
-    // Unlike lint, the experiment binaries are included: their serialized
-    // output is exactly what the determinism pass protects.
-    let files = files::collect_crate_sources(root, true)?;
+    // The experiment binaries are included: they do unit arithmetic too.
+    let files = files::collect_crate_sources(root)?;
     report.files_scanned = files.len();
-
-    // Two-stage run: per-file findings are buffered so the whole-workspace
-    // dead-variant pass can append to the declaring files before waiver
-    // accounting (a waiver for a dead state must count as used).
-    let mut buffered: Vec<(SourceFile, Vec<Violation>)> = Vec::new();
-    let mut mentioned: Vec<(String, String)> = Vec::new();
 
     for path in &files {
         let rel = files::relative(root, path);
         let text =
             fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let src = SourceFile::parse(&rel, &text);
-
-        let mut findings = Vec::new();
-        if dims::applies_to(&rel) {
-            findings.extend(dims::check(&src, &algebra));
-        }
-        if determinism::applies_to(&rel) {
-            findings.extend(determinism::check(&src));
-        }
-        if exhaustive::applies_to(&rel) {
-            findings.extend(exhaustive::check(&src, &enums));
-            for (e, v) in exhaustive::mentions(&src, &enums) {
-                let declared_here = enums.defs.iter().any(|d| d.name == e && d.path == rel);
-                if !declared_here {
-                    mentioned.push((e, v));
-                }
-            }
-        }
-        buffered.push((src, findings));
-    }
-
-    for dead in exhaustive::dead_variants(&enums, &mentioned) {
-        if let Some((_, findings)) = buffered.iter_mut().find(|(s, _)| s.path == dead.path) {
-            findings.push(dead);
+        let findings = if dims::applies_to(&rel) {
+            dims::check(&src, &algebra)
         } else {
-            report.violations.push(dead);
-        }
+            Vec::new()
+        };
+        lint::apply_file_waivers(&src, findings, PASSES, &mut report);
     }
-
-    for (src, findings) in buffered {
-        lint::apply_file_waivers(&mut allow, &src, findings, PASSES, &mut report);
-    }
-    report.violations.extend(allow.unused(PASSES));
 
     report
         .violations

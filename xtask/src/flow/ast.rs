@@ -11,7 +11,7 @@
 //!
 //! Known approximations (all precision-only): macro bodies, struct
 //! literals, indexing and casts evaluate to ⊤; closures keep their body
-//! (for the call-graph and sharing passes) but evaluate to ⊤ as values;
+//! (for the call-graph passes) but evaluate to ⊤ as values;
 //! `break`/`continue`/`return` are modelled as statements but not inside
 //! value-position expressions (an arm like `B => break` falls through as ⊤
 //! instead of jumping, which can only widen downstream states).
@@ -166,7 +166,7 @@ pub enum Expr {
         expr: Box<Expr>,
     },
     /// A closure `|params| body` (also `move` closures). The body is kept
-    /// so the call-graph and sharing passes can see through it; the
+    /// so the call-graph passes can see through it; the
     /// interpreter evaluates it for its effects and call sites only.
     Closure {
         /// Parameter patterns (type ascriptions stripped).
@@ -185,57 +185,6 @@ pub enum Expr {
     /// Anything the grammar does not model (macros, literals,
     /// struct expressions, indexing).
     Opaque,
-}
-
-impl Expr {
-    /// Pushes every direct child expression onto `out` (statements nested
-    /// in blocks/arms are not descended into — callers that need them
-    /// walk statements themselves).
-    pub fn children<'a>(&'a self, out: &mut Vec<&'a Expr>) {
-        match self {
-            Expr::Neg(a) | Expr::Try(a) | Expr::Cast(a) | Expr::Ref { expr: a, .. } => {
-                out.push(a);
-            }
-            Expr::Binary { lhs, rhs, .. } => {
-                out.push(lhs);
-                out.push(rhs);
-            }
-            Expr::Call { args, .. } => out.extend(args.iter()),
-            Expr::Method { recv, args, .. } => {
-                out.push(recv);
-                out.extend(args.iter());
-            }
-            Expr::Field { recv, .. } => out.push(recv),
-            Expr::Tuple(es) | Expr::Array(es) => out.extend(es.iter()),
-            Expr::If {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                out.push(cond);
-                out.push(then_e);
-                if let Some(e) = else_e {
-                    out.push(e);
-                }
-            }
-            Expr::Match { scrutinee, arms } => {
-                out.push(scrutinee);
-                for arm in arms {
-                    if let Some(g) = &arm.guard {
-                        out.push(g);
-                    }
-                    out.push(&arm.body);
-                }
-            }
-            Expr::Block { value, .. } => {
-                if let Some(v) = value {
-                    out.push(v);
-                }
-            }
-            Expr::Closure { body, .. } => out.push(body),
-            Expr::Num(_) | Expr::Path(_) | Expr::Opaque => {}
-        }
-    }
 }
 
 /// One `match` arm.

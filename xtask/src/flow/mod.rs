@@ -1,11 +1,11 @@
 //! `cargo xtask flow`: dataflow analysis over per-function abstract
-//! interpretation (ISSUE 6).
+//! interpretation.
 //!
-//! Where `lint` matches lines and `analyze` matches token shapes, `flow`
-//! evaluates *values*: it parses each function into a lightweight AST
-//! ([`ast`]), runs a big-step abstract interpreter over the interval
-//! domain ([`interval`], [`range`]) seeded with the workspace's physical
-//! contracts ([`seeds`]), and reports three kinds of findings:
+//! Where `analyze` matches token shapes, `flow` evaluates *values*: it
+//! parses each function into a lightweight AST ([`ast`]), runs a
+//! big-step abstract interpreter over the interval domain ([`interval`],
+//! [`range`]) seeded with the workspace's physical contracts ([`seeds`]),
+//! and reports one kind of finding:
 //!
 //! * [`range`] — interval/range analysis of physical quantities. Every
 //!   `invariants::assert_*` sanitizer call is decomposed into elementary
@@ -13,15 +13,15 @@
 //!   fire), **runtime** (kept, it guards something real) or **violated**
 //!   (statically refuted — a diagnostic). Out-of-range flows into
 //!   `Converter::set_ratio` and `VfLevel::from_index` are flagged too.
-//! * [`schema`] — telemetry schema conformance: every emission site
-//!   names its stream via a declared `schema::` constant, and every
-//!   declared constant is referenced somewhere (dead-schema report).
-//! * [`errpath`] — error-path hygiene: dropped `Result`s from
-//!   unambiguously fallible calls (`let _ =`, `.ok();`, bare calls).
+//!
+//! Telemetry schema conformance and dropped `Result`s are not checked
+//! here: the `bench/tests/telemetry_schema.rs` golden-stream test and
+//! rustc's `unused_must_use` plus `clippy::{let_underscore_must_use,
+//! unused_result_ok}` carry them (DESIGN.md §11).
 //!
 //! All findings use the shared diagnostic format and waiver machinery of
-//! [`crate::lint`] (inline `// lint:allow(<pass>): <reason>` markers and
-//! `xtask/lint-allow.txt` prefixes, with unused waivers failing the run).
+//! [`crate::lint`] (inline `// lint:allow(<pass>): <reason>` markers, with
+//! unused waivers failing the run).
 //!
 //! The range pass runs *interprocedurally*: [`run`] first builds the
 //! workspace call graph ([`crate::graph`]) and feeds its derived function
@@ -39,7 +39,6 @@
 //! ([`crate::jsonout`]), so the artifact is byte-diffable.
 
 pub mod ast;
-pub mod errpath;
 // The domain and interpreter compare exact f64 interval endpoints (bounds
 // are propagated bit-exactly, never computed approximately), so equality
 // on them is meaningful.
@@ -47,21 +46,19 @@ pub mod errpath;
 pub mod interval;
 #[allow(clippy::float_cmp)]
 pub mod range;
-pub mod schema;
 pub mod seeds;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::jsonout::Json;
-use crate::lint::{self, Report, Violation};
+use crate::lint::{self, Report};
 use crate::syntax::files;
 use crate::syntax::source::SourceFile;
 
 /// The passes `cargo xtask flow` runs; scopes unused-waiver accounting.
-pub const PASSES: &[&str] = &[range::PASS, schema::PASS, errpath::PASS];
+pub const PASSES: &[&str] = &[range::PASS];
 
 /// Fallback proof-coverage floor, used only when no committed
 /// `results/flow_report.json` exists to ratchet against.
@@ -111,14 +108,6 @@ pub struct FlowOutcome {
     pub sites: Vec<range::SiteRecord>,
     /// Range-check counts per crate.
     pub per_crate: BTreeMap<String, CrateStats>,
-    /// Telemetry emission sites inspected by the schema pass.
-    pub emission_sites: usize,
-    /// Constants declared in the telemetry schema.
-    pub schema_constants: usize,
-    /// Declared schema constants never referenced in code.
-    pub dead_schema: usize,
-    /// Unambiguously fallible function names the must-use pass checks.
-    pub fallible_names: usize,
     /// Fraction of elementary sanitizer checks proven statically.
     pub proven_ratio: f64,
     /// The ratchet baseline this run was held to ([`baseline_ratio`]).
@@ -141,11 +130,9 @@ impl FlowOutcome {
             .count()
     }
 
-    /// Human-readable per-pass summary lines.
+    /// Human-readable summary line.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
+        format!(
             "xtask flow [range]: {} sanitizer sites, {} elementary checks — \
              {} proven, {} runtime, {} violated ({:.1}% proven, ratchet {:.1}%)",
             self.sites.len(),
@@ -155,31 +142,17 @@ impl FlowOutcome {
             self.count(range::CheckStatus::Violated),
             self.proven_ratio * 100.0,
             self.baseline * 100.0,
-        );
-        let _ = writeln!(
-            out,
-            "xtask flow [schema]: {} emission sites against {} declared constants, \
-             {} dead",
-            self.emission_sites, self.schema_constants, self.dead_schema,
-        );
-        let _ = write!(
-            out,
-            "xtask flow [must-use]: {} unambiguously fallible names tracked",
-            self.fallible_names,
-        );
-        out
+        )
     }
 }
 
-/// Runs the three dataflow passes over the workspace rooted at `root`.
+/// Runs the range pass over the workspace rooted at `root`.
 ///
 /// Side-effect free: writing `results/flow_report.json` is a separate,
 /// explicit step ([`write_report`]) so tests can run the analysis without
 /// touching the filesystem.
 pub fn run(root: &Path) -> Result<FlowOutcome, String> {
-    let mut allow = lint::Allowlist::load(root)?;
     let seeds = seeds::Seeds::learn(root)?;
-    let schema_decl = schema::Schema::learn(root)?;
 
     // Interprocedural front end: derive function summaries and closed-world
     // parameter intervals from the whole-workspace call graph, then hold the
@@ -189,64 +162,25 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
     let analysis = crate::graph::analyze(&graph_sources, &seeds);
     let oracle = &analysis.summary.oracle;
 
-    // Experiment binaries are in scope: their telemetry streams and error
-    // paths are exactly what the schema and must-use passes protect.
-    let paths = files::collect_crate_sources(root, true)?;
-    let mut sources = Vec::with_capacity(paths.len());
+    let paths = files::collect_crate_sources(root)?;
+    let mut report = Report {
+        files_scanned: paths.len(),
+        ..Report::default()
+    };
+    let mut sites = Vec::new();
     for path in &paths {
         let rel = files::relative(root, path);
         let text =
             fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        sources.push(SourceFile::parse(&rel, &text));
-    }
-    let fallible = errpath::FallibleSet::learn_from(&sources);
-
-    let mut report = Report {
-        files_scanned: sources.len(),
-        ..Report::default()
-    };
-
-    // Two-stage run: per-file findings are buffered so the whole-workspace
-    // dead-schema results can be appended to the declaring file before
-    // waiver accounting (a waiver for a dead constant must count as used).
-    let mut buffered: Vec<(SourceFile, Vec<Violation>)> = Vec::new();
-    let mut used_schema = std::collections::BTreeSet::new();
-    let mut sites = Vec::new();
-    let mut emission_sites = 0;
-
-    for src in sources {
+        let src = SourceFile::parse(&rel, &text);
         let mut findings = Vec::new();
         if range::applies_to(&src.path) {
             let (file_sites, file_violations) = range::check_with(&src, &seeds, Some(oracle));
             sites.extend(file_sites);
             findings.extend(file_violations);
         }
-        if schema::applies_to(&src.path) {
-            let (file_sites, file_violations) = schema::check(&src, &schema_decl);
-            emission_sites += file_sites;
-            findings.extend(file_violations);
-        }
-        used_schema.extend(schema::collect_uses(&src));
-        if errpath::applies_to(&src.path) {
-            findings.extend(errpath::check(&src, &fallible));
-        }
-        buffered.push((src, findings));
+        lint::apply_file_waivers(&src, findings, PASSES, &mut report);
     }
-
-    let dead = schema_decl.dead(&used_schema);
-    let dead_schema = dead.len();
-    match buffered
-        .iter_mut()
-        .find(|(src, _)| src.path == schema::DECL_PATH)
-    {
-        Some((_, findings)) => findings.extend(dead),
-        None => report.violations.extend(dead),
-    }
-
-    for (src, findings) in buffered {
-        lint::apply_file_waivers(&mut allow, &src, findings, PASSES, &mut report);
-    }
-    report.violations.extend(allow.unused(PASSES));
     report
         .violations
         .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
@@ -270,7 +204,7 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
         .filter(|c| c.status == range::CheckStatus::Proven)
         .count();
     // With no sanitizer sites there is nothing to prove; the gate is
-    // vacuously satisfied (the schema/must-use passes still ran).
+    // vacuously satisfied.
     #[allow(clippy::cast_precision_loss)] // check counts are tiny
     let proven_ratio = if checks == 0 {
         1.0
@@ -283,10 +217,6 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
         report,
         sites,
         per_crate,
-        emission_sites,
-        schema_constants: schema_decl.len(),
-        dead_schema,
-        fallible_names: fallible.len(),
         proven_ratio,
         baseline,
         proof_gate_passed: proven_ratio >= baseline,
@@ -330,20 +260,8 @@ pub fn report_json(outcome: &FlowOutcome) -> Json {
         ("baseline", Json::Num(outcome.baseline)),
         ("gate_passed", Json::Bool(outcome.proof_gate_passed)),
         ("generated_by", Json::str("cargo xtask flow")),
-        (
-            "must_use",
-            Json::obj(vec![("fallible_names", Json::int(outcome.fallible_names))]),
-        ),
         ("per_crate", Json::obj(per_crate)),
         ("proven_ratio", Json::Num(outcome.proven_ratio)),
-        (
-            "schema",
-            Json::obj(vec![
-                ("dead", Json::int(outcome.dead_schema)),
-                ("declared", Json::int(outcome.schema_constants)),
-                ("emission_sites", Json::int(outcome.emission_sites)),
-            ]),
-        ),
         ("sites", Json::Arr(sites)),
         (
             "totals",
@@ -428,8 +346,6 @@ mod tests {
             "oracle added no proofs: ratio {:.4}",
             outcome.proven_ratio
         );
-        assert!(outcome.emission_sites > 0, "engine emissions must be seen");
-        assert_eq!(outcome.dead_schema, 0, "schema must have no dead constants");
     }
 
     /// Satellite (b): the report is canonical — two runs over the same

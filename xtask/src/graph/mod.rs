@@ -1,4 +1,4 @@
-//! `cargo xtask graph`: interprocedural call-graph analysis (ISSUE 7).
+//! `cargo xtask graph`: interprocedural call-graph analysis.
 //!
 //! Where `flow` interprets one function at a time, `graph` connects them:
 //!
@@ -12,10 +12,12 @@
 //!   purity bits, fallibility) via an SCC fixpoint, the seeds cross-check
 //!   (hand-written contracts are *checked, not trusted*), and closed-world
 //!   parameter derivation feeding facts back into `cargo xtask flow`.
-//! * [`sharing`] — a race-freedom verdict for every `parallel_map` worker
-//!   closure (capture analysis).
 //! * [`reach`] — reachability from binary/test/bench roots and the
 //!   dead-`pub` report.
+//!
+//! Race freedom of `parallel_map` workers is not checked here: the
+//! pool's `F: Fn(&T) -> U + Sync` and `T: Send + Sync` bounds make the
+//! compiler reject a racy worker (DESIGN.md §11).
 //!
 //! Findings use the shared diagnostic format and waiver machinery of
 //! [`crate::lint`]; [`write_report`] serialises the run into
@@ -25,8 +27,6 @@
 pub mod reach;
 pub mod resolve;
 pub mod scc;
-#[allow(clippy::float_cmp)]
-pub mod sharing;
 #[allow(clippy::float_cmp)]
 pub mod summary;
 
@@ -44,7 +44,7 @@ use crate::syntax::source::SourceFile;
 use resolve::{Resolution, Workspace};
 
 /// The passes `cargo xtask graph` runs; scopes unused-waiver accounting.
-pub const PASSES: &[&str] = &["summary", "share", "reach"];
+pub const PASSES: &[&str] = &["summary", "reach"];
 
 /// The complete result of analyzing one set of sources (no I/O — the ui
 /// fixtures drive this directly).
@@ -54,28 +54,23 @@ pub struct Analysis {
     pub ws: Workspace,
     /// Summaries, seed checks, derived facts/params.
     pub summary: summary::SummaryResult,
-    /// One verdict per `parallel_map` site.
-    pub sharing: Vec<sharing::ShareVerdict>,
     /// Reachability + dead-pub report.
     pub reach: reach::ReachReport,
-    /// All pre-waiver findings of the three passes, sorted.
+    /// All pre-waiver findings of both passes, sorted.
     pub findings: Vec<Violation>,
 }
 
-/// Runs the three graph passes over already-parsed sources.
+/// Runs the graph passes over already-parsed sources.
 pub fn analyze(sources: &[SourceFile], seeds: &Seeds) -> Analysis {
     let ws = Workspace::build(sources);
     let summary = summary::compute(&ws, seeds, sources);
-    let (share_verdicts, share_violations) = sharing::check(&ws);
     let (reach_report, reach_violations) = reach::check(&ws, &summary.resolutions);
     let mut findings = summary.violations.clone();
-    findings.extend(share_violations);
     findings.extend(reach_violations);
     findings.sort_by(|a, b| (&a.path, a.line, a.pass).cmp(&(&b.path, b.line, b.pass)));
     Analysis {
         ws,
         summary,
-        sharing: share_verdicts,
         reach: reach_report,
         findings,
     }
@@ -103,7 +98,6 @@ impl GraphOutcome {
     pub fn summary(&self) -> String {
         let a = &self.analysis;
         let (confirmed, trusted, mismatched) = seed_verdict_counts(a);
-        let proven_sites = a.sharing.iter().filter(|v| v.verdict == "proven").count();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -121,12 +115,6 @@ impl GraphOutcome {
             out,
             "xtask graph [seeds]: {} contract checks — {confirmed} confirmed, {trusted} trusted, {mismatched} mismatched",
             a.summary.seed_checks.len(),
-        );
-        let _ = writeln!(
-            out,
-            "xtask graph [share]: {}/{} parallel_map sites proven race-free",
-            proven_sites,
-            a.sharing.len(),
         );
         let _ = write!(
             out,
@@ -168,7 +156,6 @@ pub fn load_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
 /// Runs the graph passes over the workspace rooted at `root`, with the
 /// shared waiver machinery applied.
 pub fn run(root: &Path) -> Result<GraphOutcome, String> {
-    let mut allow = lint::Allowlist::load(root)?;
     let seeds = Seeds::learn(root)?;
     let sources = load_sources(root)?;
     let files_scanned = sources.len();
@@ -184,14 +171,13 @@ pub fn run(root: &Path) -> Result<GraphOutcome, String> {
     }
     for src in &sources {
         let findings = by_file.remove(src.path.as_str()).unwrap_or_default();
-        lint::apply_file_waivers(&mut allow, src, findings, PASSES, &mut report);
+        lint::apply_file_waivers(src, findings, PASSES, &mut report);
     }
     // Findings against paths outside the scanned set (e.g. seed drift
     // anchored at the seeds file) cannot be waived inline.
     for (_, findings) in by_file {
         report.violations.extend(findings);
     }
-    report.violations.extend(allow.unused(PASSES));
     report
         .violations
         .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
@@ -279,26 +265,6 @@ pub fn report_json(outcome: &GraphOutcome) -> Json {
         })
         .collect();
 
-    let sharing: Vec<Json> = a
-        .sharing
-        .iter()
-        .map(|v| {
-            Json::obj(vec![
-                ("path", Json::str(&v.path)),
-                ("line", Json::int(v.line)),
-                (
-                    "captures",
-                    Json::Arr(v.captures.iter().map(Json::str).collect()),
-                ),
-                ("verdict", Json::str(v.verdict)),
-                (
-                    "details",
-                    Json::Arr(v.details.iter().map(Json::str).collect()),
-                ),
-            ])
-        })
-        .collect();
-
     Json::obj(vec![
         ("generated_by", Json::str("cargo xtask graph")),
         (
@@ -320,7 +286,6 @@ pub fn report_json(outcome: &GraphOutcome) -> Json {
         ("summaries", Json::Arr(summaries)),
         ("seed_checks", Json::Arr(seed_checks)),
         ("derived_params", Json::Obj(derived_params)),
-        ("sharing", Json::Arr(sharing)),
         (
             "reach",
             Json::obj(vec![
@@ -360,7 +325,7 @@ mod tests {
     }
 
     /// The graph gate over the real workspace: clean, every seed contract
-    /// cross-checked without mismatch, every `parallel_map` site proven.
+    /// cross-checked without mismatch, no dead `pub`.
     #[test]
     fn workspace_is_graph_clean() {
         let outcome = run(&workspace_root()).expect("graph runs");
@@ -386,12 +351,6 @@ mod tests {
                 .iter()
                 .all(|c| c.verdict != "mismatch"),
             "no seed contract may mismatch its derived summary"
-        );
-        assert!(!a.sharing.is_empty(), "parallel_map sites must be found");
-        assert!(
-            a.sharing.iter().all(|v| v.verdict == "proven"),
-            "every parallel_map site needs a race-freedom proof: {:#?}",
-            a.sharing
         );
         assert!(
             a.reach.dead_pub.is_empty(),

@@ -598,15 +598,10 @@ fn split_commas(tokens: &[Token]) -> Vec<&[Token]> {
     parts
 }
 
-/// Types whose shared-reference mutation is unsynchronized — capturing a
-/// local of such a type in a parallel closure is a sharing violation.
-pub const INTERIOR_MUT_TYPES: &[&str] = &["Cell", "Rc", "RefCell", "UnsafeCell"];
-
 /// Best-effort local-name → type-name hints for one function: parameter
 /// type ascriptions, `Type::ctor(…)` initializers, and the `self`
-/// receiver. Used for method-receiver disambiguation and the
-/// interior-mutability capture check; a missing hint resolves to
-/// [`Resolution::External`], never a wrong edge.
+/// receiver. Used for method-receiver disambiguation; a missing hint
+/// resolves to [`Resolution::External`], never a wrong edge.
 pub fn local_type_hints(f: &FnInfo) -> BTreeMap<String, String> {
     let mut hints = BTreeMap::new();
     if let Some(t) = &f.self_type {

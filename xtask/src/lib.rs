@@ -8,23 +8,25 @@
 //!
 //! * [`syntax`] — the shared dependency-free source model: comment/string
 //!   masking, waiver markers, the token lexer and the workspace walker.
-//! * [`lint`] — line-level policy passes (panic-free library code, raw
-//!   `f64` discipline, unchecked casts) plus the waiver machinery every
-//!   other command reuses.
-//! * [`analyze`] — token-level passes: dimensional analysis, determinism
-//!   hazards, enum exhaustiveness/dead states.
-//! * [`flow`] — dataflow passes over a per-function CFG: interval/range
-//!   analysis of physical quantities, telemetry schema conformance, and
-//!   error-path hygiene.
+//! * [`lint`] — the finding type and the waiver machinery every source
+//!   pass reuses.
+//! * [`analyze`] — token-level dimensional analysis of unit arithmetic.
+//! * [`flow`] — interval/range analysis of physical quantities over a
+//!   per-function abstract interpreter.
 //! * [`graph`] — interprocedural passes over the workspace call graph:
-//!   bottom-up function summaries (SCC fixpoint), the seeds cross-check,
-//!   `parallel_map` closure-sharing proofs and the reachability report.
+//!   bottom-up function summaries (SCC fixpoint), the seeds cross-check
+//!   and the reachability report.
 //! * [`docs`] — documentation cross-reference pass: DESIGN.md §-anchors,
 //!   the EXPERIMENTS.md artifact catalog and the README crate map.
 //! * [`jsonout`] — the canonical sorted-key JSON renderer every committed
 //!   report artifact serializes through.
 //! * [`bench`](mod@bench) — the criterion harness driver and
 //!   `BENCH_pr3.json` collector.
+//!
+//! Determinism hazards, panics in library code, unchecked casts,
+//! wildcard matches on state enums and dropped `Result`s are not checked
+//! here: clippy carries them, through the root `clippy.toml` and the crate
+//! lint attributes (DESIGN.md §11).
 
 pub mod analyze;
 pub mod bench;

@@ -1,43 +1,22 @@
-//! The repo-specific lint driver: walks workspace sources, runs each pass,
-//! and applies the waiver mechanisms.
+//! The shared finding and waiver machinery of the source passes
+//! (`cargo xtask analyze`, `flow` and `graph`).
 //!
-//! Three passes enforce invariants the compiler cannot see (ISSUE 1):
+//! Panic-free library code and unchecked casts are not checked here:
+//! clippy carries them through the crate lint attributes (DESIGN.md §11).
 //!
-//! * [`panics`] — no `unwrap()`/`expect()`/`panic!` in non-test library
-//!   code (crash-free operation under trace anomalies);
-//! * [`rawf64`] — public APIs of the physics crates must use `pv::units`
-//!   newtypes for physical quantities instead of raw `f64`;
-//! * [`casts`] — conversion-heavy modules must not use unchecked `as`
-//!   numeric casts that can truncate silently.
-//!
-//! Two waiver mechanisms exist, both explicit and reviewable:
-//!
-//! * an inline marker on the offending line:
-//!   `// lint:allow(<pass>): <reason>`;
-//! * a workspace allowlist file `xtask/lint-allow.txt` with
-//!   `<pass> <path-prefix> [# comment]` lines for whole files/directories.
-//!
-//! Neither mechanism works inside a [`NO_WAIVER_ZONES`] entry: the
-//! telemetry crate's sink errors must be `Result`-propagated (a tracing
-//! layer that can crash the simulation it observes is worse than no
-//! tracing), so `panic` findings under `crates/telemetry/src` cannot be
-//! waived — the waiver itself is reported as a violation.
-
-pub mod casts;
-pub mod panics;
-pub mod rawf64;
+//! A justified exception carries an inline marker on (or directly above)
+//! the offending line: `// lint:allow(<pass>): <reason>`. A marker
+//! without a reason, or one that no longer suppresses anything, is itself
+//! a violation.
 
 use std::fmt;
-use std::fs;
-use std::path::Path;
 
-use crate::syntax::files;
 use crate::syntax::source::SourceFile;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Which pass produced the finding (`panic`, `raw-f64`, `cast`).
+    /// Which pass produced the finding (`dim`, `range`, `summary`, ...).
     pub pass: &'static str,
     /// Path relative to the workspace root.
     pub path: String,
@@ -57,157 +36,20 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Outcome of a full lint run.
+/// Outcome of one source-pass run.
 #[derive(Debug, Default)]
 pub struct Report {
     /// All surviving (non-waived) violations.
     pub violations: Vec<Violation>,
     /// Number of files scanned by at least one pass.
     pub files_scanned: usize,
-    /// Findings suppressed by inline markers or the allowlist.
+    /// Findings suppressed by inline markers.
     pub waivers_used: usize,
 }
 
-/// The passes `cargo xtask lint` runs (analyze has its own set); used to
-/// scope unused-waiver accounting so each command only polices its own
-/// markers and allowlist entries.
-pub const PASSES: &[&str] = &["panic", "raw-f64", "cast"];
-
-/// `(pass, path-prefix)` pairs where waivers are themselves violations.
-///
-/// The telemetry crate is the observability layer for every simulation in
-/// the workspace; a panic in a sink would take the simulated day down with
-/// it. Sink fallibility is part of the contract (`SinkError`, propagated
-/// through `CoreError::Telemetry`), so no `unwrap()`/`expect()` waiver is
-/// ever acceptable there — return the error instead.
-pub const NO_WAIVER_ZONES: &[(&str, &str)] = &[("panic", "crates/telemetry/src")];
-
-/// `true` when a `pass` finding at `path` sits in a no-waiver zone, i.e.
-/// waiving it is forbidden.
-fn waiver_forbidden(pass: &str, path: &str) -> bool {
-    NO_WAIVER_ZONES
-        .iter()
-        .any(|(p, prefix)| *p == pass && path.starts_with(prefix))
-}
-
-/// One `<pass> <path-prefix>` allowlist entry, with usage tracking.
-#[derive(Debug)]
-struct AllowEntry {
-    pass: String,
-    prefix: String,
-    /// 1-based line in `lint-allow.txt`.
-    line: usize,
-    /// Set once a finding was suppressed through this entry.
-    used: bool,
-}
-
-/// A parsed `xtask/lint-allow.txt`.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<AllowEntry>,
-}
-
-impl Allowlist {
-    /// Loads the allowlist; a missing file is an empty allowlist.
-    pub fn load(root: &Path) -> Result<Self, String> {
-        let path = root.join("xtask").join("lint-allow.txt");
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Self::default()),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        };
-        let mut entries = Vec::new();
-        for (n, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next()) {
-                (Some(pass), Some(prefix)) => {
-                    entries.push(AllowEntry {
-                        pass: pass.to_owned(),
-                        prefix: prefix.to_owned(),
-                        line: n + 1,
-                        used: false,
-                    });
-                }
-                _ => {
-                    return Err(format!(
-                        "lint-allow.txt:{}: expected `<pass> <path-prefix>`",
-                        n + 1
-                    ))
-                }
-            }
-        }
-        Ok(Self { entries })
-    }
-
-    /// `true` if `pass` findings in `path` are waived wholesale; marks the
-    /// matching entry as used.
-    pub fn allows(&mut self, pass: &str, path: &str) -> bool {
-        let mut hit = false;
-        for e in &mut self.entries {
-            if e.pass == pass && path.starts_with(e.prefix.as_str()) {
-                e.used = true;
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// Entries that try to waive a pass inside a no-waiver zone. Dead on
-    /// arrival: reported as violations and marked used so they are not
-    /// double-reported as stale.
-    pub fn forbidden(&mut self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for e in &mut self.entries {
-            let hits_zone = NO_WAIVER_ZONES.iter().any(|(pass, zone)| {
-                e.pass == *pass
-                    && (zone.starts_with(e.prefix.as_str()) || e.prefix.starts_with(zone))
-            });
-            if hits_zone {
-                e.used = true;
-                out.push(Violation {
-                    pass: "waiver",
-                    path: "xtask/lint-allow.txt".to_owned(),
-                    line: e.line,
-                    message: format!(
-                        "allowlist entry `{} {}` reaches into a no-waiver zone: \
-                         `{}` findings there must be fixed by propagating the \
-                         error as a `Result`, never waived — remove the line",
-                        e.pass, e.prefix, e.pass
-                    ),
-                });
-            }
-        }
-        out
-    }
-
-    /// Stale entries for the given pass set: never matched a finding during
-    /// this run, so they allow nothing and must be pruned.
-    pub fn unused(&self, passes: &[&str]) -> Vec<Violation> {
-        self.entries
-            .iter()
-            .filter(|e| !e.used && passes.contains(&e.pass.as_str()))
-            .map(|e| Violation {
-                pass: "waiver",
-                path: "xtask/lint-allow.txt".to_owned(),
-                line: e.line,
-                message: format!(
-                    "stale allowlist entry `{} {}`: no finding matches it any more — \
-                     remove the line",
-                    e.pass, e.prefix
-                ),
-            })
-            .collect()
-    }
-}
-
-/// Applies both waiver mechanisms to one file's findings, feeding `report`;
-/// also flags reason-less and unused inline markers belonging to `passes`.
+/// Applies the inline markers to one file's findings, feeding `report`;
+/// also flags reason-less and unused markers belonging to `passes`.
 pub fn apply_file_waivers(
-    allow: &mut Allowlist,
     src: &SourceFile,
     findings: Vec<Violation>,
     passes: &[&str],
@@ -215,13 +57,7 @@ pub fn apply_file_waivers(
 ) {
     let mut inline_hits: Vec<(usize, &'static str)> = Vec::new();
     for v in findings {
-        if waiver_forbidden(v.pass, &src.path) {
-            // No-waiver zone: the finding survives unconditionally, without
-            // consulting (or crediting) either waiver mechanism.
-            report.violations.push(v);
-        } else if allow.allows(v.pass, &src.path) {
-            report.waivers_used += 1;
-        } else if src.has_waiver(v.line, v.pass) {
+        if src.has_waiver(v.line, v.pass) {
             report.waivers_used += 1;
             inline_hits.push((v.line, v.pass));
         } else {
@@ -230,20 +66,6 @@ pub fn apply_file_waivers(
     }
     for m in src.waiver_markers() {
         if !passes.contains(&m.pass.as_str()) {
-            continue;
-        }
-        if waiver_forbidden(&m.pass, &src.path) {
-            report.violations.push(Violation {
-                pass: "waiver",
-                path: src.path.clone(),
-                line: m.line,
-                message: format!(
-                    "`lint:allow({})` is ineffective here: `{}` findings in \
-                     this crate must be fixed by propagating the error as a \
-                     `Result`, never waived — remove the marker",
-                    m.pass, m.pass
-                ),
-            });
             continue;
         }
         if !m.has_reason {
@@ -276,135 +98,5 @@ pub fn apply_file_waivers(
                 ),
             });
         }
-    }
-}
-
-/// Runs every pass over the workspace rooted at `root`.
-pub fn run(root: &Path) -> Result<Report, String> {
-    let mut allow = Allowlist::load(root)?;
-    let mut report = Report::default();
-    report.violations.extend(allow.forbidden());
-
-    // Experiment binaries are top-level executables where fail-fast on
-    // I/O errors is the desired behaviour, so they are out of scope.
-    let files = files::collect_crate_sources(root, false)?;
-    report.files_scanned = files.len();
-
-    for path in &files {
-        let rel = files::relative(root, path);
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let src = SourceFile::parse(&rel, &text);
-
-        let mut findings = Vec::new();
-        if panics::applies_to(&rel) {
-            findings.extend(panics::check(&src));
-        }
-        if rawf64::applies_to(&rel) {
-            findings.extend(rawf64::check(&src));
-        }
-        if casts::applies_to(&rel) {
-            findings.extend(casts::check(&src));
-        }
-
-        apply_file_waivers(&mut allow, &src, findings, PASSES, &mut report);
-    }
-    report.violations.extend(allow.unused(PASSES));
-
-    report
-        .violations
-        .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A telemetry-crate source whose `unwrap()` carries a (well-formed)
-    /// inline waiver — both the finding and the waiver must be reported.
-    #[test]
-    fn panic_waivers_are_ineffective_in_the_telemetry_crate() {
-        let path = "crates/telemetry/src/sink.rs";
-        let text = "pub fn f(x: Option<u32>) -> u32 {\n    // lint:allow(panic): buffered writes cannot fail\n    x.unwrap()\n}\n";
-        let src = SourceFile::parse(path, text);
-        let findings = panics::check(&src);
-        assert!(!findings.is_empty(), "unwrap() must be found first");
-
-        let mut allow = Allowlist::default();
-        let mut report = Report::default();
-        apply_file_waivers(&mut allow, &src, findings, PASSES, &mut report);
-
-        assert_eq!(report.waivers_used, 0, "nothing may be waived here");
-        assert!(
-            report.violations.iter().any(|v| v.pass == "panic"),
-            "the unwrap finding must survive: {:?}",
-            report.violations
-        );
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.pass == "waiver" && v.message.contains("ineffective")),
-            "the dead marker must be flagged: {:?}",
-            report.violations
-        );
-    }
-
-    /// The same waiver outside the zone still works (the bench allowlist
-    /// mechanism is unchanged).
-    #[test]
-    fn panic_waivers_still_work_outside_the_zone() {
-        let path = "crates/bench/src/report.rs";
-        let text = "pub fn f(x: Option<u32>) -> u32 {\n    // lint:allow(panic): report builder, fail-fast is fine\n    x.unwrap()\n}\n";
-        let src = SourceFile::parse(path, text);
-        let findings = panics::check(&src);
-        assert!(!findings.is_empty());
-
-        let mut allow = Allowlist::default();
-        let mut report = Report::default();
-        apply_file_waivers(&mut allow, &src, findings, PASSES, &mut report);
-
-        assert_eq!(report.waivers_used, 1);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    /// Allowlist entries reaching into the zone — exactly, more deeply, or
-    /// via a broader prefix — are violations; sibling crates are not.
-    #[test]
-    fn allowlist_entries_cannot_reach_into_the_zone() {
-        let mut allow = Allowlist {
-            entries: vec![
-                AllowEntry {
-                    pass: "panic".to_owned(),
-                    prefix: "crates/telemetry/src".to_owned(),
-                    line: 1,
-                    used: false,
-                },
-                AllowEntry {
-                    pass: "panic".to_owned(),
-                    prefix: "crates/".to_owned(),
-                    line: 2,
-                    used: false,
-                },
-                AllowEntry {
-                    pass: "panic".to_owned(),
-                    prefix: "crates/bench/src".to_owned(),
-                    line: 3,
-                    used: false,
-                },
-                AllowEntry {
-                    pass: "cast".to_owned(),
-                    prefix: "crates/telemetry/src".to_owned(),
-                    line: 4,
-                    used: false,
-                },
-            ],
-        };
-        let forbidden = allow.forbidden();
-        let lines: Vec<usize> = forbidden.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![1, 2], "{forbidden:?}");
-        // Flagged entries are consumed: they must not re-surface as stale.
-        assert!(allow.unused(&["panic"]).iter().all(|v| v.line == 3));
     }
 }

@@ -2,27 +2,19 @@
 //!
 //! Commands:
 //!
-//! * `lint` — repo-specific static-analysis passes the compiler cannot
-//!   express: panic-free library code, unit-newtype discipline on public
-//!   APIs, and unchecked-cast detection in conversion-heavy modules.
-//! * `analyze` — token-level analysis passes: dimensional consistency of
-//!   unit arithmetic, determinism hazards (hash ordering, ambient
-//!   time/randomness, completion-order folds), and exhaustiveness/dead
-//!   states of the controller and policy enums.
-//! * `flow` — dataflow analysis over a per-function CFG: interval/range
-//!   analysis of physical quantities (proving runtime sanitizer checks
-//!   statically dischargeable, sharpened by the interprocedural summaries
-//!   from `graph`), telemetry schema conformance, and error-path hygiene
-//!   (dropped `Result`s). The proven fraction is held to a ratchet: it may
-//!   never drop below the baseline in the committed
-//!   `results/flow_report.json`; `--bless` rewrites the report to advance
-//!   the baseline.
+//! * `analyze` — token-level dimensional analysis of unit arithmetic:
+//!   cross-unit `+`/`-` and undeclared product dimensions, shadowed
+//!   through raw `f64` locals.
+//! * `flow` — interval/range analysis of physical quantities over a
+//!   per-function abstract interpreter, proving runtime sanitizer checks
+//!   statically dischargeable (sharpened by the interprocedural summaries
+//!   from `graph`). The proven fraction is held to a ratchet: it may never
+//!   drop below the baseline in the committed `results/flow_report.json`;
+//!   `--bless` rewrites the report to advance the baseline.
 //! * `graph` — interprocedural call-graph analysis: workspace call graph
 //!   with SCC condensation, bottom-up derived function summaries
-//!   cross-checked against every hand-trusted seed contract, a
-//!   parallel-closure sharing pass proving `parallel_map` workers
-//!   race-free at the source level, and a reachability/dead-`pub` report.
-//!   Writes `results/graph_report.json`.
+//!   cross-checked against every hand-trusted seed contract, and a
+//!   reachability/dead-`pub` report. Writes `results/graph_report.json`.
 //! * `determinism` — dynamic bitwise-reproducibility harness: runs the
 //!   policy-grid day simulations at 1 thread, N threads, and with shuffled
 //!   input order and compares canonical `f64::to_bits` hashes.
@@ -57,46 +49,99 @@
 //!   resolves to a DESIGN.md heading, every committed `results/*.json`
 //!   is catalogued in EXPERIMENTS.md, and the README crate map covers
 //!   every workspace crate.
-//! * `ci`   — the one-command verification gate, in dependency order:
-//!   lint → docs → clippy → analyze → flow → graph → doc → build →
-//!   test → determinism → chaos smoke → campaign smoke → profile smoke →
-//!   tdiff self-check → bench smoke.
+//! * `ci` — the one-command verification gate, in the order of
+//!   [`CI_GATES`]. Determinism hazards, panics, casts, wildcard matches
+//!   and dropped `Result`s are carried by `clippy -D warnings` with the
+//!   root `clippy.toml` and the crate lint attributes (DESIGN.md §11).
 //!
-//! Exit status is non-zero when any pass finds a violation, so all
-//! commands can gate CI directly.
-//!
-//! The passes themselves live in the `xtask` library crate (see
-//! `src/lib.rs`) so the fixture ui tests can drive them directly.
+//! Exit status is non-zero when any command fails, so all of them can
+//! gate CI directly. The simulation harnesses are `bench` binaries, so
+//! xtask itself links nothing. The source passes live in the `xtask`
+//! library crate (see `src/lib.rs`) so the fixture ui tests can drive
+//! them directly.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
 use xtask::{analyze, bench, docs, flow, graph, lint};
 
+/// The `cargo xtask ci` gates, in order: the cheap static gates first so
+/// they fail fast, then the build, the tests and the end-to-end harness
+/// smokes. Each entry is either a `cargo` command line or an `xtask`
+/// command dispatched in-process.
+const CI_GATES: [&[&str]; 14] = [
+    &["xtask", "docs"],
+    &[
+        "cargo",
+        "clippy",
+        "--workspace",
+        "--all-targets",
+        "--",
+        "-D",
+        "warnings",
+    ],
+    &["xtask", "analyze"],
+    &["xtask", "flow"],
+    &["xtask", "graph"],
+    // Rustdoc runs with RUSTDOCFLAGS=-D warnings: the telemetry schema in
+    // `solarcore::schema` is rustdoc, so doc rot fails CI.
+    &["cargo", "doc", "--no-deps", "--workspace"],
+    &["cargo", "build", "--release", "--workspace"],
+    &["cargo", "test", "-q", "--workspace"],
+    &["xtask", "determinism"],
+    // Fault-injection soundness gates on a two-scenario subset.
+    &["xtask", "chaos", "--smoke"],
+    // Campaign determinism and kill/resume gates on a four-shard spec.
+    &["xtask", "campaign", "--smoke"],
+    // Profiler byte-stability across thread counts and bit-transparency.
+    &["xtask", "profile", "--smoke"],
+    // The committed campaign report diffed against itself must report
+    // zero findings: the comparison engine parses the real artifact.
+    &[
+        "xtask",
+        "tdiff",
+        "results/campaign_report.json",
+        "results/campaign_report.json",
+    ],
+    // Every bench target runs and emits a well-formed BENCH_pr3.json;
+    // timing is not asserted.
+    &["xtask", "bench", "--smoke"],
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => run_lint(),
-        Some("analyze") => run_analyze(),
-        Some("flow") => run_flow(args.iter().any(|a| a == "--bless")),
-        Some("graph") => run_graph(),
-        Some("determinism") => run_determinism(),
-        Some("bench") => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            bench::run(&workspace_root(), smoke)
-        }
-        Some("trace") => run_trace(),
-        Some("chaos") => run_chaos(args.iter().any(|a| a == "--smoke")),
-        Some("campaign") => run_campaign(args.iter().any(|a| a == "--smoke")),
-        Some("profile") => run_profile(args.iter().any(|a| a == "--smoke")),
-        Some("tdiff") => match (args.get(1), args.get(2)) {
-            (Some(a), Some(b)) => run_tdiff(a, b),
-            _ => {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    dispatch(&args)
+}
+
+fn dispatch(args: &[&str]) -> ExitCode {
+    let smoke: &[&str] = if args.contains(&"--smoke") {
+        &["--smoke"]
+    } else {
+        &[]
+    };
+    match args.first().copied() {
+        Some("determinism") => bench_bin("determinism_check", &[], "divergence detected"),
+        Some("bench") => bench::run(&workspace_root(), !smoke.is_empty()),
+        Some("trace") => bench_bin("trace_report", &[], "golden-day cross-check failed"),
+        Some("chaos") => bench_bin("chaos_check", smoke, "campaign gate failed"),
+        Some("campaign") => bench_bin("campaign", smoke, "determinism/resume gate failed"),
+        Some("profile") => bench_bin(
+            "profile_report",
+            smoke,
+            "transparency/stability gate failed",
+        ),
+        Some("tdiff") => match args.get(1..3) {
+            Some(pair) => bench_bin("tdiff", pair, "regressions found"),
+            None => {
                 eprintln!("usage: cargo xtask tdiff <a.json> <b.json>");
                 ExitCode::FAILURE
             }
         },
-        Some("docs") => run_docs(),
+        Some("docs") => finish("docs", docs::run(&workspace_root())),
+        Some("analyze") => finish("analyze", analyze::run(&workspace_root())),
+        Some("flow") => run_flow(args.contains(&"--bless")),
+        Some("graph") => run_graph(),
         Some("ci") => run_ci(),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`");
@@ -112,15 +157,15 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo xtask <lint | docs | analyze | flow [--bless] | graph | determinism | \
+        "usage: cargo xtask <docs | analyze | flow [--bless] | graph | determinism | \
          bench [--smoke] | trace | chaos [--smoke] | campaign [--smoke] | profile [--smoke] | \
          tdiff <a> <b> | ci>"
     );
-    eprintln!("  lint         run the repo-specific static-analysis passes");
-    eprintln!("  analyze      run dimensional, determinism and exhaustiveness analysis");
-    eprintln!("  flow         run interval, schema-conformance and error-path dataflow passes");
+    eprintln!("  docs         check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
+    eprintln!("  analyze      run dimensional analysis of unit arithmetic");
+    eprintln!("  flow         run interval/range analysis of the sanitizer checks");
     eprintln!("               (--bless rewrites results/flow_report.json, advancing the ratchet)");
-    eprintln!("  graph        run call-graph summary, parallel-sharing and reachability passes");
+    eprintln!("  graph        run call-graph summary, seeds cross-check and reachability passes");
     eprintln!("  determinism  verify bit-identical day-sim output across thread counts");
     eprintln!("  bench        run the criterion suite and write BENCH_pr3.json");
     eprintln!("  trace        run the golden telemetry day and render its timeline");
@@ -139,10 +184,9 @@ fn print_usage() {
     );
     eprintln!("               (--smoke proves byte-stability/transparency and writes nothing)");
     eprintln!("  tdiff        schema-aware diff of two telemetry/profile/campaign artifacts");
-    eprintln!("  docs         check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
     eprintln!(
-        "  ci           lint, docs, clippy, analyze, flow, graph, doc, build, test, \
-         determinism, chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
+        "  ci           docs, clippy, analyze, flow, graph, doc, build, test, determinism, \
+         chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
     );
 }
 
@@ -154,28 +198,27 @@ fn workspace_root() -> PathBuf {
     dir.parent().map(PathBuf::from).unwrap_or(dir)
 }
 
-/// Prints a report and converts it to an exit code, shared by the
+/// Prints a pass report and converts it to an exit code, shared by the
 /// static-analysis commands.
 fn finish(command: &str, result: Result<lint::Report, String>) -> ExitCode {
     match result {
+        Ok(report) if report.violations.is_empty() => {
+            println!(
+                "xtask {command}: clean ({} files scanned, {} waivers in effect)",
+                report.files_scanned, report.waivers_used
+            );
+            ExitCode::SUCCESS
+        }
         Ok(report) => {
-            if report.violations.is_empty() {
-                println!(
-                    "xtask {command}: clean ({} files scanned, {} waivers in effect)",
-                    report.files_scanned, report.waivers_used
-                );
-                ExitCode::SUCCESS
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!(
-                    "xtask {command}: {} violation(s) in {} file(s) scanned",
-                    report.violations.len(),
-                    report.files_scanned
-                );
-                ExitCode::FAILURE
+            for v in &report.violations {
+                eprintln!("{v}");
             }
+            eprintln!(
+                "xtask {command}: {} violation(s) in {} file(s) scanned",
+                report.violations.len(),
+                report.files_scanned
+            );
+            ExitCode::FAILURE
         }
         Err(err) => {
             eprintln!("xtask {command}: error: {err}");
@@ -184,70 +227,57 @@ fn finish(command: &str, result: Result<lint::Report, String>) -> ExitCode {
     }
 }
 
-fn run_lint() -> ExitCode {
-    finish("lint", lint::run(&workspace_root()))
-}
-
-fn run_docs() -> ExitCode {
-    finish("docs", docs::run(&workspace_root()))
-}
-
-fn run_analyze() -> ExitCode {
-    finish("analyze", analyze::run(&workspace_root()))
-}
-
 fn run_flow(bless: bool) -> ExitCode {
     let root = workspace_root();
-    match flow::run(&root) {
-        Ok(outcome) => {
-            println!("{}", outcome.summary());
-            // Gate order: findings, then the ratchet, then artifact
-            // freshness — so the most actionable failure prints first.
-            let proven_ratio = outcome.proven_ratio;
-            let baseline = outcome.baseline;
-            let gate_passed = outcome.proof_gate_passed;
-            let rendered = flow::report_json(&outcome).render();
-            let code = finish("flow", Ok(outcome.report));
-            if code != ExitCode::SUCCESS {
-                return code;
-            }
-            if !gate_passed {
-                eprintln!(
-                    "xtask flow: proven-invariant ratio {:.2}% dropped below the ratchet \
-                     baseline {:.2}% (results/flow_report.json); prove more, don't regress",
-                    proven_ratio * 100.0,
-                    baseline * 100.0
-                );
-                return ExitCode::FAILURE;
-            }
-            let report_path = root.join("results").join("flow_report.json");
-            if bless {
-                let write = std::fs::create_dir_all(root.join("results"))
-                    .and_then(|()| std::fs::write(&report_path, &rendered));
-                if let Err(err) = write {
-                    eprintln!("xtask flow: cannot write {}: {err}", report_path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "xtask flow: report blessed at {} (ratchet now {:.2}%)",
-                    report_path.display(),
-                    proven_ratio * 100.0
-                );
-            } else if std::fs::read_to_string(&report_path).ok().as_deref() != Some(&rendered) {
-                eprintln!(
-                    "xtask flow: {} is stale (the analysis moved); run `cargo xtask flow \
-                     --bless` and commit the report",
-                    report_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
+    let outcome = match flow::run(&root) {
+        Ok(outcome) => outcome,
         Err(err) => {
             eprintln!("xtask flow: error: {err}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    println!("{}", outcome.summary());
+    // Gate order: findings, then the ratchet, then artifact freshness —
+    // so the most actionable failure prints first.
+    let proven_ratio = outcome.proven_ratio;
+    let baseline = outcome.baseline;
+    let gate_passed = outcome.proof_gate_passed;
+    let rendered = flow::report_json(&outcome).render();
+    let code = finish("flow", Ok(outcome.report));
+    if code != ExitCode::SUCCESS {
+        return code;
     }
+    if !gate_passed {
+        eprintln!(
+            "xtask flow: proven-invariant ratio {:.2}% dropped below the ratchet \
+             baseline {:.2}% (results/flow_report.json); prove more, don't regress",
+            proven_ratio * 100.0,
+            baseline * 100.0
+        );
+        return ExitCode::FAILURE;
+    }
+    let report_path = root.join("results").join("flow_report.json");
+    if bless {
+        let write = std::fs::create_dir_all(root.join("results"))
+            .and_then(|()| std::fs::write(&report_path, &rendered));
+        if let Err(err) = write {
+            eprintln!("xtask flow: cannot write {}: {err}", report_path.display());
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "xtask flow: report blessed at {} (ratchet now {:.2}%)",
+            report_path.display(),
+            proven_ratio * 100.0
+        );
+    } else if std::fs::read_to_string(&report_path).ok().as_deref() != Some(&rendered) {
+        eprintln!(
+            "xtask flow: {} is stale (the analysis moved); run `cargo xtask flow \
+             --bless` and commit the report",
+            report_path.display()
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 fn run_graph() -> ExitCode {
@@ -271,323 +301,59 @@ fn run_graph() -> ExitCode {
     }
 }
 
-/// Runs the dynamic reproducibility harness (a bench binary, so xtask does
-/// not link the simulation crates).
-fn run_determinism() -> ExitCode {
-    let root = workspace_root();
-    println!("xtask determinism: running determinism_check (release)");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "bench",
-            "--bin",
-            "determinism_check",
-        ])
-        .current_dir(&root)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => {
-            eprintln!("xtask determinism: divergence detected (see output above)");
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("xtask determinism: could not spawn cargo: {err}");
-            ExitCode::FAILURE
-        }
+/// Runs one `bench` binary in release mode with `args` after `--`;
+/// `what_failed` names the gate a non-zero exit means failed.
+fn bench_bin(name: &str, args: &[&str], what_failed: &str) -> ExitCode {
+    println!(
+        "xtask: running {} (release)",
+        [&[name], args].concat().join(" ")
+    );
+    let mut cmd = Command::new("cargo");
+    cmd.args(["run", "--release", "-q", "-p", "bench", "--bin", name, "--"])
+        .args(args);
+    if run(cmd, name) {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("xtask {name}: {what_failed} (see output above)");
+        ExitCode::FAILURE
     }
 }
 
-/// Runs the golden-day telemetry report (a bench binary, so xtask does not
-/// link the simulation crates).
-fn run_trace() -> ExitCode {
-    let root = workspace_root();
-    println!("xtask trace: running trace_report (release)");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "bench",
-            "--bin",
-            "trace_report",
-        ])
-        .current_dir(&root)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => {
-            eprintln!("xtask trace: golden-day cross-check failed (see output above)");
-            ExitCode::FAILURE
+/// Spawns `cmd` in the workspace root; `true` on a zero exit.
+fn run(mut cmd: Command, name: &str) -> bool {
+    match cmd.current_dir(workspace_root()).status() {
+        Ok(s) if s.success() => true,
+        Ok(s) => {
+            eprintln!("xtask: `{name}` exited with {s}");
+            false
         }
         Err(err) => {
-            eprintln!("xtask trace: could not spawn cargo: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs the differential chaos campaign (a bench binary, so xtask does
-/// not link the simulation crates).
-fn run_chaos(smoke: bool) -> ExitCode {
-    let root = workspace_root();
-    let mode = if smoke { " --smoke" } else { "" };
-    println!("xtask chaos: running chaos_check{mode} (release)");
-    let mut args = vec![
-        "run",
-        "--release",
-        "-q",
-        "-p",
-        "bench",
-        "--bin",
-        "chaos_check",
-    ];
-    if smoke {
-        args.extend(["--", "--smoke"]);
-    }
-    let status = Command::new("cargo")
-        .args(&args)
-        .current_dir(&root)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => {
-            eprintln!("xtask chaos: campaign gate failed (see output above)");
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("xtask chaos: could not spawn cargo: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs the sharded campaign engine (a bench binary, so xtask does not
-/// link the simulation crates).
-fn run_campaign(smoke: bool) -> ExitCode {
-    let root = workspace_root();
-    let mode = if smoke { " --smoke" } else { "" };
-    println!("xtask campaign: running campaign{mode} (release)");
-    let mut args = vec!["run", "--release", "-q", "-p", "bench", "--bin", "campaign"];
-    if smoke {
-        args.extend(["--", "--smoke"]);
-    }
-    let status = Command::new("cargo")
-        .args(&args)
-        .current_dir(&root)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => {
-            eprintln!("xtask campaign: determinism/resume gate failed (see output above)");
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("xtask campaign: could not spawn cargo: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs the wall-clock profile report (a bench binary, so xtask does not
-/// link the simulation crates).
-fn run_profile(smoke: bool) -> ExitCode {
-    let root = workspace_root();
-    let mode = if smoke { " --smoke" } else { "" };
-    println!("xtask profile: running profile_report{mode} (release)");
-    let mut args = vec![
-        "run",
-        "--release",
-        "-q",
-        "-p",
-        "bench",
-        "--bin",
-        "profile_report",
-    ];
-    if smoke {
-        args.extend(["--", "--smoke"]);
-    }
-    let status = Command::new("cargo")
-        .args(&args)
-        .current_dir(&root)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => {
-            eprintln!("xtask profile: transparency/stability gate failed (see output above)");
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("xtask profile: could not spawn cargo: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Diffs two artifacts via the bench `tdiff` binary; non-zero exit on
-/// any regression.
-fn run_tdiff(a: &str, b: &str) -> ExitCode {
-    let root = workspace_root();
-    println!("xtask tdiff: comparing {a} vs {b} (release)");
-    let status = Command::new("cargo")
-        .args([
-            "run", "--release", "-q", "-p", "bench", "--bin", "tdiff", "--", a, b,
-        ])
-        .current_dir(&root)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => {
-            eprintln!("xtask tdiff: regressions found (see output above)");
-            ExitCode::FAILURE
-        }
-        Err(err) => {
-            eprintln!("xtask tdiff: could not spawn cargo: {err}");
-            ExitCode::FAILURE
+            eprintln!("xtask: could not spawn cargo for `{name}`: {err}");
+            false
         }
     }
 }
 
 fn run_ci() -> ExitCode {
-    let root = workspace_root();
-
-    // Static gates first: they are cheap and fail fast.
-    println!("xtask ci: running xtask lint");
-    if run_lint() != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    println!("xtask ci: running xtask docs");
-    if run_docs() != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    let clippy: &[&str] = &[
-        "clippy",
-        "--workspace",
-        "--all-targets",
-        "--",
-        "-D",
-        "warnings",
-    ];
-    println!("xtask ci: running cargo {}", clippy.join(" "));
-    if !run_cargo_step(&root, "clippy", clippy) {
-        return ExitCode::FAILURE;
-    }
-
-    println!("xtask ci: running xtask analyze");
-    if run_analyze() != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    println!("xtask ci: running xtask flow");
-    if run_flow(false) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    println!("xtask ci: running xtask graph");
-    if run_graph() != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    // Rustdoc gate: crate-level docs and doc links must stay warning-free
-    // (the observability contract in `solarcore::telemetry` is rustdoc).
-    let doc: &[&str] = &["doc", "--no-deps", "--workspace"];
-    println!(
-        "xtask ci: running cargo {} (RUSTDOCFLAGS=-D warnings)",
-        doc.join(" ")
-    );
-    let doc_status = Command::new("cargo")
-        .args(doc)
-        .env("RUSTDOCFLAGS", "-D warnings")
-        .current_dir(&root)
-        .status();
-    match doc_status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("xtask ci: step `doc` failed with {s}");
-            return ExitCode::FAILURE;
-        }
-        Err(err) => {
-            eprintln!("xtask ci: could not spawn cargo for `doc`: {err}");
+    for gate in CI_GATES {
+        println!("xtask ci: running {}", gate.join(" "));
+        let passed = match gate.split_first() {
+            Some((&"cargo", args)) => {
+                let mut cmd = Command::new("cargo");
+                cmd.args(args);
+                if args.first() == Some(&"doc") {
+                    cmd.env("RUSTDOCFLAGS", "-D warnings");
+                }
+                run(cmd, &gate.join(" "))
+            }
+            Some((_, args)) => dispatch(args) == ExitCode::SUCCESS,
+            None => true,
+        };
+        if !passed {
+            eprintln!("xtask ci: gate `{}` failed", gate.join(" "));
             return ExitCode::FAILURE;
         }
     }
-
-    let build_test: [(&str, &[&str]); 2] = [
-        ("build", &["build", "--release", "--workspace"]),
-        ("test", &["test", "-q", "--workspace"]),
-    ];
-    for (name, args) in build_test {
-        println!("xtask ci: running cargo {}", args.join(" "));
-        if !run_cargo_step(&root, name, args) {
-            return ExitCode::FAILURE;
-        }
-    }
-
-    println!("xtask ci: running xtask determinism");
-    if run_determinism() != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    // Chaos smoke: proves the fault-injection campaign's soundness gates
-    // (control transparency, zero false trips) on a two-scenario subset.
-    println!("xtask ci: running xtask chaos --smoke");
-    if run_chaos(true) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    // Campaign smoke: proves the sharded campaign engine's determinism
-    // and kill/resume gates on a four-shard inline spec.
-    println!("xtask ci: running xtask campaign --smoke");
-    if run_campaign(true) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    // Profile smoke: proves the wall-clock profiler's structural section
-    // is byte-stable across thread counts and that profiling leaves the
-    // campaign report bytes untouched.
-    println!("xtask ci: running xtask profile --smoke");
-    if run_profile(true) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    // tdiff self-check: the committed campaign report diffed against
-    // itself must report zero findings — proves the comparison engine
-    // parses the real artifact and that "identical" means identical.
-    println!("xtask ci: running xtask tdiff (campaign report self-check)");
-    if run_tdiff("results/campaign_report.json", "results/campaign_report.json")
-        != ExitCode::SUCCESS
-    {
-        return ExitCode::FAILURE;
-    }
-
-    // Benchmark smoke: proves every bench target runs to completion and
-    // emits a well-formed BENCH_pr3.json; does not assert timing.
-    println!("xtask ci: running xtask bench --smoke");
-    if bench::run(&root, true) != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
-    println!("xtask ci: all gates passed");
+    println!("xtask ci: all {} gates passed", CI_GATES.len());
     ExitCode::SUCCESS
-}
-
-/// Spawns one cargo step; `true` on success.
-fn run_cargo_step(root: &std::path::Path, name: &str, args: &[&str]) -> bool {
-    match Command::new("cargo").args(args).current_dir(root).status() {
-        Ok(s) if s.success() => true,
-        Ok(s) => {
-            eprintln!("xtask ci: step `{name}` failed with {s}");
-            false
-        }
-        Err(err) => {
-            eprintln!("xtask ci: could not spawn cargo for `{name}`: {err}");
-            false
-        }
-    }
 }

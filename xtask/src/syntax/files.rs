@@ -1,19 +1,15 @@
 //! Workspace source discovery shared by the analysis commands.
 //!
-//! Every command walks `crates/*/src`; they differ only in whether the
-//! experiment binaries under `src/bin/` are in scope. `lint` excludes
-//! them (fail-fast on I/O errors is the desired behaviour there) while
-//! `analyze` and `flow` include them (their serialized output is exactly
-//! what the determinism and schema passes protect). `vendor/` and
-//! `target/` are never scanned.
+//! `analyze` and `flow` walk `crates/*/src`, experiment binaries under
+//! `src/bin/` included; `graph` widens that to every workspace source.
+//! `vendor/` and `target/` are never scanned.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Collects every `.rs` file under `crates/*/src`, sorted for
-/// deterministic reports. `include_bins` keeps or drops files under a
-/// `src/bin/` directory.
-pub fn collect_crate_sources(root: &Path, include_bins: bool) -> Result<Vec<PathBuf>, String> {
+/// deterministic reports.
+pub fn collect_crate_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
     let crates_dir = root.join("crates");
     let mut out = Vec::new();
     let crates = fs::read_dir(&crates_dir)
@@ -23,12 +19,6 @@ pub fn collect_crate_sources(root: &Path, include_bins: bool) -> Result<Vec<Path
         if src.is_dir() {
             walk_rs(&src, &mut out)?;
         }
-    }
-    if !include_bins {
-        out.retain(|p| {
-            let rel = p.to_string_lossy().replace('\\', "/");
-            !rel.contains("/src/bin/")
-        });
     }
     out.sort();
     Ok(out)
@@ -41,7 +31,7 @@ pub fn collect_crate_sources(root: &Path, include_bins: bool) -> Result<Vec<Path
 /// sites count toward closed-world parameter derivation. `vendor/` and
 /// `target/` stay out of scope.
 pub fn collect_workspace_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut out = collect_crate_sources(root, true)?;
+    let mut out = collect_crate_sources(root)?;
     let crates_dir = root.join("crates");
     let crates = fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;

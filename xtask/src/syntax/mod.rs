@@ -1,6 +1,6 @@
 //! Shared lexical infrastructure for every static-analysis command.
 //!
-//! `cargo xtask lint`, `analyze` and `flow` are three clients of the same
+//! `cargo xtask analyze`, `flow` and `graph` are three clients of the same
 //! dependency-free source model: [`source::SourceFile`] (comment/string
 //! masking, `#[cfg(test)]` regions, waiver markers), the token
 //! [`lexer`], and the [`files`] workspace walker. They lived inside

@@ -1,13 +1,13 @@
-//! Fixture-driven ui tests for the `cargo xtask flow` passes.
+//! Fixture-driven ui tests for the `cargo xtask flow` range pass.
 //!
 //! Each `tests/fixtures/flow/<name>.rs` file is a Rust snippet with a
 //! directive header:
 //!
-//! * `//@ pass: range | schema | must-use` — which pass to run (required);
+//! * `//@ pass: range` — which pass to run (required);
 //! * `//@ path: crates/.../file.rs` — the virtual workspace path the
 //!   fixture is checked under (default `crates/fixture/src/lib.rs`);
-//! * `//@ checks: <P> proven, <R> runtime, <V> violated` — range only:
-//!   the exact classification tally across the fixture's sanitizer sites.
+//! * `//@ checks: <P> proven, <R> runtime, <V> violated` — the exact
+//!   classification tally across the fixture's sanitizer sites.
 //!
 //! The companion `<name>.expected` file holds the exact structured
 //! diagnostics (`{path}:{line}: [{pass}] {message}`), one per line, in
@@ -19,19 +19,10 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use xtask::flow::range::CheckStatus;
-use xtask::flow::schema::Schema;
+use xtask::flow;
+use xtask::flow::range::{self, CheckStatus};
 use xtask::flow::seeds::Seeds;
-use xtask::flow::{errpath, range, schema};
 use xtask::syntax::source::SourceFile;
-
-/// The schema the non-declaration schema fixtures are checked against
-/// (fixtures whose virtual path IS the declaration file bring their own).
-const SCHEMA_DECL: &str = "pub mod schema {\n\
-                           pub const EVENT_MINUTE: &str = \"minute\";\n\
-                           pub const SPAN_TRACK: &str = \"track\";\n\
-                           pub const HIST_ROUNDS: &str = \"rounds\";\n\
-                           }\n";
 
 struct Fixture {
     name: String,
@@ -114,8 +105,8 @@ fn parse_checks(v: &str, name: &str) -> (usize, usize, usize) {
     )
 }
 
-/// Runs the fixture's pass; returns the rendered diagnostics and, for
-/// range, the (proven, runtime, violated) tally.
+/// Runs the fixture's pass; returns the rendered diagnostics and the
+/// (proven, runtime, violated) tally.
 fn run_fixture(f: &Fixture) -> (Vec<String>, Option<(usize, usize, usize)>) {
     let src = SourceFile::parse(&f.path, &f.body);
     match f.pass.as_str() {
@@ -141,38 +132,6 @@ fn run_fixture(f: &Fixture) -> (Vec<String>, Option<(usize, usize, usize)>) {
                 Some(tally),
             )
         }
-        "schema" => {
-            assert!(
-                schema::applies_to(&f.path),
-                "{}: path {} is outside the schema pass's scope",
-                f.name,
-                f.path
-            );
-            // A fixture standing in for the declaration file brings its own
-            // schema and is additionally checked for dead constants.
-            let mut violations = if f.path == schema::DECL_PATH {
-                let own = Schema::from_source(&src).expect("fixture declares a schema");
-                let (_, mut v) = schema::check(&src, &own);
-                v.extend(own.dead(&schema::collect_uses(&src)));
-                v
-            } else {
-                let decl = SourceFile::parse(schema::DECL_PATH, SCHEMA_DECL);
-                let fixed = Schema::from_source(&decl).expect("built-in schema parses");
-                schema::check(&src, &fixed).1
-            };
-            violations.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.message.cmp(&b.message)));
-            (violations.iter().map(ToString::to_string).collect(), None)
-        }
-        "must-use" => {
-            assert!(
-                errpath::applies_to(&f.path),
-                "{}: path {} is outside the must-use pass's scope",
-                f.name,
-                f.path
-            );
-            let violations = errpath::check(&src, &errpath::FallibleSet::for_tests());
-            (violations.iter().map(ToString::to_string).collect(), None)
-        }
         other => panic!("{}: unknown pass `{other}`", f.name),
     }
 }
@@ -181,7 +140,7 @@ fn run_fixture(f: &Fixture) -> (Vec<String>, Option<(usize, usize, usize)>) {
 fn fixtures_produce_exactly_their_expected_diagnostics() {
     let fixtures = load_fixtures();
     assert!(
-        fixtures.len() >= 8,
+        fixtures.len() >= 4,
         "expected the full fixture suite, found {}",
         fixtures.len()
     );
@@ -231,8 +190,8 @@ fn fixtures_produce_exactly_their_expected_diagnostics() {
 #[test]
 fn suite_covers_every_pass_in_both_directions() {
     let fixtures = load_fixtures();
-    for pass in ["range", "schema", "must-use"] {
-        let of_pass: Vec<&Fixture> = fixtures.iter().filter(|f| f.pass == pass).collect();
+    for pass in flow::PASSES {
+        let of_pass: Vec<&Fixture> = fixtures.iter().filter(|f| f.pass == *pass).collect();
         assert!(
             of_pass.iter().any(|f| {
                 std::fs::read_to_string(&f.expected_file).is_ok_and(|e| !e.is_empty())
