@@ -230,3 +230,41 @@ fn vf_residency_covers_every_core_and_level() {
         assert_eq!(gated + levels, 601);
     }
 }
+
+/// The `day_summary` record of a stream.
+fn day_summary(records: &[Value]) -> Value {
+    records
+        .iter()
+        .rev()
+        .find(|r| r["name"].as_str() == Some(schema::EVENT_DAY_SUMMARY))
+        .expect("stream has a day_summary")["fields"]
+        .clone()
+}
+
+#[test]
+fn golden_day_solver_and_memo_counters_are_pinned() {
+    // Work counts are deterministic, so they are pinned exactly: any change
+    // to the op-solve probe sequence or to the memo's hit/miss sequence
+    // shows here.
+    let report = bench::trace_report::run_golden_day();
+    let records: Vec<Value> = report
+        .stream
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("stream line parses as JSON"))
+        .collect();
+    let live = day_summary(&records);
+    for (key, pinned) in [
+        (schema::SOLVES, 18_097),
+        (schema::PV_EVALS, 1_755_409),
+        (schema::CACHE_HITS, 1_694_787),
+        (schema::CACHE_MISSES, 60_622),
+        (schema::NEWTON_ITERS_TOTAL, 213_218),
+    ] {
+        assert_eq!(live[key].as_u64(), Some(pinned), "{key}");
+    }
+    assert_eq!(
+        live,
+        day_summary(&golden_records()),
+        "the committed golden stream is stale"
+    );
+}

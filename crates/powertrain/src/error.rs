@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use pv::error::PvError;
+
 /// Errors produced by power-delivery components.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -30,6 +32,9 @@ pub enum PowerError {
         /// What was wrong.
         reason: &'static str,
     },
+    /// The PV generator failed to evaluate a probe of the operating-point
+    /// solve.
+    Pv(PvError),
 }
 
 impl fmt::Display for PowerError {
@@ -49,11 +54,27 @@ impl fmt::Display for PowerError {
                 max,
             } => write!(f, "transfer ratio {requested} outside [{min}, {max}]"),
             PowerError::InvalidSwitch { reason } => write!(f, "invalid transfer switch: {reason}"),
+            PowerError::Pv(e) => write!(f, "operating-point solve failed: {e}"),
         }
     }
 }
 
-impl Error for PowerError {}
+impl Error for PowerError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            PowerError::Pv(e) => Some(e),
+            PowerError::InvalidConverter { .. }
+            | PowerError::RatioOutOfRange { .. }
+            | PowerError::InvalidSwitch { .. } => None,
+        }
+    }
+}
+
+impl From<PvError> for PowerError {
+    fn from(e: PvError) -> Self {
+        PowerError::Pv(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -22,8 +22,9 @@
 //! let array = PvArray::solarcore_default();
 //! let dcdc = DcDcConverter::solarcore_default();
 //! let load = LoadModel::Resistance(Ohms::new(1.2)); // 12 V / 10 A class load
-//! let op = solve_operating_point(&array, CellEnv::stc(), &dcdc, &load);
+//! let op = solve_operating_point(&array, CellEnv::stc(), &dcdc, &load)?;
 //! assert!(op.output_power().get() > 0.0);
+//! # Ok::<(), powertrain::PowerError>(())
 //! ```
 //!
 //! ## Panic policy

@@ -13,6 +13,7 @@ use pv::mpp::MppPoint;
 use pv::units::{Amps, Ohms, Volts, Watts};
 
 use crate::converter::DcDcConverter;
+use crate::error::PowerError;
 
 /// Bisection iterations for the operating-point solve (~1e-12 V resolution
 /// over a 50 V bracket).
@@ -140,14 +141,17 @@ impl<G: PvGenerator + ?Sized> PvGenerator for CountingGenerator<'_, G> {
 /// [`solve_operating_point`] with work counters: identical output bits,
 /// plus `stats` accumulates the solve/evaluation/iteration tallies the
 /// telemetry subsystem reports (DESIGN.md §14).
-#[must_use = "a dropped operating point is a wasted solve"]
+///
+/// # Errors
+///
+/// Same contract as [`solve_operating_point`].
 pub fn solve_operating_point_traced<G: PvGenerator + ?Sized>(
     generator: &G,
     env: CellEnv,
     converter: &DcDcConverter,
     load: &LoadModel,
     stats: &SolveStats,
-) -> OperatingPoint {
+) -> Result<OperatingPoint, PowerError> {
     stats.solves.set(stats.solves.get().saturating_add(1));
     let counting = CountingGenerator {
         inner: generator,
@@ -158,52 +162,56 @@ pub fn solve_operating_point_traced<G: PvGenerator + ?Sized>(
 
 /// Solves the operating point of `generator` + `converter` + `load` under
 /// environment `env`.
-#[must_use = "a dropped operating point is a wasted solve"]
+///
+/// # Errors
+///
+/// Returns [`PowerError::Pv`] when the generator fails to evaluate any
+/// probe of the solve.
 pub fn solve_operating_point<G: PvGenerator + ?Sized>(
     generator: &G,
     env: CellEnv,
     converter: &DcDcConverter,
     load: &LoadModel,
-) -> OperatingPoint {
+) -> Result<OperatingPoint, PowerError> {
     let voc = generator.open_circuit_voltage(env);
     if voc <= Volts::ZERO {
-        return OperatingPoint::default();
+        return Ok(OperatingPoint::default());
     }
     match load {
-        LoadModel::Open => OperatingPoint {
+        LoadModel::Open => Ok(OperatingPoint {
             panel_voltage: voc,
             panel_current: Amps::ZERO,
             output_voltage: converter.output_voltage(voc),
             output_current: Amps::ZERO,
-        },
+        }),
         LoadModel::Resistance(r) => {
             if r.get() <= 0.0 {
-                return OperatingPoint::default();
+                return Ok(OperatingPoint::default());
             }
             let r_panel = converter.reflected_resistance(*r).get();
-            let v = bisect_panel_voltage(generator, env, voc, |v, i| v / r_panel - i);
+            let v = bisect_panel_voltage(generator, env, voc, |v, i| v / r_panel - i)?;
             finish(generator, env, converter, v)
         }
         LoadModel::ConstantPower(p) => {
             if p.get() <= 0.0 {
-                return OperatingPoint {
+                return Ok(OperatingPoint {
                     panel_voltage: voc,
                     panel_current: Amps::ZERO,
                     output_voltage: converter.output_voltage(voc),
                     output_current: Amps::ZERO,
-                };
+                });
             }
             let p_panel = p.get() / converter.efficiency();
             let mpp = generator.mpp(env);
             if p_panel > mpp.power.get() {
                 // Demand exceeds supply: direct-coupled bus collapses.
-                return OperatingPoint::default();
+                return Ok(OperatingPoint::default());
             }
             // On [Vmpp, Voc], P(V) falls monotonically from Pmax to 0, so
             // p_panel − P(V) is increasing there; bisect for its root.
             let v = bisect_voltage_range(generator, env, mpp.voltage.get(), voc.get(), |v, i| {
                 p_panel - v * i
-            });
+            })?;
             finish(generator, env, converter, v)
         }
     }
@@ -216,7 +224,7 @@ fn bisect_panel_voltage<G: PvGenerator + ?Sized>(
     env: CellEnv,
     voc: Volts,
     f: impl Fn(f64, f64) -> f64,
-) -> Volts {
+) -> Result<Volts, PvError> {
     bisect_voltage_range(generator, env, 0.0, voc.get(), f)
 }
 
@@ -226,20 +234,17 @@ fn bisect_voltage_range<G: PvGenerator + ?Sized>(
     mut lo: f64,
     mut hi: f64,
     f: impl Fn(f64, f64) -> f64,
-) -> Volts {
+) -> Result<Volts, PvError> {
     for _ in 0..BISECT_ITERS {
         let mid = 0.5 * (lo + hi);
-        let i = generator
-            .current_at(env, Volts::new(mid))
-            .map(Amps::get)
-            .unwrap_or(0.0);
+        let i = generator.current_at(env, Volts::new(mid))?.get();
         if f(mid, i) < 0.0 {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    Volts::new(0.5 * (lo + hi))
+    Ok(Volts::new(0.5 * (lo + hi)))
 }
 
 fn finish<G: PvGenerator + ?Sized>(
@@ -247,11 +252,8 @@ fn finish<G: PvGenerator + ?Sized>(
     env: CellEnv,
     converter: &DcDcConverter,
     panel_voltage: Volts,
-) -> OperatingPoint {
-    let panel_current = generator
-        .current_at(env, panel_voltage)
-        .unwrap_or(Amps::ZERO);
-    let panel_current = panel_current.max(Amps::ZERO);
+) -> Result<OperatingPoint, PowerError> {
+    let panel_current = generator.current_at(env, panel_voltage)?.max(Amps::ZERO);
     let op = OperatingPoint {
         panel_voltage,
         panel_current,
@@ -259,7 +261,7 @@ fn finish<G: PvGenerator + ?Sized>(
         output_current: converter.output_current(panel_current),
     };
     assert_point_sane(generator, env, converter, &op);
-    op
+    Ok(op)
 }
 
 /// Solver-side physics sanitizer: a solved point must lie on the panel's
@@ -319,7 +321,8 @@ mod tests {
     #[test]
     fn resistive_point_lies_on_both_curves() {
         let (array, dcdc, env) = rig();
-        let op = solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::new(1.2)));
+        let op = solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::new(1.2)))
+            .unwrap();
         // On the PV curve:
         let i_pv = array.current_at(env, op.panel_voltage).unwrap();
         assert!((i_pv.get() - op.panel_current.get()).abs() < 1e-6);
@@ -340,9 +343,13 @@ mod tests {
         let (array, mut dcdc, env) = rig();
         let load = LoadModel::Resistance(Ohms::new(1.2));
         dcdc.set_ratio(2.0).unwrap();
-        let v_low_k = solve_operating_point(&array, env, &dcdc, &load).panel_voltage;
+        let v_low_k = solve_operating_point(&array, env, &dcdc, &load)
+            .unwrap()
+            .panel_voltage;
         dcdc.set_ratio(4.0).unwrap();
-        let v_high_k = solve_operating_point(&array, env, &dcdc, &load).panel_voltage;
+        let v_high_k = solve_operating_point(&array, env, &dcdc, &load)
+            .unwrap()
+            .panel_voltage;
         assert!(v_high_k > v_low_k);
     }
 
@@ -351,9 +358,11 @@ mod tests {
         let (array, dcdc, env) = rig();
         let v_light =
             solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::new(3.0)))
+                .unwrap()
                 .panel_voltage;
         let v_heavy =
             solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::new(0.8)))
+                .unwrap()
                 .panel_voltage;
         assert!(v_heavy < v_light);
     }
@@ -361,12 +370,13 @@ mod tests {
     #[test]
     fn open_circuit_and_darkness() {
         let (array, dcdc, env) = rig();
-        let op = solve_operating_point(&array, env, &dcdc, &LoadModel::Open);
+        let op = solve_operating_point(&array, env, &dcdc, &LoadModel::Open).unwrap();
         assert_eq!(op.panel_current, Amps::ZERO);
         assert!(op.panel_voltage.get() > 40.0);
 
         let dark = CellEnv::dark(Celsius::new(25.0));
-        let op = solve_operating_point(&array, dark, &dcdc, &LoadModel::Resistance(Ohms::new(1.0)));
+        let op = solve_operating_point(&array, dark, &dcdc, &LoadModel::Resistance(Ohms::new(1.0)))
+            .unwrap();
         assert_eq!(op, OperatingPoint::default());
     }
 
@@ -378,7 +388,8 @@ mod tests {
             env,
             &dcdc,
             &LoadModel::ConstantPower(Watts::new(100.0)),
-        );
+        )
+        .unwrap();
         // The panel must supply the demand plus the conversion loss.
         assert!((op.panel_power().get() - 100.0 / dcdc.efficiency()).abs() < 0.1);
         // Stable branch: at or right of the MPP voltage.
@@ -393,16 +404,19 @@ mod tests {
             env,
             &dcdc,
             &LoadModel::ConstantPower(Watts::new(500.0)),
-        );
+        )
+        .unwrap();
         assert_eq!(op, OperatingPoint::default());
     }
 
     #[test]
     fn zero_and_negative_loads_are_safe() {
         let (array, dcdc, env) = rig();
-        let op = solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::ZERO));
+        let op =
+            solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::ZERO)).unwrap();
         assert_eq!(op, OperatingPoint::default());
-        let op = solve_operating_point(&array, env, &dcdc, &LoadModel::ConstantPower(Watts::ZERO));
+        let op = solve_operating_point(&array, env, &dcdc, &LoadModel::ConstantPower(Watts::ZERO))
+            .unwrap();
         assert_eq!(op.panel_current, Amps::ZERO);
     }
 
@@ -410,9 +424,9 @@ mod tests {
     fn traced_solve_is_bit_identical_and_counts_work() {
         let (array, dcdc, env) = rig();
         let load = LoadModel::Resistance(Ohms::new(1.2));
-        let plain = solve_operating_point(&array, env, &dcdc, &load);
+        let plain = solve_operating_point(&array, env, &dcdc, &load).unwrap();
         let stats = SolveStats::new();
-        let traced = solve_operating_point_traced(&array, env, &dcdc, &load, &stats);
+        let traced = solve_operating_point_traced(&array, env, &dcdc, &load, &stats).unwrap();
         assert_eq!(
             plain.panel_voltage.get().to_bits(),
             traced.panel_voltage.get().to_bits()
@@ -427,6 +441,59 @@ mod tests {
         assert!(stats.newton_iters() >= stats.pv_evals());
     }
 
+    /// A generator whose I-V evaluation fails above `fails_above`.
+    struct FailingArray {
+        array: PvArray,
+        fails_above: Volts,
+    }
+
+    impl PvGenerator for FailingArray {
+        fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
+            self.array.open_circuit_voltage(env)
+        }
+
+        fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
+            if voltage > self.fails_above {
+                return Err(PvError::NoConvergence {
+                    context: "module current at voltage",
+                    iterations: 128,
+                });
+            }
+            self.array.current_at(env, voltage)
+        }
+
+        fn mpp(&self, env: CellEnv) -> MppPoint {
+            self.array.mpp(env)
+        }
+    }
+
+    #[test]
+    fn generator_errors_inside_the_bracket_propagate() {
+        let (array, dcdc, env) = rig();
+        let failing = FailingArray {
+            array,
+            fails_above: Volts::new(30.0),
+        };
+        let want = Err(PowerError::Pv(PvError::NoConvergence {
+            context: "module current at voltage",
+            iterations: 128,
+        }));
+        for load in [
+            LoadModel::Resistance(Ohms::new(1.2)),
+            LoadModel::ConstantPower(Watts::new(100.0)),
+        ] {
+            assert_eq!(solve_operating_point(&failing, env, &dcdc, &load), want);
+            let stats = SolveStats::new();
+            assert_eq!(
+                solve_operating_point_traced(&failing, env, &dcdc, &load, &stats),
+                want
+            );
+        }
+        // Loads whose probes all stay below the failing voltages still solve.
+        let heavy = LoadModel::Resistance(Ohms::new(0.3));
+        assert!(solve_operating_point(&failing, env, &dcdc, &heavy).is_ok());
+    }
+
     #[test]
     fn there_exists_a_k_that_reaches_near_mpp() {
         // Sweep k: the best extracted power must come within 1 % of MPP.
@@ -438,6 +505,7 @@ mod tests {
         while k <= 6.0 {
             dcdc.set_ratio(k).unwrap();
             let p = solve_operating_point(&array, env, &dcdc, &load)
+                .unwrap()
                 .panel_power()
                 .get();
             best = best.max(p);

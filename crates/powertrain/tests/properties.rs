@@ -27,7 +27,7 @@ proptest! {
     ) {
         let array = PvArray::solarcore_default();
         let converter = DcDcConverter::new(k, 0.8, 8.0, 0.05, eta).unwrap();
-        let op = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r)));
+        let op = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r))).unwrap();
         prop_assert!((op.output_voltage.get() - op.panel_voltage.get() / k).abs() < 1e-9);
         prop_assert!((op.output_current.get() - eta * k * op.panel_current.get()).abs() < 1e-9);
         prop_assert!(
@@ -41,8 +41,8 @@ proptest! {
     fn load_monotonicity(env in arb_env(), r in 1.0..20.0_f64) {
         let array = PvArray::solarcore_default();
         let converter = DcDcConverter::solarcore_default();
-        let light = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r * 1.5)));
-        let heavy = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r)));
+        let light = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r * 1.5))).unwrap();
+        let heavy = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r))).unwrap();
         prop_assert!(heavy.panel_voltage <= light.panel_voltage);
         prop_assert!(heavy.panel_current >= light.panel_current);
     }

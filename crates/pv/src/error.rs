@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors produced by PV model construction and solving.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum PvError {
     /// A model parameter was outside its physically meaningful range.

@@ -29,6 +29,30 @@
 //! The memo structure is a fixed-capacity array of 4-way sets with
 //! eldest-stamp replacement — no `HashMap` (an iteration-order hazard the
 //! root `clippy.toml` disallows), no unbounded growth, no ambient state.
+//!
+//! The operating-point solver drives the memo ~97 times per solve and
+//! ~97% of those lookups hit, so the hit path is kept cheap by three
+//! mechanisms that leave the memo's state evolution unchanged — the same
+//! set index, stamp sequence, replacement choice, hit/miss sequence and
+//! returned bits as a full FNV-1a hash and set scan on every call:
+//!
+//! 1. **Hoisted environment prefix.** FNV-1a consumes bytes in order, so
+//!    the state after the `(G, T)` bytes is a function of `(G, T)` alone.
+//!    The cache keeps that state for the last environment it hashed and
+//!    continues it over the 8 voltage bytes; the result is the full-key
+//!    hash, so the set index is the same.
+//! 2. **Last-hit fast path.** Once the bisection interval collapses to
+//!    adjacent floats, the solver re-probes the voltage it just probed.
+//!    The cache remembers `(key, set, way)` of its last hit or store and,
+//!    when the next key is that key and the slot still holds it, ticks the
+//!    stamp and bumps that entry's stamp and the hit count — exactly what
+//!    the scan would do, because a set never holds a key twice (a store
+//!    follows only a miss of the same key).
+//! 3. **One hash per miss.** A missed lookup returns its set index and the
+//!    store takes it; both still tick the stamp.
+//!
+//! A test-only copy of the old lookup is run against this one on one probe
+//! stream, and the two tables must match entry for entry.
 
 use core::cell::RefCell;
 
@@ -228,10 +252,12 @@ struct EnvEntry {
     stamp: u64,
 }
 
-/// FNV-1a over the key bytes — deterministic, platform-independent set
-/// indexing (the same construction the determinism harness hashes with).
-fn fnv(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the hash state before any key byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues FNV-1a from state `h` over the key words' little-endian bytes.
+/// FNV-1a is sequential, so `fnv_from(fnv(a), b) == fnv(a ++ b)`.
+fn fnv_from(mut h: u64, words: &[u64]) -> u64 {
     for w in words {
         for b in w.to_le_bytes() {
             h ^= u64::from(b);
@@ -241,8 +267,15 @@ fn fnv(words: &[u64]) -> u64 {
     h
 }
 
+/// FNV-1a over the key bytes — deterministic, platform-independent set
+/// indexing (the same construction the determinism harness hashes with).
+fn fnv(words: &[u64]) -> u64 {
+    fnv_from(FNV_OFFSET, words)
+}
+
 // Set indices are `hash % set-count` with set-count ≤ 1024, so the cast
-// cannot truncate.
+// cannot truncate. Callers pass the power-of-two set-count constants, so
+// the remainder compiles to a mask.
 #[allow(clippy::cast_possible_truncation)]
 fn set_index(hash: u64, sets: usize) -> usize {
     (hash % sets as u64) as usize
@@ -256,6 +289,11 @@ struct CacheState {
     stamp: u64,
     hits: u64,
     misses: u64,
+    /// The environment key last hashed and its FNV-1a state, `fnv(&[g, t])`:
+    /// both memos' set indices continue from it.
+    env_hash: (EnvKey, u64),
+    /// `(key, set, way)` of the last solve hit or store.
+    last_solve: Option<(SolveKey, usize, usize)>,
 }
 
 impl CacheState {
@@ -266,6 +304,8 @@ impl CacheState {
             stamp: 0,
             hits: 0,
             misses: 0,
+            env_hash: ((0, 0), fnv(&[0, 0])),
+            last_solve: None,
         }
     }
 
@@ -274,35 +314,64 @@ impl CacheState {
         self.stamp
     }
 
-    fn lookup_solve(&mut self, key: SolveKey) -> Option<u64> {
-        let idx = set_index(fnv(&[key.0, key.1, key.2]), self.solves.len());
+    /// `fnv(&[key.0, key.1])`, rehashed only when the environment changes.
+    fn hash_env(&mut self, key: EnvKey) -> u64 {
+        if self.env_hash.0 != key {
+            self.env_hash = (key, fnv(&[key.0, key.1]));
+        }
+        self.env_hash.1
+    }
+
+    /// Looks up one solve. A hit returns the stored current bits; a miss
+    /// returns the key's set index for [`Self::store_solve`].
+    fn lookup_solve(&mut self, key: SolveKey) -> Result<u64, usize> {
         let stamp = self.tick();
-        for entry in self.solves[idx].iter_mut().flatten() {
-            if entry.key == key {
+        let set = match self.last_solve {
+            Some((last, set, way)) if last == key => {
+                // A repeat of the last hit or store. Keys are unique within
+                // a set (a store follows only a miss), so if the slot still
+                // holds the key it is the way the scan would find.
+                if let Some(entry) = self.solves[set][way].as_mut().filter(|e| e.key == key) {
+                    entry.stamp = stamp;
+                    self.hits += 1;
+                    return Ok(entry.current_bits);
+                }
+                set
+            }
+            _ => set_index(
+                fnv_from(self.hash_env((key.0, key.1)), &[key.2]),
+                SOLVE_SETS,
+            ),
+        };
+        for (way, slot) in self.solves[set].iter_mut().enumerate() {
+            if let Some(entry) = slot.as_mut().filter(|e| e.key == key) {
                 entry.stamp = stamp;
                 self.hits += 1;
-                return Some(entry.current_bits);
+                self.last_solve = Some((key, set, way));
+                return Ok(entry.current_bits);
             }
         }
         self.misses += 1;
-        None
+        Err(set)
     }
 
-    fn store_solve(&mut self, key: SolveKey, current_bits: u64) {
-        let idx = set_index(fnv(&[key.0, key.1, key.2]), self.solves.len());
+    /// Stores a solved current into `set`, the index a missed
+    /// [`Self::lookup_solve`] of `key` returned.
+    fn store_solve(&mut self, set: usize, key: SolveKey, current_bits: u64) {
         let stamp = self.tick();
         let entry = SolveEntry {
             key,
             current_bits,
             stamp,
         };
-        let set = &mut self.solves[idx];
-        let slot = eldest_way(set.iter().map(|w| w.as_ref().map(|e| e.stamp)));
-        set[slot] = Some(entry);
+        let ways = &mut self.solves[set];
+        let way = eldest_way(ways.iter().map(|w| w.as_ref().map(|e| e.stamp)));
+        ways[way] = Some(entry);
+        self.last_solve = Some((key, set, way));
     }
 
     fn lookup_env(&mut self, key: EnvKey) -> Option<EnvEntry> {
-        let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
+        let idx = set_index(self.hash_env(key), ENV_SETS);
         let stamp = self.tick();
         for entry in self.envs[idx].iter_mut().flatten() {
             if entry.key == key {
@@ -316,7 +385,7 @@ impl CacheState {
     /// Merges one field of the per-environment record, creating or
     /// refreshing the entry.
     fn update_env(&mut self, key: EnvKey, voc_bits: Option<u64>, mpp: Option<MppPoint>) {
-        let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
+        let idx = set_index(self.hash_env(key), ENV_SETS);
         let stamp = self.tick();
         let set = &mut self.envs[idx];
         for entry in set.iter_mut().flatten() {
@@ -459,17 +528,17 @@ impl PvGenerator for CachedArray<'_> {
         }
         let (g, t) = Self::env_key(env);
         let key = (g, t, voltage.get().to_bits());
-        let hit = self.cache.state.borrow_mut().lookup_solve(key);
-        if let Some(bits) = hit {
+        let set = match self.cache.state.borrow_mut().lookup_solve(key) {
             // A replayed memo entry costs zero solver iterations — exactly
             // what the telemetry histogram should show for a warm cache.
-            return Ok((Amps::new(f64::from_bits(bits)), 0));
-        }
+            Ok(bits) => return Ok((Amps::new(f64::from_bits(bits)), 0)),
+            Err(set) => set,
+        };
         let (current, iters) = self.array.current_at_counted(env, voltage)?;
         self.cache
             .state
             .borrow_mut()
-            .store_solve(key, current.get().to_bits());
+            .store_solve(set, key, current.get().to_bits());
         Ok((current, iters))
     }
 
@@ -588,5 +657,269 @@ mod tests {
         assert_eq!(eldest_way([None, None].into_iter()), 0);
         assert_eq!(eldest_way([Some(5), None].into_iter()), 1);
         assert_eq!(eldest_way([Some(5), Some(2), Some(9)].into_iter()), 1);
+    }
+
+    /// The memo as it was before the prefix hash, the last-hit fast path
+    /// and the single hash per miss: a full 24-byte FNV-1a per call and a
+    /// set scan on every lookup.
+    struct ReferenceMemo {
+        solves: Vec<[Option<SolveEntry>; WAYS]>,
+        envs: Vec<[Option<EnvEntry>; WAYS]>,
+        stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceMemo {
+        fn new() -> Self {
+            Self {
+                solves: vec![[None; WAYS]; SOLVE_SETS],
+                envs: vec![[None; WAYS]; ENV_SETS],
+                stamp: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn tick(&mut self) -> u64 {
+            self.stamp = self.stamp.wrapping_add(1);
+            self.stamp
+        }
+
+        fn lookup_solve(&mut self, key: SolveKey) -> Option<u64> {
+            let idx = set_index(fnv(&[key.0, key.1, key.2]), self.solves.len());
+            let stamp = self.tick();
+            for entry in self.solves[idx].iter_mut().flatten() {
+                if entry.key == key {
+                    entry.stamp = stamp;
+                    self.hits += 1;
+                    return Some(entry.current_bits);
+                }
+            }
+            self.misses += 1;
+            None
+        }
+
+        fn store_solve(&mut self, key: SolveKey, current_bits: u64) {
+            let idx = set_index(fnv(&[key.0, key.1, key.2]), self.solves.len());
+            let stamp = self.tick();
+            let entry = SolveEntry {
+                key,
+                current_bits,
+                stamp,
+            };
+            let set = &mut self.solves[idx];
+            let slot = eldest_way(set.iter().map(|w| w.as_ref().map(|e| e.stamp)));
+            set[slot] = Some(entry);
+        }
+
+        fn lookup_env(&mut self, key: EnvKey) -> Option<EnvEntry> {
+            let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
+            let stamp = self.tick();
+            for entry in self.envs[idx].iter_mut().flatten() {
+                if entry.key == key {
+                    entry.stamp = stamp;
+                    return Some(*entry);
+                }
+            }
+            None
+        }
+
+        fn update_env(&mut self, key: EnvKey, voc_bits: Option<u64>, mpp: Option<MppPoint>) {
+            let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
+            let stamp = self.tick();
+            let set = &mut self.envs[idx];
+            for entry in set.iter_mut().flatten() {
+                if entry.key == key {
+                    entry.voc_bits = voc_bits.or(entry.voc_bits);
+                    entry.mpp = mpp.or(entry.mpp);
+                    entry.stamp = stamp;
+                    return;
+                }
+            }
+            let slot = eldest_way(set.iter().map(|w| w.as_ref().map(|e| e.stamp)));
+            set[slot] = Some(EnvEntry {
+                key,
+                voc_bits,
+                mpp,
+                stamp,
+            });
+        }
+    }
+
+    /// Runs one probe through the reference memo the way `CachedArray`
+    /// runs it through the cache; returns `(hit, current bits)`.
+    fn reference_solve(
+        memo: &mut ReferenceMemo,
+        array: &PvArray,
+        e: CellEnv,
+        v: Volts,
+    ) -> (bool, u64) {
+        let key = (
+            e.irradiance.get().to_bits(),
+            e.temperature.get().to_bits(),
+            v.get().to_bits(),
+        );
+        if let Some(bits) = memo.lookup_solve(key) {
+            return (true, bits);
+        }
+        let bits = array.current_at(e, v).unwrap().get().to_bits();
+        memo.store_solve(key, bits);
+        (false, bits)
+    }
+
+    /// Drives the cache and the reference memo with one probe stream and
+    /// checks them call by call.
+    struct Differential<'a> {
+        array: &'a PvArray,
+        cache: &'a ArrayCache,
+        memo: ReferenceMemo,
+        calls: u64,
+    }
+
+    impl Differential<'_> {
+        fn solve(&mut self, e: CellEnv, v: Volts) -> f64 {
+            let before = self.cache.stats();
+            let got = CachedArray::new(self.array, self.cache)
+                .current_at(e, v)
+                .unwrap()
+                .get();
+            let hit = self.cache.stats().hits > before.hits;
+            let (want_hit, want_bits) = reference_solve(&mut self.memo, self.array, e, v);
+            assert_eq!(hit, want_hit, "hit/miss of call {}", self.calls);
+            assert_eq!(got.to_bits(), want_bits, "bits of call {}", self.calls);
+            self.calls += 1;
+            got
+        }
+
+        fn voc(&mut self, e: CellEnv) -> f64 {
+            let got = CachedArray::new(self.array, self.cache).open_circuit_voltage(e);
+            let key = CachedArray::env_key(e);
+            let want = match self.memo.lookup_env(key).and_then(|entry| entry.voc_bits) {
+                Some(bits) => bits,
+                None => {
+                    let bits = self.array.open_circuit_voltage(e).get().to_bits();
+                    self.memo.update_env(key, Some(bits), None);
+                    bits
+                }
+            };
+            assert_eq!(got.get().to_bits(), want, "Voc of call {}", self.calls);
+            self.calls += 1;
+            got.get()
+        }
+
+        fn mpp(&mut self, e: CellEnv) {
+            let got = CachedArray::new(self.array, self.cache).mpp(e);
+            let key = CachedArray::env_key(e);
+            let want = match self.memo.lookup_env(key).and_then(|entry| entry.mpp) {
+                Some(point) => point,
+                None => {
+                    let point = self.array.mpp(e);
+                    self.memo.update_env(key, None, Some(point));
+                    point
+                }
+            };
+            assert_eq!(
+                got.power.get().to_bits(),
+                want.power.get().to_bits(),
+                "MPP of call {}",
+                self.calls
+            );
+            self.calls += 1;
+        }
+
+        /// The operating-point solver's probe pattern for a resistive
+        /// load: 96 bisection midpoints on `[0, Voc]`, whose tail repeats
+        /// once the interval collapses to adjacent floats, plus the finish.
+        fn bisect(&mut self, e: CellEnv, r_panel: f64) {
+            let (mut lo, mut hi) = (0.0, self.voc(e));
+            for _ in 0..96 {
+                let mid = 0.5 * (lo + hi);
+                if mid / r_panel - self.solve(e, Volts::new(mid)) < 0.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            self.solve(e, Volts::new(0.5 * (lo + hi)));
+        }
+    }
+
+    #[test]
+    fn memo_state_evolves_exactly_like_the_reference() {
+        let array = PvArray::solarcore_default();
+        let cache = ArrayCache::new();
+        let mut run = Differential {
+            array: &array,
+            cache: &cache,
+            memo: ReferenceMemo::new(),
+            calls: 0,
+        };
+        let sunny = env(850.0, 41.0);
+        let hazy = env(430.0, 27.5);
+
+        // Bisection solves, with MPP queries and env switches between them.
+        for r_panel in [0.9, 1.3, 1.3, 2.2] {
+            run.bisect(sunny, r_panel);
+            run.mpp(hazy);
+            run.bisect(hazy, r_panel);
+            run.mpp(sunny);
+        }
+        // Env switches in mid-solve: alternate environments probe by probe.
+        for step in 0..40 {
+            let v = Volts::new(20.0 + 0.25 * f64::from(step % 10));
+            run.solve(if step % 2 == 0 { sunny } else { hazy }, v);
+            run.solve(sunny, v);
+        }
+
+        // Set-conflict churn: hit a key, evict it with other keys of its
+        // set, then repeat it.
+        let victim = Volts::new(33.0);
+        let set_of = |v: Volts| {
+            let (g, t) = CachedArray::env_key(sunny);
+            set_index(fnv(&[g, t, v.get().to_bits()]), SOLVE_SETS)
+        };
+        let rivals: Vec<Volts> = (1..)
+            .map(|k| Volts::new(33.0 + 1e-3 * f64::from(k)))
+            .filter(|&v| set_of(v) == set_of(victim))
+            .take(WAYS)
+            .collect();
+        for _ in 0..3 {
+            run.solve(sunny, victim);
+            run.solve(sunny, victim);
+            run.voc(hazy);
+            for &v in &rivals {
+                run.solve(sunny, v);
+            }
+            run.solve(sunny, victim);
+            run.solve(sunny, victim);
+            run.solve(sunny, rivals[0]);
+        }
+
+        let stats = cache.stats();
+        assert_eq!(
+            stats,
+            CacheStats {
+                hits: run.memo.hits,
+                misses: run.memo.misses,
+            }
+        );
+        assert!(stats.hits > 0 && stats.misses > 0);
+        let state = cache.state.borrow();
+        assert_eq!(state.stamp, run.memo.stamp);
+        let solves = |sets: &[[Option<SolveEntry>; WAYS]]| -> Vec<Option<(SolveKey, u64, u64)>> {
+            sets.iter()
+                .flatten()
+                .map(|w| w.map(|e| (e.key, e.current_bits, e.stamp)))
+                .collect()
+        };
+        assert!(solves(&state.solves) == solves(&run.memo.solves));
+        let envs = |sets: &[[Option<EnvEntry>; WAYS]]| -> Vec<Option<(EnvKey, Option<u64>, u64)>> {
+            sets.iter()
+                .flatten()
+                .map(|w| w.map(|e| (e.key, e.voc_bits, e.stamp)))
+                .collect()
+        };
+        assert!(envs(&state.envs) == envs(&run.memo.envs));
     }
 }

@@ -185,8 +185,8 @@ impl SolarCoreController {
         env: CellEnv,
         converter: &DcDcConverter,
         chip: &MultiCoreChip,
-    ) -> OperatingPoint {
-        let mut op = self.solve(array, env, converter, chip);
+    ) -> Result<OperatingPoint, CoreError> {
+        let mut op = self.solve(array, env, converter, chip)?;
         let expected = (op.output_voltage.get(), op.output_current.get());
         let (v, i) = self.sensor.measure(op.output_voltage, op.output_current);
         match self.detector.as_mut() {
@@ -206,7 +206,7 @@ impl SolarCoreController {
                 op.output_current = Amps::new(si);
             }
         }
-        op
+        Ok(op)
     }
 
     /// One per-minute sensing health probe: solves the modeled operating
@@ -214,32 +214,44 @@ impl SolarCoreController {
     /// it is faulty (and why). Returns `None` both for clean readings and
     /// when detection is not armed. The probed reading is evaluated, not
     /// forwarded.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed operating-point solve as [`CoreError::Power`].
     pub fn health_probe(
         &mut self,
         array: &dyn PvGenerator,
         env: CellEnv,
         converter: &DcDcConverter,
         chip: &MultiCoreChip,
-    ) -> Option<ProbeFault> {
-        self.detector.as_ref()?;
-        let op = self.solve(array, env, converter, chip);
+    ) -> Result<Option<ProbeFault>, CoreError> {
+        if self.detector.is_none() {
+            return Ok(None);
+        }
+        let op = self.solve(array, env, converter, chip)?;
         let expected = (op.output_voltage.get(), op.output_current.get());
         let (v, i) = self.sensor.measure(op.output_voltage, op.output_current);
-        self.detector
+        Ok(self
+            .detector
             .as_mut()
-            .and_then(|detector| detector.probe((v.get(), i.get()), expected))
+            .and_then(|detector| detector.probe((v.get(), i.get()), expected)))
     }
 
     /// Solves the present electrical operating point: the chip (at its
     /// current DVFS settings and phases) presents `R = Vdd²/P_demand` to
     /// the bus.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Power`] when the PV generator fails to evaluate
+    /// a probe of the solve.
     pub fn solve(
         &self,
         array: &dyn PvGenerator,
         env: CellEnv,
         converter: &DcDcConverter,
         chip: &MultiCoreChip,
-    ) -> OperatingPoint {
+    ) -> Result<OperatingPoint, CoreError> {
         let demand = chip.total_power().get();
         let load = if demand <= 0.0 {
             LoadModel::Open
@@ -247,10 +259,10 @@ impl SolarCoreController {
             let vdd = self.config.nominal_bus_voltage.get();
             LoadModel::Resistance(Ohms::new(vdd * vdd / demand))
         };
-        match &self.solve_stats {
+        Ok(match &self.solve_stats {
             Some(stats) => solve_operating_point_traced(array, env, converter, &load, stats),
             None => solve_operating_point(array, env, converter, &load),
-        }
+        }?)
     }
 
     /// `true` if the bus voltage is outside the event-retrack band and the
@@ -265,8 +277,9 @@ impl SolarCoreController {
     /// # Errors
     ///
     /// Propagates [`CoreError`] from the load tuner (scheduler/chip
-    /// inconsistencies); physically impossible operating points trip the
-    /// [`invariants`] sanitizer instead.
+    /// inconsistencies) and from failed operating-point solves; physically
+    /// impossible operating points trip the [`invariants`] sanitizer
+    /// instead.
     pub fn track(&mut self, rig: &mut TrackingRig<'_>) -> Result<TrackReport, CoreError> {
         let mut report = TrackReport::default();
 
@@ -276,7 +289,7 @@ impl SolarCoreController {
         let mut stalls = 0;
         for _ in 0..self.config.max_rounds {
             report.rounds += 1;
-            let before = self.observe(rig.array, rig.env, rig.converter, rig.chip);
+            let before = self.observe(rig.array, rig.env, rig.converter, rig.chip)?;
 
             // Bootstrap: a fully shed load (e.g. everything gated during a
             // lull) draws no current, so neither probe signal works. If the
@@ -295,7 +308,7 @@ impl SolarCoreController {
             if applied != 0.0 {
                 report.actions += 1;
             }
-            let probed = self.observe(rig.array, rig.env, rig.converter, rig.chip);
+            let probed = self.observe(rig.array, rig.env, rig.converter, rig.chip)?;
             if probed.output_current < before.output_current {
                 // Wrong direction: net −Δk.
                 rig.converter.nudge_ratio(-2);
@@ -306,7 +319,7 @@ impl SolarCoreController {
             // Step 3: load-match the output voltage back down to Vdd.
             report.actions += self.match_down_to_vdd(rig)?;
 
-            let after = self.observe(rig.array, rig.env, rig.converter, rig.chip);
+            let after = self.observe(rig.array, rig.env, rig.converter, rig.chip)?;
             if after.output_power().get() <= before.output_power().get() + IMPROVEMENT_EPS_W {
                 stalls += 1;
                 if stalls >= STALL_LIMIT {
@@ -326,7 +339,7 @@ impl SolarCoreController {
         }
         report.actions += self.lift_sagging_bus(rig)?;
 
-        let final_op = self.solve(rig.array, rig.env, rig.converter, rig.chip);
+        let final_op = self.solve(rig.array, rig.env, rig.converter, rig.chip)?;
         if invariants::enabled() {
             // The tracked point can never beat the MPP oracle, and the
             // converter must show its configured losses.
@@ -371,11 +384,11 @@ impl SolarCoreController {
         // guard).
         let mut last_dir = 0i8;
         for _ in 0..RESTORE_CAP {
-            let op = self.observe(rig.array, rig.env, rig.converter, rig.chip);
+            let op = self.observe(rig.array, rig.env, rig.converter, rig.chip)?;
             let v = op.output_voltage.get();
             if v < vdd * (1.0 - tol) {
                 let applied = rig.converter.nudge_ratio(-1);
-                let probed = self.observe(rig.array, rig.env, rig.converter, rig.chip);
+                let probed = self.observe(rig.array, rig.env, rig.converter, rig.chip)?;
                 if applied != 0.0 && probed.output_voltage.get() > v + 1e-9 {
                     // Right of the knee with k too high: keep lowering k.
                     actions += 1;
@@ -415,7 +428,7 @@ impl SolarCoreController {
         let tol = self.config.voltage_tolerance;
         let mut actions = 0;
         for _ in 0..RESTORE_CAP {
-            let op = self.observe(rig.array, rig.env, rig.converter, rig.chip);
+            let op = self.observe(rig.array, rig.env, rig.converter, rig.chip)?;
             if op.output_voltage.get() > vdd * (1.0 + tol) {
                 if !rig.tuner.increase(rig.chip)? {
                     break;
@@ -434,7 +447,7 @@ impl SolarCoreController {
         let tol = self.config.voltage_tolerance;
         let mut actions = 0;
         for _ in 0..RESTORE_CAP {
-            let op = self.observe(rig.array, rig.env, rig.converter, rig.chip);
+            let op = self.observe(rig.array, rig.env, rig.converter, rig.chip)?;
             if op.output_voltage.get() < vdd * (1.0 - tol) {
                 if !rig.tuner.decrease(rig.chip)? {
                     break;
@@ -531,6 +544,7 @@ mod tests {
             .unwrap();
         let p_sunny = controller
             .solve(&array, sunny, &converter, &chip)
+            .unwrap()
             .panel_power()
             .get();
 
@@ -544,7 +558,7 @@ mod tests {
                 tuner: &mut tuner,
             })
             .unwrap();
-        let op_cloudy = controller.solve(&array, cloudy, &converter, &chip);
+        let op_cloudy = controller.solve(&array, cloudy, &converter, &chip).unwrap();
         let mpp_cloudy = array.mpp(cloudy).power.get();
         assert!(op_cloudy.panel_power().get() < p_sunny);
         assert!(op_cloudy.panel_power().get() > 0.8 * mpp_cloudy);
@@ -563,6 +577,7 @@ mod tests {
             .unwrap();
         let p_again = controller
             .solve(&array, sunny, &converter, &chip)
+            .unwrap()
             .panel_power()
             .get();
         assert!(p_again > 0.85 * array.mpp(sunny).power.get());
@@ -582,7 +597,7 @@ mod tests {
                 tuner: &mut tuner,
             })
             .unwrap();
-        let op = controller.solve(&array, env, &converter, &chip);
+        let op = controller.solve(&array, env, &converter, &chip).unwrap();
         let mpp = array.mpp(env).power.get();
         assert!(
             op.panel_power().get() <= mpp + 1e-6,
@@ -610,6 +625,49 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.final_output_power, 0.0);
+    }
+
+    /// A PV source whose every I-V evaluation fails.
+    struct BrokenArray(PvArray);
+
+    impl PvGenerator for BrokenArray {
+        fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
+            self.0.open_circuit_voltage(env)
+        }
+
+        fn current_at(&self, _env: CellEnv, _voltage: Volts) -> Result<Amps, pv::PvError> {
+            Err(pv::PvError::NoConvergence {
+                context: "module current at voltage",
+                iterations: 128,
+            })
+        }
+
+        fn mpp(&self, env: CellEnv) -> pv::MppPoint {
+            self.0.mpp(env)
+        }
+    }
+
+    #[test]
+    fn solver_errors_surface_as_core_errors() {
+        let mut controller = SolarCoreController::default();
+        let (array, mut converter, mut chip, mut tuner) = rig_parts(Mix::hm2());
+        let broken = BrokenArray(array);
+        let env = env(800.0);
+        let err = controller
+            .solve(&broken, env, &converter, &chip)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::Power(powertrain::PowerError::Pv(_))
+        ));
+        let tracked = controller.track(&mut TrackingRig {
+            array: &broken,
+            env,
+            converter: &mut converter,
+            chip: &mut chip,
+            tuner: &mut tuner,
+        });
+        assert_eq!(tracked.unwrap_err(), err);
     }
 
     #[test]

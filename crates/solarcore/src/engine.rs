@@ -484,7 +484,7 @@ impl DaySimulation {
                         let mut probe_clean = false;
                         let mut degraded = false;
                         if let Some(fsm) = fsm.as_mut() {
-                            let fault = controller.health_probe(array, env, &converter, &chip);
+                            let fault = controller.health_probe(array, env, &converter, &chip)?;
                             probe_clean = fault.is_none();
                             if let Some(fault) = fault {
                                 if tel.is_enabled() {
@@ -559,7 +559,7 @@ impl DaySimulation {
                             (chip.total_power().min(fallback), vdd)
                         } else {
                             let forced = force_track;
-                            let op = controller.solve(array, env, &converter, &chip);
+                            let op = controller.solve(array, env, &converter, &chip)?;
                             if force_track
                                 || t % self.config.tracking_interval_minutes as usize == 0
                                 || controller.needs_retrack(&op)

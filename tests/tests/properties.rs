@@ -48,7 +48,7 @@ proptest! {
         let array = PvArray::solarcore_default();
         let mut converter = DcDcConverter::solarcore_default();
         converter.set_ratio(k).unwrap();
-        let op = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r_load)));
+        let op = solve_operating_point(&array, env, &converter, &LoadModel::Resistance(Ohms::new(r_load))).unwrap();
         let i_pv = array.current_at(env, op.panel_voltage).unwrap().get();
         prop_assert!((i_pv - op.panel_current.get()).abs() < 1e-4);
         let r_panel = converter.reflected_resistance(Ohms::new(r_load)).get();

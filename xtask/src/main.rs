@@ -69,7 +69,7 @@ use xtask::{analyze, bench, docs, flow, graph, lint};
 /// they fail fast, then the build, the tests and the end-to-end harness
 /// smokes. Each entry is either a `cargo` command line or an `xtask`
 /// command dispatched in-process.
-const CI_GATES: [&[&str]; 14] = [
+const CI_GATES: [&[&str]; 15] = [
     &["xtask", "docs"],
     &[
         "cargo",
@@ -88,6 +88,18 @@ const CI_GATES: [&[&str]; 14] = [
     &["cargo", "doc", "--no-deps", "--workspace"],
     &["cargo", "build", "--release", "--workspace"],
     &["cargo", "test", "-q", "--workspace"],
+    // The benchmark is a workspace of its own that builds against the
+    // simulator's public API: building and self-testing it here makes an
+    // API change that breaks it fail locally.
+    &[
+        "cargo",
+        "test",
+        "--release",
+        "--offline",
+        "-q",
+        "--manifest-path",
+        "perfbench/Cargo.toml",
+    ],
     &["xtask", "determinism"],
     // Fault-injection soundness gates on a two-scenario subset.
     &["xtask", "chaos", "--smoke"],
@@ -185,8 +197,8 @@ fn print_usage() {
     eprintln!("               (--smoke proves byte-stability/transparency and writes nothing)");
     eprintln!("  tdiff        schema-aware diff of two telemetry/profile/campaign artifacts");
     eprintln!(
-        "  ci           docs, clippy, analyze, flow, graph, doc, build, test, determinism, \
-         chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
+        "  ci           docs, clippy, analyze, flow, graph, doc, build, test, perfbench test, \
+         determinism, chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
     );
 }
 
