@@ -38,7 +38,7 @@ fn bench_curve_sampling(c: &mut Criterion) {
     let module = PvModule::bp3180n();
     let env = CellEnv::stc();
     c.bench_function("pv/iv_curve_100pts", |b| {
-        b.iter(|| IvCurve::sample(&module, black_box(env), 100))
+        b.iter(|| IvCurve::sample(&module, black_box(env), 100).unwrap())
     });
 }
 
@@ -128,9 +128,9 @@ impl PvGenerator for ProbeRecorder<'_> {
         self.array.open_circuit_voltage(env)
     }
 
-    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
+    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
         self.probes.borrow_mut().push(voltage);
-        self.array.current_at(env, voltage)
+        self.array.current_at_counted(env, voltage)
     }
 
     fn mpp(&self, env: CellEnv) -> MppPoint {

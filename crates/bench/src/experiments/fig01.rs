@@ -9,8 +9,9 @@ use std::path::Path;
 
 use serde::Serialize;
 
+use powertrain::{solve_operating_point, DcDcConverter, LoadModel};
 use pv::units::{Celsius, Irradiance};
-use pv::{resistive_operating_point, CellEnv, PvModule};
+use pv::{CellEnv, PvModule};
 
 use crate::output::{write_json, TextTable};
 
@@ -39,20 +40,25 @@ pub fn compute() -> Fig01 {
     let module = PvModule::bp3180n();
     let stc = CellEnv::stc();
     let mpp_stc = module.mpp(stc);
-    // The fixed load: matched exactly at STC.
+    // The fixed load: matched exactly at STC, wired straight to the panel
+    // (a lossless unity-ratio converter reflects it unchanged).
     let load = mpp_stc.voltage / mpp_stc.current;
+    let direct = DcDcConverter::new(1.0, 1.0, 1.0, 0.05, 1.0).expect("unity converter is valid");
 
     let points = [1000.0, 800.0, 600.0, 400.0]
         .into_iter()
         .map(|g| {
             let env = CellEnv::new(Irradiance::new(g), Celsius::new(25.0));
-            let op = resistive_operating_point(&module, env, load);
+            let v = solve_operating_point(&module, env, &direct, &LoadModel::Resistance(load))
+                .expect("BP3180N evaluates on [0, Voc]")
+                .panel_voltage;
+            let power = v * (v / load);
             let mpp = module.mpp(env);
             UtilizationPoint {
                 irradiance: g,
-                fixed_load_power: op.power().get(),
+                fixed_load_power: power.get(),
                 mpp_power: mpp.power.get(),
-                utilization: op.power().get() / mpp.power.get(),
+                utilization: power.get() / mpp.power.get(),
             }
         })
         .collect();

@@ -44,7 +44,8 @@ pub struct CurveFamily {
 /// Extracts one labeled curve under `env`.
 pub fn characteristic(module: &PvModule, env: CellEnv, parameter: f64) -> CharacteristicCurve {
     let mpp = module.mpp(env);
-    let curve = IvCurve::sample(module, env, CURVE_SEGMENTS);
+    let curve =
+        IvCurve::sample(module, env, CURVE_SEGMENTS).expect("BP3180N evaluates on [0, Voc]");
     CharacteristicCurve {
         parameter,
         isc: module.short_circuit_current(env).get(),

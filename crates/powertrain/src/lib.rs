@@ -55,7 +55,5 @@ pub mod sensors;
 pub use ats::{AutomaticTransferSwitch, PowerSource};
 pub use converter::DcDcConverter;
 pub use error::PowerError;
-pub use opsolve::{
-    solve_operating_point, solve_operating_point_traced, LoadModel, OperatingPoint, SolveStats,
-};
+pub use opsolve::{solve_operating_point, LoadModel, OperatingPoint};
 pub use sensors::{FaultedIvSensor, IvSensor};

@@ -4,12 +4,18 @@
 //! of the electrical characteristics of the solar panel and the load"
 //! (paper Section 2.3). The intersection is unique for resistive loads
 //! because the PV current is non-increasing in voltage while the load line
-//! is strictly increasing; solved by bisection on `[0, Voc]`.
+//! is strictly increasing; solved by bisection on `[0, Voc]`. This is the
+//! workspace's one load-line solver: Figure 1's fixed resistor is the
+//! resistive case behind a unity converter.
+//!
+//! The solver does not count its own work. Each probe is one
+//! [`PvGenerator::current_at`] call, so a caller that wants evaluation and
+//! iteration counts passes a counting generator (the engine's
+//! `solarcore::CountingArray`) and reads them there.
 
 use pv::cell::CellEnv;
 use pv::error::PvError;
 use pv::generator::PvGenerator;
-use pv::mpp::MppPoint;
 use pv::units::{Amps, Ohms, Volts, Watts};
 
 use crate::converter::DcDcConverter;
@@ -64,102 +70,6 @@ impl OperatingPoint {
     }
 }
 
-/// Interior-mutable work counters for the operating-point solver, shared
-/// with the telemetry subsystem (`Cell`-based so they can be bumped behind
-/// the `&self` methods of [`PvGenerator`]).
-///
-/// Counting is observationally free: the traced solver wraps the generator
-/// in a pass-through adapter whose arithmetic path is identical to the
-/// untraced one, so every solved bit matches `solve_operating_point`.
-#[derive(Debug, Default)]
-pub struct SolveStats {
-    solves: core::cell::Cell<u64>,
-    pv_evals: core::cell::Cell<u64>,
-    newton_iters: core::cell::Cell<u64>,
-}
-
-impl SolveStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of operating-point solves performed.
-    pub fn solves(&self) -> u64 {
-        self.solves.get()
-    }
-
-    /// Number of PV I-V curve evaluations across all solves (~96 bisection
-    /// probes + 1 finish per solve).
-    pub fn pv_evals(&self) -> u64 {
-        self.pv_evals.get()
-    }
-
-    /// Total inner Newton/bisection iterations across all PV evaluations
-    /// (zero for memo hits on a [`pv::CachedArray`]).
-    pub fn newton_iters(&self) -> u64 {
-        self.newton_iters.get()
-    }
-}
-
-/// Pass-through [`PvGenerator`] adapter that tallies evaluation work into a
-/// [`SolveStats`]. Every call delegates to the counted inner path, which is
-/// bit-identical to the plain one by the `pv` crate's contract.
-struct CountingGenerator<'a, G: PvGenerator + ?Sized> {
-    inner: &'a G,
-    stats: &'a SolveStats,
-}
-
-impl<G: PvGenerator + ?Sized> PvGenerator for CountingGenerator<'_, G> {
-    fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
-        self.inner.open_circuit_voltage(env)
-    }
-
-    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
-        Ok(self.current_at_counted(env, voltage)?.0)
-    }
-
-    fn mpp(&self, env: CellEnv) -> MppPoint {
-        self.inner.mpp(env)
-    }
-
-    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
-        let (current, iters) = self.inner.current_at_counted(env, voltage)?;
-        self.stats
-            .pv_evals
-            .set(self.stats.pv_evals.get().saturating_add(1));
-        self.stats.newton_iters.set(
-            self.stats
-                .newton_iters
-                .get()
-                .saturating_add(u64::from(iters)),
-        );
-        Ok((current, iters))
-    }
-}
-
-/// [`solve_operating_point`] with work counters: identical output bits,
-/// plus `stats` accumulates the solve/evaluation/iteration tallies the
-/// telemetry subsystem reports (DESIGN.md §14).
-///
-/// # Errors
-///
-/// Same contract as [`solve_operating_point`].
-pub fn solve_operating_point_traced<G: PvGenerator + ?Sized>(
-    generator: &G,
-    env: CellEnv,
-    converter: &DcDcConverter,
-    load: &LoadModel,
-    stats: &SolveStats,
-) -> Result<OperatingPoint, PowerError> {
-    stats.solves.set(stats.solves.get().saturating_add(1));
-    let counting = CountingGenerator {
-        inner: generator,
-        stats,
-    };
-    solve_operating_point(&counting, env, converter, load)
-}
-
 /// Solves the operating point of `generator` + `converter` + `load` under
 /// environment `env`.
 ///
@@ -189,7 +99,7 @@ pub fn solve_operating_point<G: PvGenerator + ?Sized>(
                 return Ok(OperatingPoint::default());
             }
             let r_panel = converter.reflected_resistance(*r).get();
-            let v = bisect_panel_voltage(generator, env, voc, |v, i| v / r_panel - i)?;
+            let v = bisect_voltage_range(generator, env, 0.0, voc.get(), |v, i| v / r_panel - i)?;
             finish(generator, env, converter, v)
         }
         LoadModel::ConstantPower(p) => {
@@ -217,17 +127,8 @@ pub fn solve_operating_point<G: PvGenerator + ?Sized>(
     }
 }
 
-/// Bisects on `[0, Voc]` for the root of `f(V, I_pv(V))`, where `f` is
+/// Bisects on `[lo, hi]` for the root of `f(V, I_pv(V))`, where `f` is
 /// increasing in `V` along the PV curve.
-fn bisect_panel_voltage<G: PvGenerator + ?Sized>(
-    generator: &G,
-    env: CellEnv,
-    voc: Volts,
-    f: impl Fn(f64, f64) -> f64,
-) -> Result<Volts, PvError> {
-    bisect_voltage_range(generator, env, 0.0, voc.get(), f)
-}
-
 fn bisect_voltage_range<G: PvGenerator + ?Sized>(
     generator: &G,
     env: CellEnv,
@@ -281,7 +182,7 @@ fn assert_point_sane<G: PvGenerator + ?Sized>(
     let voc = generator.open_circuit_voltage(env).get();
     let v = op.panel_voltage.get();
     assert!(
-        // lint:allow(dim): 1e-9 is an absolute nanovolt tolerance on a volt compare
+        // 1e-9 is an absolute nanovolt tolerance on a volt compare.
         v.is_finite() && v >= 0.0 && v <= voc + 1e-9,
         "operating-point invariant violated: panel voltage {v} V outside [0, Voc = {voc} V]"
     );
@@ -307,8 +208,9 @@ fn assert_point_sane<G: PvGenerator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pv::mpp::MppPoint;
     use pv::units::Celsius;
-    use pv::PvArray;
+    use pv::{PvArray, PvModule};
 
     fn rig() -> (PvArray, DcDcConverter, CellEnv) {
         (
@@ -412,33 +314,25 @@ mod tests {
     #[test]
     fn zero_and_negative_loads_are_safe() {
         let (array, dcdc, env) = rig();
-        let op =
-            solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::ZERO)).unwrap();
-        assert_eq!(op, OperatingPoint::default());
+        let dark = CellEnv::dark(Celsius::new(25.0));
+        for (env, r) in [(env, 0.0), (env, -1.0), (dark, 10.0)] {
+            let op =
+                solve_operating_point(&array, env, &dcdc, &LoadModel::Resistance(Ohms::new(r)))
+                    .unwrap();
+            assert_eq!(op, OperatingPoint::default());
+        }
+        // Figure 1's bare module on a fixed resistor (a unity converter).
+        let module = PvModule::bp3180n();
+        let unity = DcDcConverter::new(1.0, 1.0, 1.0, 0.05, 1.0).unwrap();
+        for (env, r) in [(CellEnv::stc(), 0.0), (dark, 10.0)] {
+            let op =
+                solve_operating_point(&module, env, &unity, &LoadModel::Resistance(Ohms::new(r)))
+                    .unwrap();
+            assert_eq!(op, OperatingPoint::default());
+        }
         let op = solve_operating_point(&array, env, &dcdc, &LoadModel::ConstantPower(Watts::ZERO))
             .unwrap();
         assert_eq!(op.panel_current, Amps::ZERO);
-    }
-
-    #[test]
-    fn traced_solve_is_bit_identical_and_counts_work() {
-        let (array, dcdc, env) = rig();
-        let load = LoadModel::Resistance(Ohms::new(1.2));
-        let plain = solve_operating_point(&array, env, &dcdc, &load).unwrap();
-        let stats = SolveStats::new();
-        let traced = solve_operating_point_traced(&array, env, &dcdc, &load, &stats).unwrap();
-        assert_eq!(
-            plain.panel_voltage.get().to_bits(),
-            traced.panel_voltage.get().to_bits()
-        );
-        assert_eq!(
-            plain.output_current.get().to_bits(),
-            traced.output_current.get().to_bits()
-        );
-        assert_eq!(stats.solves(), 1);
-        // 96 bisection probes + 1 finish evaluation.
-        assert_eq!(stats.pv_evals(), 97);
-        assert!(stats.newton_iters() >= stats.pv_evals());
     }
 
     /// A generator whose I-V evaluation fails above `fails_above`.
@@ -452,14 +346,14 @@ mod tests {
             self.array.open_circuit_voltage(env)
         }
 
-        fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
+        fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
             if voltage > self.fails_above {
                 return Err(PvError::NoConvergence {
                     context: "module current at voltage",
                     iterations: 128,
                 });
             }
-            self.array.current_at(env, voltage)
+            self.array.current_at_counted(env, voltage)
         }
 
         fn mpp(&self, env: CellEnv) -> MppPoint {
@@ -483,11 +377,6 @@ mod tests {
             LoadModel::ConstantPower(Watts::new(100.0)),
         ] {
             assert_eq!(solve_operating_point(&failing, env, &dcdc, &load), want);
-            let stats = SolveStats::new();
-            assert_eq!(
-                solve_operating_point_traced(&failing, env, &dcdc, &load, &stats),
-                want
-            );
         }
         // Loads whose probes all stay below the failing voltages still solve.
         let heavy = LoadModel::Resistance(Ohms::new(0.3));

@@ -101,11 +101,6 @@ impl PvGenerator for PvArray {
         self.module.open_circuit_voltage(env) * self.modules_series as f64
     }
 
-    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
-        let per_module = voltage / self.modules_series as f64;
-        Ok(self.module.current_at(env, per_module)? * self.strings_parallel as f64)
-    }
-
     fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
         let per_module = voltage / self.modules_series as f64;
         let (current, iters) = self.module.current_at_counted(env, per_module)?;

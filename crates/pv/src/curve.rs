@@ -1,8 +1,9 @@
-//! Sampled I-V / P-V curves and load-line intersections (Figures 4–7).
+//! Sampled I-V / P-V curves (Figures 6–7).
 
 use crate::cell::CellEnv;
+use crate::error::PvError;
 use crate::generator::PvGenerator;
-use crate::units::{Amps, Ohms, Volts, Watts};
+use crate::units::{Amps, Volts, Watts};
 
 /// One sampled point of an I-V curve.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -29,9 +30,10 @@ impl IvPoint {
 /// use pv::{PvModule, CellEnv, IvCurve};
 ///
 /// let module = PvModule::bp3180n();
-/// let curve = IvCurve::sample(&module, CellEnv::stc(), 100);
+/// let curve = IvCurve::sample(&module, CellEnv::stc(), 100)?;
 /// assert_eq!(curve.points().len(), 101);
 /// assert!(curve.max_power().power().get() > 170.0);
+/// # Ok::<(), pv::PvError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct IvCurve {
@@ -42,23 +44,31 @@ impl IvCurve {
     /// Samples `segments + 1` evenly spaced points of the generator's I-V
     /// characteristic on `[0, Voc]`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `segments == 0`.
-    pub fn sample<G: PvGenerator + ?Sized>(generator: &G, env: CellEnv, segments: usize) -> Self {
-        assert!(segments > 0, "need at least one segment");
+    /// Returns [`PvError::InvalidParameter`] if `segments == 0`, and the
+    /// generator's error if any point fails to evaluate.
+    pub fn sample<G: PvGenerator + ?Sized>(
+        generator: &G,
+        env: CellEnv,
+        segments: usize,
+    ) -> Result<Self, PvError> {
+        if segments == 0 {
+            return Err(PvError::InvalidParameter {
+                name: "segments",
+                value: 0.0,
+                constraint: "must be at least 1",
+            });
+        }
         let voc = generator.open_circuit_voltage(env);
         let points = (0..=segments)
             .map(|step| {
-                let v = Volts::new(voc.get() * step as f64 / segments as f64);
-                let i = generator.current_at(env, v).unwrap_or(Amps::ZERO);
-                IvPoint {
-                    voltage: v,
-                    current: i,
-                }
+                let voltage = Volts::new(voc.get() * step as f64 / segments as f64);
+                let current = generator.current_at(env, voltage)?;
+                Ok(IvPoint { voltage, current })
             })
-            .collect();
-        Self { points }
+            .collect::<Result<_, PvError>>()?;
+        Ok(Self { points })
     }
 
     /// The sampled points, ordered by increasing voltage.
@@ -91,56 +101,18 @@ impl<'a> IntoIterator for &'a IvCurve {
     }
 }
 
-/// Finds the operating point of a generator loaded by a pure resistance
-/// (the intersection of the I-V curve with the load line `I = V / R`,
-/// Figure 4 of the paper).
-///
-/// The intersection is unique because the PV current is non-increasing in
-/// voltage while the load line is strictly increasing. Solved by bisection
-/// on `[0, Voc]`.
-pub fn resistive_operating_point<G: PvGenerator + ?Sized>(
-    generator: &G,
-    env: CellEnv,
-    load: Ohms,
-) -> IvPoint {
-    let voc = generator.open_circuit_voltage(env);
-    if voc <= Volts::ZERO || load.get() <= 0.0 {
-        return IvPoint::default();
-    }
-    let mismatch = |v: f64| -> f64 {
-        let i_pv = generator
-            .current_at(env, Volts::new(v))
-            .map(Amps::get)
-            .unwrap_or(0.0);
-        i_pv - v / load.get()
-    };
-    let (mut lo, mut hi) = (0.0, voc.get());
-    for _ in 0..96 {
-        let mid = 0.5 * (lo + hi);
-        if mismatch(mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let v = Volts::new(0.5 * (lo + hi));
-    IvPoint {
-        voltage: v,
-        current: v / load,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::module::PvModule;
-    use crate::units::{Celsius, Irradiance};
+    use crate::mpp::MppPoint;
+    use crate::units::Celsius;
 
     #[test]
     fn curve_spans_short_to_open_circuit() {
         let m = PvModule::bp3180n();
         let env = CellEnv::stc();
-        let curve = IvCurve::sample(&m, env, 50);
+        let curve = IvCurve::sample(&m, env, 50).unwrap();
         let first = curve.points().first().unwrap();
         let last = curve.points().last().unwrap();
         assert_eq!(first.voltage, Volts::ZERO);
@@ -153,64 +125,71 @@ mod tests {
     fn coarse_max_power_close_to_oracle() {
         let m = PvModule::bp3180n();
         let env = CellEnv::stc();
-        let coarse = IvCurve::sample(&m, env, 400).max_power();
+        let coarse = IvCurve::sample(&m, env, 400).unwrap().max_power();
         let oracle = m.mpp(env);
         assert!((coarse.power().get() - oracle.power.get()).abs() < 0.5);
     }
 
     #[test]
-    fn resistive_intersection_satisfies_both_curves() {
+    fn zero_segments_is_an_error() {
         let m = PvModule::bp3180n();
-        let env = CellEnv::stc();
-        let r = Ohms::new(7.25); // ≈ Vmp/Imp, near-matched load
-        let op = resistive_operating_point(&m, env, r);
-        // On the load line:
-        assert!((op.current.get() - op.voltage.get() / r.get()).abs() < 1e-9);
-        // On the PV curve:
-        let i_pv = m.current_at(env, op.voltage).unwrap();
-        assert!((i_pv.get() - op.current.get()).abs() < 1e-4);
-        // Near-matched load lands near the MPP.
-        assert!((op.power().get() - m.mpp(env).power.get()).abs() < 2.0);
+        assert!(matches!(
+            IvCurve::sample(&m, CellEnv::stc(), 0),
+            Err(PvError::InvalidParameter {
+                name: "segments",
+                ..
+            })
+        ));
+    }
+
+    /// A module whose I-V evaluation fails above `fails_above`.
+    struct FailsMidCurve {
+        module: PvModule,
+        fails_above: Volts,
+    }
+
+    impl PvGenerator for FailsMidCurve {
+        fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
+            self.module.open_circuit_voltage(env)
+        }
+
+        fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
+            if voltage > self.fails_above {
+                return Err(PvError::NoConvergence {
+                    context: "module current at voltage",
+                    iterations: 128,
+                });
+            }
+            self.module.current_at_counted(env, voltage)
+        }
+
+        fn mpp(&self, env: CellEnv) -> MppPoint {
+            self.module.mpp(env)
+        }
     }
 
     #[test]
-    fn mismatched_fixed_load_wastes_power_at_low_irradiance() {
-        // Figure 1 of the paper: a load matched at 1000 W/m² extracts less
-        // than half of the available power at 400 W/m².
-        let m = PvModule::bp3180n();
-        let stc = CellEnv::stc();
-        let mpp = m.mpp(stc);
-        let r = mpp.voltage / mpp.current;
-        let dim = CellEnv::new(Irradiance::new(400.0), Celsius::new(25.0));
-        let op = resistive_operating_point(&m, dim, r);
-        let available = m.mpp(dim).power;
-        let utilization = op.power() / available;
-        assert!(
-            utilization < 0.72,
-            "fixed load should be badly matched: {utilization:.2}"
+    fn a_point_that_fails_to_evaluate_fails_the_curve() {
+        let failing = FailsMidCurve {
+            module: PvModule::bp3180n(),
+            fails_above: Volts::new(20.0),
+        };
+        assert_eq!(
+            IvCurve::sample(&failing, CellEnv::stc(), 50),
+            Err(PvError::NoConvergence {
+                context: "module current at voltage",
+                iterations: 128,
+            })
         );
-    }
-
-    #[test]
-    fn degenerate_loads_yield_origin() {
-        let m = PvModule::bp3180n();
-        let op = resistive_operating_point(&m, CellEnv::dark(Celsius::new(25.0)), Ohms::new(10.0));
-        assert_eq!(op, IvPoint::default());
-        let op = resistive_operating_point(&m, CellEnv::stc(), Ohms::ZERO);
-        assert_eq!(op, IvPoint::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one segment")]
-    fn zero_segment_sampling_panics() {
-        let m = PvModule::bp3180n();
-        let _ = IvCurve::sample(&m, CellEnv::stc(), 0);
+        // A curve that stays below the failing voltages still samples.
+        let dark = CellEnv::dark(Celsius::new(25.0));
+        assert!(IvCurve::sample(&failing, dark, 50).is_ok());
     }
 
     #[test]
     fn curve_is_iterable() {
         let m = PvModule::bp3180n();
-        let curve = IvCurve::sample(&m, CellEnv::stc(), 10);
+        let curve = IvCurve::sample(&m, CellEnv::stc(), 10).unwrap();
         assert_eq!(curve.iter().count(), 11);
         assert_eq!((&curve).into_iter().count(), 11);
     }

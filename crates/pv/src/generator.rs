@@ -9,37 +9,43 @@ use crate::units::{Amps, Volts, Watts};
 /// A photovoltaic source with an I-V characteristic parameterized by the
 /// environment.
 ///
+/// Implementors provide one evaluation method,
+/// [`current_at_counted`](Self::current_at_counted), which returns the
+/// current together with the inner solver iterations it cost.
+/// [`current_at`](Self::current_at) and [`power_at`](Self::power_at) are
+/// derived from it, so the plain and counted paths cannot drift apart.
+/// Pass-through wrappers (the memo, the telemetry counter) observe each
+/// evaluation by wrapping that one method.
+///
 /// The trait is object-safe so power-delivery code can hold a
 /// `Box<dyn PvGenerator>`.
 pub trait PvGenerator {
     /// Open-circuit voltage under `env` (zero in darkness).
     fn open_circuit_voltage(&self, env: CellEnv) -> Volts;
 
-    /// Output current at terminal voltage `voltage`.
+    /// Output current at terminal voltage `voltage`, plus the number of
+    /// inner solver iterations the evaluation cost — the telemetry
+    /// subsystem's per-evaluation cost signal. Closed-form or mocked
+    /// sources report zero iterations, and so does a memo hit.
     ///
     /// # Errors
     ///
     /// Implementations return an error for non-finite voltages or solver
     /// failure.
-    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError>;
+    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError>;
 
     /// The true maximum power point under `env` (the oracle the tracking
     /// efficiency is measured against).
     fn mpp(&self, env: CellEnv) -> MppPoint;
 
-    /// [`Self::current_at`] plus the number of inner solver iterations the
-    /// evaluation cost — the telemetry subsystem's per-solve cost signal.
-    ///
-    /// The default reports zero iterations (correct for closed-form or
-    /// mocked sources); iterative implementations override it with the
-    /// true Newton/bisection count. Overrides must return bit-identical
-    /// currents to [`Self::current_at`].
+    /// Output current at terminal voltage `voltage`:
+    /// [`Self::current_at_counted`] without the iteration count.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::current_at`].
-    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
-        Ok((self.current_at(env, voltage)?, 0))
+    /// Same contract as [`Self::current_at_counted`].
+    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
+        Ok(self.current_at_counted(env, voltage)?.0)
     }
 
     /// Output power at terminal voltage `voltage`.
@@ -57,16 +63,12 @@ impl PvGenerator for crate::module::PvModule {
         crate::module::PvModule::open_circuit_voltage(self, env)
     }
 
-    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
-        crate::module::PvModule::current_at(self, env, voltage)
+    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
+        self.solver(env).current_at_counted(voltage)
     }
 
     fn mpp(&self, env: CellEnv) -> MppPoint {
         crate::module::PvModule::mpp(self, env)
-    }
-
-    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
-        self.solver(env).current_at_counted(voltage)
     }
 }
 

@@ -65,7 +65,7 @@ pub mod units;
 
 pub use array::PvArray;
 pub use cell::{CellCoeffs, CellEnv, CellParams};
-pub use curve::{resistive_operating_point, IvCurve, IvPoint};
+pub use curve::{IvCurve, IvPoint};
 pub use datasheet::Datasheet;
 pub use error::PvError;
 pub use generator::PvGenerator;

@@ -174,16 +174,6 @@ impl PvModule {
         self.solver(env).current_at(voltage)
     }
 
-    /// [`Self::current_at`] plus the solver-iteration count, for telemetry;
-    /// see [`ModuleSolver::current_at_counted`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::current_at`].
-    pub fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
-        self.solver(env).current_at_counted(voltage)
-    }
-
     /// Output power at a prescribed terminal voltage.
     ///
     /// # Errors

@@ -517,10 +517,6 @@ impl PvGenerator for CachedArray<'_> {
         voc
     }
 
-    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
-        Ok(self.current_at_counted(env, voltage)?.0)
-    }
-
     fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
         if !voltage.is_finite() {
             // Error paths are not memoized; delegate for the exact error.

@@ -17,12 +17,9 @@
 //! of Figure 11); a final load-decrease step leaves the power margin the
 //! paper uses for robustness.
 
-use std::rc::Rc;
-
 use archsim::MultiCoreChip;
 use powertrain::{
-    solve_operating_point, solve_operating_point_traced, DcDcConverter, FaultedIvSensor, IvSensor,
-    LoadModel, OperatingPoint, SolveStats,
+    solve_operating_point, DcDcConverter, FaultedIvSensor, IvSensor, LoadModel, OperatingPoint,
 };
 use pv::cell::CellEnv;
 use pv::generator::PvGenerator;
@@ -86,10 +83,8 @@ pub struct SolarCoreController {
     /// hold-last-good). `None` keeps `observe` on the original unscreened
     /// path, bit-identical to a detector-free controller.
     detector: Option<FaultDetector>,
-    /// When attached, every operating-point solve is tallied here (solves,
-    /// PV evaluations, Newton iterations) for the telemetry stream. Solves
-    /// are bit-identical with or without it.
-    solve_stats: Option<Rc<SolveStats>>,
+    /// Operating-point solves performed so far (see [`Self::solves`]).
+    solves: u64,
 }
 
 impl SolarCoreController {
@@ -134,7 +129,7 @@ impl SolarCoreController {
             config,
             sensor,
             detector: None,
-            solve_stats: None,
+            solves: 0,
         })
     }
 
@@ -169,11 +164,13 @@ impl SolarCoreController {
         &self.config
     }
 
-    /// Attaches shared solver-work counters; see
-    /// [`powertrain::SolveStats`]. Passing the same handle the engine
-    /// snapshots lets a day simulation report per-run solver cost.
-    pub fn set_solve_stats(&mut self, stats: Rc<SolveStats>) {
-        self.solve_stats = Some(stats);
+    /// Operating-point solves this controller has performed: one per
+    /// [`solve`](Self::solve), including those inside tracking and armed
+    /// health probes, failed ones too. The PV evaluations inside them are
+    /// counted by whatever generator the caller passes (the engine's
+    /// [`CountingArray`](crate::CountingArray)).
+    pub fn solves(&self) -> u64 {
+        self.solves
     }
 
     /// Solves the electrical operating point and passes the output-side
@@ -246,7 +243,7 @@ impl SolarCoreController {
     /// Returns [`CoreError::Power`] when the PV generator fails to evaluate
     /// a probe of the solve.
     pub fn solve(
-        &self,
+        &mut self,
         array: &dyn PvGenerator,
         env: CellEnv,
         converter: &DcDcConverter,
@@ -259,10 +256,8 @@ impl SolarCoreController {
             let vdd = self.config.nominal_bus_voltage.get();
             LoadModel::Resistance(Ohms::new(vdd * vdd / demand))
         };
-        Ok(match &self.solve_stats {
-            Some(stats) => solve_operating_point_traced(array, env, converter, &load, stats),
-            None => solve_operating_point(array, env, converter, &load),
-        }?)
+        self.solves = self.solves.saturating_add(1);
+        Ok(solve_operating_point(array, env, converter, &load)?)
     }
 
     /// `true` if the bus voltage is outside the event-retrack band and the
@@ -525,6 +520,25 @@ mod tests {
         );
         assert!(report.final_output_power <= mpp + 0.5);
         assert!(report.rounds >= 1);
+
+        // Every solve is tallied once: tracking's own, a direct solve, and
+        // a health probe only once detection is armed.
+        let tracked = controller.solves();
+        assert!(tracked >= u64::from(report.rounds));
+        controller.solve(&array, env, &converter, &chip).unwrap();
+        assert_eq!(controller.solves(), tracked + 1);
+        assert_eq!(
+            controller.health_probe(&array, env, &converter, &chip),
+            Ok(None)
+        );
+        assert_eq!(controller.solves(), tracked + 1);
+        controller
+            .enable_detection(DegradeConfig::paper_defaults())
+            .unwrap();
+        controller
+            .health_probe(&array, env, &converter, &chip)
+            .unwrap();
+        assert_eq!(controller.solves(), tracked + 2);
     }
 
     #[test]
@@ -635,7 +649,11 @@ mod tests {
             self.0.open_circuit_voltage(env)
         }
 
-        fn current_at(&self, _env: CellEnv, _voltage: Volts) -> Result<Amps, pv::PvError> {
+        fn current_at_counted(
+            &self,
+            _env: CellEnv,
+            _voltage: Volts,
+        ) -> Result<(Amps, u32), pv::PvError> {
             Err(pv::PvError::NoConvergence {
                 context: "module current at voltage",
                 iterations: 128,

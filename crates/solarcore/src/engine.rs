@@ -7,13 +7,9 @@
 //! the configured power-management policy, and records per-minute budget
 //! vs. actual power, bus voltage and committed instructions.
 
-use std::rc::Rc;
-
 use archsim::{AvailabilityMask, CoreId, MultiCoreChip, VfLevel};
 use faults::{AtsOverride, CoreConstraint, FaultPlan, SensorInjector};
-use powertrain::{
-    AutomaticTransferSwitch, DcDcConverter, FaultedIvSensor, IvSensor, PowerSource, SolveStats,
-};
+use powertrain::{AutomaticTransferSwitch, DcDcConverter, FaultedIvSensor, IvSensor, PowerSource};
 use pv::generator::PvGenerator;
 use pv::units::{Volts, WattHours, Watts};
 use solarenv::{EnvTrace, Season, Site};
@@ -315,10 +311,10 @@ impl DaySimulation {
         };
 
         // When a telemetry stream is attached, observe the PV access path
-        // through a counting wrapper and tally operating-point solves. Both
-        // layers are bitwise transparent: the disabled path and the
-        // instrumented path compute identical results (asserted by the
-        // determinism harness).
+        // through a counting wrapper, the one tally of PV work (the
+        // controller counts its own solves). The wrapper is bitwise
+        // transparent: the disabled path and the instrumented path compute
+        // identical results (asserted by the determinism harness).
         let tel = &self.telemetry;
         let instruments = DayInstruments::new();
         let counting;
@@ -328,7 +324,6 @@ impl DaySimulation {
         } else {
             array
         };
-        let solve_stats = Rc::new(SolveStats::new());
 
         // Chaos seams. An armed fault plan routes the controller's sensing
         // through an injecting wrapper and (like an explicit `degrade`
@@ -358,7 +353,6 @@ impl DaySimulation {
         let base_efficiency = self.converter.efficiency();
         let mut current_derate = 1.0_f64;
         if tel.is_enabled() {
-            controller.set_solve_stats(Rc::clone(&solve_stats));
             tel.set_minute(setup.trace.samples().first().map_or(0, |s| s.minute_of_day));
             tel.event(
                 schema::EVENT_DAY_START,
@@ -694,7 +688,7 @@ impl DaySimulation {
             tel.histogram(&instruments.tpr_moves)?;
             tel.histogram(&instruments.ratio_k_centi)?;
             tel.counter(&instruments.mpp_queries)?;
-            tel.counter(&instruments.pv_evals)?;
+            tel.counter(&instruments.pv_evals())?;
             let cache = setup.cache_stats();
             tel.event(
                 schema::EVENT_DAY_SUMMARY,
@@ -706,9 +700,9 @@ impl DaySimulation {
                     field(schema::INSTRUCTIONS, result.total_instructions()),
                     field(schema::CACHE_HITS, cache.hits),
                     field(schema::CACHE_MISSES, cache.misses),
-                    field(schema::SOLVES, solve_stats.solves()),
-                    field(schema::PV_EVALS, solve_stats.pv_evals()),
-                    field(schema::NEWTON_ITERS_TOTAL, solve_stats.newton_iters()),
+                    field(schema::SOLVES, controller.solves()),
+                    field(schema::PV_EVALS, instruments.newton_iters.count()),
+                    field(schema::NEWTON_ITERS_TOTAL, instruments.newton_iters.sum()),
                 ],
             )?;
             tel.flush()?;
@@ -1175,6 +1169,7 @@ impl DayResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     fn quick(policy: Policy) -> DayResult {
         DaySimulation::builder()

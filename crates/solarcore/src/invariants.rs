@@ -137,7 +137,7 @@ pub fn assert_bus_voltage(stage: &str, voltage: Volts, ceiling: Volts) {
     if enabled() {
         let v = voltage.get();
         assert!(
-            // lint:allow(dim): 1e-9 is an absolute nanovolt tolerance on a volt compare
+            // 1e-9 is an absolute nanovolt tolerance on a volt compare.
             v.is_finite() && v >= 0.0 && v <= ceiling.get() + 1e-9,
             "physics invariant violated at {stage}: bus voltage {voltage} \
              outside the reachable range [0 V, {ceiling}]"

@@ -211,9 +211,11 @@ pub mod schema {
     pub const CACHE_MISSES: &str = "cache_misses";
     /// Field: operating-point solves performed. U64.
     pub const SOLVES: &str = "solves";
-    /// Field: PV I-V evaluations across all solves. U64.
+    /// Field: PV I-V evaluations across all solves (the count of
+    /// [`HIST_NEWTON_ITERS`]). U64.
     pub const PV_EVALS: &str = "pv_evals";
-    /// Field: total Newton iterations across all PV evaluations. U64.
+    /// Field: total Newton iterations across all PV evaluations (the sum
+    /// of [`HIST_NEWTON_ITERS`]). U64.
     pub const NEWTON_ITERS_TOTAL: &str = "newton_iters_total";
     /// Field: why a sensing health probe was rejected, `"implausible"` or
     /// `"stuck"`. Str.
@@ -270,10 +272,8 @@ pub struct DayInstruments {
     pub ratio_k_centi: Histogram,
     /// MPP oracle queries.
     pub mpp_queries: Counter,
-    /// PV I-V evaluations observed by the instrumented array wrapper.
-    pub pv_evals: Counter,
     /// Zero-iteration evaluations (memo hits) batched out of the hot path;
-    /// folded into `pv_evals`/`newton_iters` by [`Self::fold_zero_evals`].
+    /// folded into `newton_iters` by [`Self::fold_zero_evals`].
     zero_evals: std::cell::Cell<u64>,
 }
 
@@ -294,7 +294,6 @@ impl DayInstruments {
             tpr_moves: Histogram::new(schema::HIST_TPR_MOVES, TPR_MOVE_BOUNDS),
             ratio_k_centi: Histogram::new(schema::HIST_RATIO_K_CENTI, RATIO_K_BOUNDS),
             mpp_queries: Counter::new(schema::COUNTER_MPP_QUERIES),
-            pv_evals: Counter::new(schema::COUNTER_PV_EVALS),
             zero_evals: std::cell::Cell::new(0),
         }
     }
@@ -306,23 +305,31 @@ impl DayInstruments {
         self.zero_evals.set(self.zero_evals.get().saturating_add(1));
     }
 
-    /// Folds the batched zero-iteration evaluations into `pv_evals` and
-    /// `newton_iters`. Must run once before the instruments are
-    /// snapshotted; afterwards the aggregates are exactly as if every
-    /// evaluation had been recorded individually.
+    /// Folds the batched zero-iteration evaluations into `newton_iters`.
+    /// Must run once before the instruments are snapshotted; afterwards
+    /// the histogram is exactly as if every evaluation had been recorded
+    /// individually.
     pub fn fold_zero_evals(&self) {
-        let n = self.zero_evals.replace(0);
-        self.pv_evals.add(n);
-        self.newton_iters.record_zeros(n);
+        self.newton_iters.record_zeros(self.zero_evals.replace(0));
+    }
+
+    /// The [`schema::COUNTER_PV_EVALS`] record: one per I-V evaluation,
+    /// which is one per `newton_iters` observation. Call after
+    /// [`Self::fold_zero_evals`].
+    pub fn pv_evals(&self) -> Counter {
+        let evals = Counter::new(schema::COUNTER_PV_EVALS);
+        evals.add(self.newton_iters.count());
+        evals
     }
 }
 
 /// Pass-through [`PvGenerator`] wrapper that feeds [`DayInstruments`]:
 /// every I-V evaluation records its Newton-iteration count (0 for
-/// solver-cache hits) and bumps the evaluation counter; MPP queries are
-/// counted. All values delegate to the counted inner path, which the `pv`
-/// crate guarantees is bit-identical to the plain one — wrapping changes
-/// what is *observed*, never what is *computed*.
+/// solver-cache hits); MPP queries are counted. It is the only observer of
+/// PV work: evaluation counts and iteration totals are read off the
+/// `newton_iters` histogram. Every call delegates to the inner generator's
+/// one evaluation method, so wrapping changes what is *observed*, never
+/// what is *computed*.
 pub struct CountingArray<'a> {
     inner: &'a dyn PvGenerator,
     instruments: &'a DayInstruments,
@@ -340,31 +347,27 @@ impl PvGenerator for CountingArray<'_> {
         self.inner.open_circuit_voltage(env)
     }
 
-    fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
-        Ok(self.current_at_counted(env, voltage)?.0)
+    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
+        let (current, iters) = self.inner.current_at_counted(env, voltage)?;
+        if iters == 0 {
+            self.instruments.note_zero_eval();
+        } else {
+            self.instruments.newton_iters.record(u64::from(iters));
+        }
+        Ok((current, iters))
     }
 
     fn mpp(&self, env: CellEnv) -> MppPoint {
         self.instruments.mpp_queries.incr();
         self.inner.mpp(env)
     }
-
-    fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
-        let (current, iters) = self.inner.current_at_counted(env, voltage)?;
-        if iters == 0 {
-            self.instruments.note_zero_eval();
-        } else {
-            self.instruments.pv_evals.incr();
-            self.instruments.newton_iters.record(u64::from(iters));
-        }
-        Ok((current, iters))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pv::units::{Celsius, Irradiance};
+    use powertrain::{solve_operating_point, DcDcConverter, LoadModel};
+    use pv::units::{Celsius, Irradiance, Ohms};
     use pv::PvArray;
 
     #[test]
@@ -382,10 +385,31 @@ mod tests {
             counting.mpp(env).power.get().to_bits(),
             array.mpp(env).power.get().to_bits()
         );
-        assert_eq!(instruments.pv_evals.get(), 1);
+        instruments.fold_zero_evals();
+        assert_eq!(instruments.pv_evals().get(), 1);
         assert_eq!(instruments.mpp_queries.get(), 1);
         assert_eq!(instruments.newton_iters.count(), 1);
         assert!(instruments.newton_iters.sum() >= 1);
+
+        // One resistive operating-point solve: 96 bisection probes plus the
+        // finish evaluation, each costing at least one Newton iteration,
+        // and the same bits as the unobserved solve.
+        let instruments = DayInstruments::new();
+        let counting = CountingArray::new(&array, &instruments);
+        let dcdc = DcDcConverter::solarcore_default();
+        let load = LoadModel::Resistance(Ohms::new(1.2));
+        let plain = solve_operating_point(&array, env, &dcdc, &load).unwrap();
+        let counted = solve_operating_point(&counting, env, &dcdc, &load).unwrap();
+        for (a, b) in [
+            (plain.panel_voltage.get(), counted.panel_voltage.get()),
+            (plain.output_current.get(), counted.output_current.get()),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        instruments.fold_zero_evals();
+        assert_eq!(instruments.newton_iters.count(), 97);
+        assert!(instruments.newton_iters.sum() >= 97);
+        assert_eq!(instruments.pv_evals().get(), 97);
     }
 
     #[test]
@@ -394,24 +418,21 @@ mod tests {
         batched.note_zero_eval();
         batched.note_zero_eval();
         batched.note_zero_eval();
-        batched.pv_evals.incr();
         batched.newton_iters.record(2);
         batched.fold_zero_evals();
 
         let plain = DayInstruments::new();
         for _ in 0..3 {
-            plain.pv_evals.incr();
             plain.newton_iters.record(0);
         }
-        plain.pv_evals.incr();
         plain.newton_iters.record(2);
 
-        assert_eq!(batched.pv_evals.get(), plain.pv_evals.get());
+        assert_eq!(batched.pv_evals().get(), plain.pv_evals().get());
         assert_eq!(batched.newton_iters.count(), plain.newton_iters.count());
         assert_eq!(batched.newton_iters.sum(), plain.newton_iters.sum());
         // A second fold is a no-op: the batch cell was drained.
         batched.fold_zero_evals();
-        assert_eq!(batched.pv_evals.get(), 4);
+        assert_eq!(batched.pv_evals().get(), 4);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 use std::env;
 
 use pv::units::{Celsius, Irradiance};
-use pv::{CellEnv, IvCurve, PvModule};
+use pv::{CellEnv, IvCurve, PvError, PvModule};
 
-fn main() {
+fn main() -> Result<(), PvError> {
     let mut args = env::args().skip(1);
     let irradiance: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1000.0);
     let temperature: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(25.0);
@@ -37,7 +37,7 @@ fn main() {
     );
 
     // A terminal sketch of the P-V curve, 48 columns × 16 rows.
-    let curve = IvCurve::sample(&module, env, 48);
+    let curve = IvCurve::sample(&module, env, 48)?;
     let powers: Vec<f64> = curve.points().iter().map(|p| p.power().get()).collect();
     let peak = powers.iter().cloned().fold(0.0, f64::max).max(1.0);
     println!("\n  P-V curve (columns: 0 → Voc; rows: power up to {peak:.0} W)");
@@ -50,4 +50,5 @@ fn main() {
         println!("  |{line}");
     }
     println!("  +{}", "-".repeat(49));
+    Ok(())
 }

@@ -1,7 +1,6 @@
 //! A resilient expression/statement parser over the shared token stream.
 //!
-//! `cargo xtask flow` needs more structure than the token windows the
-//! lint/analyze passes scan: interval analysis must see assignments,
+//! `cargo xtask flow` needs more structure than a token window: interval analysis must see assignments,
 //! branches, loops and call arguments as trees. This module parses the
 //! masked token stream of a [`SourceFile`] into a deliberately small AST.
 //! It is *resilient*, not complete: any construct outside the grammar the

@@ -1,7 +1,7 @@
 //! `cargo xtask flow`: dataflow analysis over per-function abstract
 //! interpretation.
 //!
-//! Where `analyze` matches token shapes, `flow` evaluates *values*: it
+//! `flow` evaluates *values*: it
 //! parses each function into a lightweight AST ([`ast`]), runs a
 //! big-step abstract interpreter over the interval domain ([`interval`],
 //! [`range`]) seeded with the workspace's physical contracts ([`seeds`]),

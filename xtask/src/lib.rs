@@ -10,7 +10,6 @@
 //!   masking, waiver markers, the token lexer and the workspace walker.
 //! * [`lint`] — the finding type and the waiver machinery every source
 //!   pass reuses.
-//! * [`analyze`] — token-level dimensional analysis of unit arithmetic.
 //! * [`flow`] — interval/range analysis of physical quantities over a
 //!   per-function abstract interpreter.
 //! * [`graph`] — interprocedural passes over the workspace call graph:
@@ -28,7 +27,6 @@
 //! here: clippy carries them, through the root `clippy.toml` and the crate
 //! lint attributes (DESIGN.md §11).
 
-pub mod analyze;
 pub mod bench;
 pub mod docs;
 pub mod flow;

@@ -2,9 +2,6 @@
 //!
 //! Commands:
 //!
-//! * `analyze` — token-level dimensional analysis of unit arithmetic:
-//!   cross-unit `+`/`-` and undeclared product dimensions, shadowed
-//!   through raw `f64` locals.
 //! * `flow` — interval/range analysis of physical quantities over a
 //!   per-function abstract interpreter, proving runtime sanitizer checks
 //!   statically dischargeable (sharpened by the interprocedural summaries
@@ -63,13 +60,13 @@
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use xtask::{analyze, bench, docs, flow, graph, lint};
+use xtask::{bench, docs, flow, graph, lint};
 
 /// The `cargo xtask ci` gates, in order: the cheap static gates first so
 /// they fail fast, then the build, the tests and the end-to-end harness
 /// smokes. Each entry is either a `cargo` command line or an `xtask`
 /// command dispatched in-process.
-const CI_GATES: [&[&str]; 15] = [
+const CI_GATES: [&[&str]; 14] = [
     &["xtask", "docs"],
     &[
         "cargo",
@@ -80,7 +77,6 @@ const CI_GATES: [&[&str]; 15] = [
         "-D",
         "warnings",
     ],
-    &["xtask", "analyze"],
     &["xtask", "flow"],
     &["xtask", "graph"],
     // Rustdoc runs with RUSTDOCFLAGS=-D warnings: the telemetry schema in
@@ -151,7 +147,6 @@ fn dispatch(args: &[&str]) -> ExitCode {
             }
         },
         Some("docs") => finish("docs", docs::run(&workspace_root())),
-        Some("analyze") => finish("analyze", analyze::run(&workspace_root())),
         Some("flow") => run_flow(args.contains(&"--bless")),
         Some("graph") => run_graph(),
         Some("ci") => run_ci(),
@@ -169,12 +164,11 @@ fn dispatch(args: &[&str]) -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo xtask <docs | analyze | flow [--bless] | graph | determinism | \
+        "usage: cargo xtask <docs | flow [--bless] | graph | determinism | \
          bench [--smoke] | trace | chaos [--smoke] | campaign [--smoke] | profile [--smoke] | \
          tdiff <a> <b> | ci>"
     );
     eprintln!("  docs         check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
-    eprintln!("  analyze      run dimensional analysis of unit arithmetic");
     eprintln!("  flow         run interval/range analysis of the sanitizer checks");
     eprintln!("               (--bless rewrites results/flow_report.json, advancing the ratchet)");
     eprintln!("  graph        run call-graph summary, seeds cross-check and reachability passes");
@@ -197,7 +191,7 @@ fn print_usage() {
     eprintln!("               (--smoke proves byte-stability/transparency and writes nothing)");
     eprintln!("  tdiff        schema-aware diff of two telemetry/profile/campaign artifacts");
     eprintln!(
-        "  ci           docs, clippy, analyze, flow, graph, doc, build, test, perfbench test, \
+        "  ci           docs, clippy, flow, graph, doc, build, test, perfbench test, \
          determinism, chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
     );
 }

@@ -1,6 +1,6 @@
 //! Workspace source discovery shared by the analysis commands.
 //!
-//! `analyze` and `flow` walk `crates/*/src`, experiment binaries under
+//! `flow` walks `crates/*/src`, experiment binaries under
 //! `src/bin/` included; `graph` widens that to every workspace source.
 //! `vendor/` and `target/` are never scanned.
 

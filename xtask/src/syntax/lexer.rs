@@ -1,9 +1,8 @@
 //! A tiny Rust token lexer over the comment/string-masked source model.
 //!
-//! The lint passes of PR 1 work line by line; the analyze passes need to
-//! see *across* lines (multi-line expressions, match arms, impl headers),
-//! so this module turns a [`SourceFile`]'s masked code into a flat token
-//! stream with line anchors. It understands exactly as much of Rust's
+//! The source passes need to see *across* lines (multi-line expressions,
+//! match arms, impl headers), so this module turns a [`SourceFile`]'s
+//! masked code into a flat token stream with line anchors. It understands exactly as much of Rust's
 //! lexical grammar as the passes need: identifiers, numeric literals,
 //! lifetimes and multi-character operators. Everything inside comments,
 //! strings and char literals was already blanked by the masker.
