@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Full local CI gate (`cargo xtask ci`), in order:
-#   docs -> clippy -D warnings -> flow -> graph
+#   docs -> clippy -D warnings -> flow
 #   -> rustdoc -D warnings -> release build -> tests -> perfbench self-test
 #   -> determinism -> chaos smoke -> campaign smoke -> profile smoke
 #   -> tdiff self-check -> bench smoke

@@ -20,7 +20,9 @@
 //! end = 765
 //! ```
 //!
-//! Every error carries the 1-based line number of the offending line.
+//! Every error carries the 1-based line number of the offending line. A
+//! key set twice in one block, or one the block's fault kind does not
+//! read, is an error rather than a silent override or default.
 
 use crate::kind::{FaultKind, SensorChannel};
 use crate::plan::{FaultError, FaultPlan, ScheduledFault};
@@ -32,8 +34,9 @@ use crate::plan::{FaultError, FaultPlan, ScheduledFault};
 /// Returns [`FaultError::Parse`] with a line number for malformed text, or
 /// [`FaultError::InvalidFault`] when a block parses but fails validation.
 pub fn parse_scenario(text: &str) -> Result<FaultPlan, FaultError> {
-    let mut scenario: Vec<(usize, String, String)> = Vec::new();
-    let mut fault_blocks: Vec<Vec<(usize, String, String)>> = Vec::new();
+    let mut scenario: Vec<Entry> = Vec::new();
+    // Each `[[fault]]` block with the line of its header.
+    let mut fault_blocks: Vec<(usize, Vec<Entry>)> = Vec::new();
     let mut section = Section::None;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -53,7 +56,7 @@ pub fn parse_scenario(text: &str) -> Result<FaultPlan, FaultError> {
             continue;
         }
         if line == "[[fault]]" {
-            fault_blocks.push(Vec::new());
+            fault_blocks.push((line_no, Vec::new()));
             section = Section::Fault;
             continue;
         }
@@ -66,16 +69,19 @@ pub fn parse_scenario(text: &str) -> Result<FaultPlan, FaultError> {
         let Some((key, value)) = line.split_once('=') else {
             return err(line_no, "expected `key = value`");
         };
-        let entry = (line_no, key.trim().to_owned(), value.trim().to_owned());
-        match section {
-            Section::None => return err(line_no, "key before any block header"),
-            Section::Scenario => scenario.push(entry),
-            Section::Fault => {
-                if let Some(block) = fault_blocks.last_mut() {
-                    block.push(entry);
-                }
-            }
+        let block = match (section, fault_blocks.last_mut()) {
+            (Section::Scenario, _) => &mut scenario,
+            (Section::Fault, Some((_, block))) => block,
+            _ => return err(line_no, "key before any block header"),
+        };
+        let key = key.trim();
+        if let Some((first, ..)) = block.iter().find(|(_, k, _)| k == key) {
+            return Err(FaultError::Parse {
+                line: line_no,
+                reason: format!("duplicate key `{key}` (first set on line {first})"),
+            });
         }
+        block.push((line_no, key.to_owned(), value.trim().to_owned()));
     }
 
     let mut name = None;
@@ -99,11 +105,19 @@ pub fn parse_scenario(text: &str) -> Result<FaultPlan, FaultError> {
 
     let mut plan = FaultPlan::new(&name, seed);
     plan.set_hints(site, season, day);
-    for block in &fault_blocks {
-        plan.schedule(parse_fault_block(block)?)?;
+    for (header_line, entries) in &fault_blocks {
+        let mut block = FaultBlock {
+            header_line: *header_line,
+            entries,
+            used: vec![false; entries.len()],
+        };
+        plan.schedule(block.parse()?)?;
     }
     Ok(plan)
 }
+
+/// One `key = value` line: its 1-based line number, key and raw value.
+type Entry = (usize, String, String);
 
 #[derive(Clone, Copy)]
 enum Section {
@@ -112,90 +126,109 @@ enum Section {
     Fault,
 }
 
-fn parse_fault_block(entries: &[(usize, String, String)]) -> Result<ScheduledFault, FaultError> {
-    let block_line = entries.first().map_or(1, |(l, _, _)| *l);
-    let find = |key: &str| -> Option<(usize, &str)> {
-        entries
-            .iter()
-            .find(|(_, k, _)| k == key)
-            .map(|(l, _, v)| (*l, v.as_str()))
-    };
-    let number = |key: &str| -> Result<f64, FaultError> {
-        let Some((line, v)) = find(key) else {
-            return Err(FaultError::Parse {
-                line: block_line,
-                reason: format!("[[fault]] block missing `{key}`"),
-            });
-        };
+/// A `[[fault]]` block being read. Every lookup marks its key used, so a
+/// key the fault kind never reads is left over and rejected as unknown.
+struct FaultBlock<'a> {
+    /// Line of the `[[fault]]` header: where a missing key is reported.
+    header_line: usize,
+    entries: &'a [Entry],
+    used: Vec<bool>,
+}
+
+impl<'a> FaultBlock<'a> {
+    fn find(&mut self, key: &str) -> Option<(usize, &'a str)> {
+        let entries = self.entries;
+        let i = entries.iter().position(|(_, k, _)| k == key)?;
+        self.used[i] = true;
+        Some((entries[i].0, entries[i].2.as_str()))
+    }
+
+    fn required(&mut self, key: &str) -> Result<(usize, &'a str), FaultError> {
+        self.find(key).ok_or_else(|| FaultError::Parse {
+            line: self.header_line,
+            reason: format!("[[fault]] block missing `{key}`"),
+        })
+    }
+
+    fn number(&mut self, key: &str) -> Result<f64, FaultError> {
+        let (line, v) = self.required(key)?;
         number_value(line, v)
-    };
-    let int = |key: &str| -> Result<u64, FaultError> {
-        let Some((line, v)) = find(key) else {
-            return Err(FaultError::Parse {
-                line: block_line,
-                reason: format!("[[fault]] block missing `{key}`"),
-            });
+    }
+
+    /// An integer narrowed into the field's width, errors anchored at the
+    /// key's own line.
+    fn int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, FaultError> {
+        let (line, v) = self.required(key)?;
+        narrow(line, int_value(line, v)?)
+    }
+
+    fn parse(&mut self) -> Result<ScheduledFault, FaultError> {
+        let (kind_line, kind_raw) = self.required("kind")?;
+        let kind_name = string_value(kind_line, kind_raw)?;
+        let kind = self.kind(kind_line, &kind_name)?;
+        let fault = ScheduledFault {
+            start_minute: self.int("start")?,
+            end_minute: self.int("end")?,
+            kind,
         };
-        int_value(line, v)
-    };
-
-    let Some((kind_line, kind_raw)) = find("kind") else {
-        return err(block_line, "[[fault]] block missing `kind`");
-    };
-    let kind_name = string_value(kind_line, kind_raw)?;
-
-    let kind = match kind_name.as_str() {
-        "sensor_stuck" => {
-            let channel = match find("channel") {
-                None => SensorChannel::Both,
-                Some((line, v)) => match string_value(line, v)?.as_str() {
-                    "voltage" => SensorChannel::Voltage,
-                    "current" => SensorChannel::Current,
-                    "both" => SensorChannel::Both,
-                    _ => return err(line, "`channel` must be voltage, current or both"),
-                },
-            };
-            FaultKind::SensorStuck { channel }
+        if let Some(i) = self.used.iter().position(|used| !used) {
+            let (line, key, _) = &self.entries[i];
+            return Err(FaultError::Parse {
+                line: *line,
+                reason: format!("unknown key `{key}` for fault kind `{kind_name}`"),
+            });
         }
-        "sensor_dropout" => FaultKind::SensorDropout,
-        "sensor_bias_drift" => FaultKind::SensorBiasDrift {
-            rate_per_minute: number("rate_per_minute")?,
-        },
-        "sensor_noise_burst" => FaultKind::SensorNoiseBurst {
-            sigma: number("sigma")?,
-        },
-        "converter_derate" => FaultKind::ConverterDerate {
-            factor_start: number("factor_start")?,
-            factor_end: number("factor_end")?,
-        },
-        "actuator_lag" => FaultKind::ActuatorLag {
-            steps: narrow(block_line, int("steps")?)?,
-        },
-        "ats_flap" => FaultKind::AtsFlap {
-            period_minutes: narrow(block_line, int("period_minutes")?)?,
-        },
-        "core_throttle" => FaultKind::CoreThrottle {
-            core: narrow(block_line, int("core")?)?,
-            max_level_index: narrow(block_line, int("max_level_index")?)?,
-        },
-        "core_loss" => FaultKind::CoreLoss {
-            core: narrow(block_line, int("core")?)?,
-        },
-        "irradiance_cliff" => FaultKind::IrradianceCliff {
-            factor: number("factor")?,
-            ramp_minutes: match find("ramp_minutes") {
-                None => 0,
-                Some(_) => narrow(block_line, int("ramp_minutes")?)?,
-            },
-        },
-        _ => return err(kind_line, "unknown fault kind"),
-    };
+        Ok(fault)
+    }
 
-    Ok(ScheduledFault {
-        start_minute: narrow(block_line, int("start")?)?,
-        end_minute: narrow(block_line, int("end")?)?,
-        kind,
-    })
+    fn kind(&mut self, kind_line: usize, kind_name: &str) -> Result<FaultKind, FaultError> {
+        Ok(match kind_name {
+            "sensor_stuck" => {
+                let channel = match self.find("channel") {
+                    None => SensorChannel::Both,
+                    Some((line, v)) => match string_value(line, v)?.as_str() {
+                        "voltage" => SensorChannel::Voltage,
+                        "current" => SensorChannel::Current,
+                        "both" => SensorChannel::Both,
+                        _ => return err(line, "`channel` must be voltage, current or both"),
+                    },
+                };
+                FaultKind::SensorStuck { channel }
+            }
+            "sensor_dropout" => FaultKind::SensorDropout,
+            "sensor_bias_drift" => FaultKind::SensorBiasDrift {
+                rate_per_minute: self.number("rate_per_minute")?,
+            },
+            "sensor_noise_burst" => FaultKind::SensorNoiseBurst {
+                sigma: self.number("sigma")?,
+            },
+            "converter_derate" => FaultKind::ConverterDerate {
+                factor_start: self.number("factor_start")?,
+                factor_end: self.number("factor_end")?,
+            },
+            "actuator_lag" => FaultKind::ActuatorLag {
+                steps: self.int("steps")?,
+            },
+            "ats_flap" => FaultKind::AtsFlap {
+                period_minutes: self.int("period_minutes")?,
+            },
+            "core_throttle" => FaultKind::CoreThrottle {
+                core: self.int("core")?,
+                max_level_index: self.int("max_level_index")?,
+            },
+            "core_loss" => FaultKind::CoreLoss {
+                core: self.int("core")?,
+            },
+            "irradiance_cliff" => FaultKind::IrradianceCliff {
+                factor: self.number("factor")?,
+                ramp_minutes: match self.find("ramp_minutes") {
+                    None => 0,
+                    Some((line, v)) => narrow(line, int_value(line, v)?)?,
+                },
+            },
+            _ => return err(kind_line, "unknown fault kind"),
+        })
+    }
 }
 
 /// Strips a trailing `#` comment, respecting double-quoted strings.
@@ -387,6 +420,37 @@ end = 1
         match parse_scenario("[scenario]\nname = unquoted\n") {
             Err(FaultError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+        // A key the fault kind does not read, a misspelled key and a key
+        // set twice are rejected at their own line, never defaulted or
+        // overridden; so is an integer too wide for its field.
+        let cliff = "[scenario]\nname = \"x\"\n[[fault]]\nkind = \"irradiance_cliff\"\n\
+                     factor = 0.5\nramp_minute = 10\nstart = 0\nend = 1\n";
+        let stuck = "[scenario]\nname = \"x\"\n[[fault]]\nkind = \"sensor_stuck\"\n\
+                     chanel = \"voltage\"\nstart = 0\nend = 1\n";
+        let twice_fault = "[scenario]\nname = \"x\"\n[[fault]]\nkind = \"core_loss\"\n\
+                           core = 1\nstart = 0\ncore = 2\nend = 1\n";
+        let twice_scenario = "[scenario]\nname = \"x\"\nseed = 1\nseed = 2\n";
+        let too_wide = "[scenario]\nname = \"x\"\n[[fault]]\nkind = \"ats_flap\"\n\
+                        start = 0\nend = 1\nperiod_minutes = 4294967296\n";
+        for (text, want_line, want_reason) in [
+            (cliff, 6, "unknown key `ramp_minute`"),
+            (stuck, 5, "unknown key `chanel`"),
+            (twice_fault, 7, "duplicate key `core` (first set on line 5)"),
+            (
+                twice_scenario,
+                4,
+                "duplicate key `seed` (first set on line 3)",
+            ),
+            (too_wide, 7, "out of range"),
+        ] {
+            match parse_scenario(text) {
+                Err(FaultError::Parse { line, reason }) => {
+                    assert_eq!(line, want_line, "{reason}");
+                    assert!(reason.contains(want_reason), "{reason}");
+                }
+                other => panic!("expected parse error, got {other:?}"),
+            }
         }
     }
 

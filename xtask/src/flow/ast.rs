@@ -10,7 +10,8 @@
 //!
 //! Known approximations (all precision-only): macro bodies, struct
 //! literals, indexing and casts evaluate to ⊤; closures keep their body
-//! (for the call-graph passes) but evaluate to ⊤ as values;
+//! (sanitizer sites inside are still classified) but evaluate to ⊤ as
+//! values;
 //! `break`/`continue`/`return` are modelled as statements but not inside
 //! value-position expressions (an arm like `B => break` falls through as ⊤
 //! instead of jumping, which can only widen downstream states).
@@ -40,26 +41,6 @@ pub enum Pat {
     Or(Vec<Pat>),
     /// A pattern we do not model (struct patterns, literals, ranges).
     Opaque,
-}
-
-impl Pat {
-    /// Every name this pattern binds, in source order.
-    pub fn bound_names(&self, out: &mut Vec<String>) {
-        match self {
-            Pat::Bind(n) => out.push(n.clone()),
-            Pat::Tuple(ps) | Pat::Or(ps) => {
-                for p in ps {
-                    p.bound_names(out);
-                }
-            }
-            Pat::Variant { subs, .. } => {
-                for p in subs {
-                    p.bound_names(out);
-                }
-            }
-            Pat::Wild | Pat::Opaque => {}
-        }
-    }
 }
 
 /// A binary operator the interval domain interprets; everything else
@@ -164,22 +145,20 @@ pub enum Expr {
         /// Referent.
         expr: Box<Expr>,
     },
-    /// A closure `|params| body` (also `move` closures). The body is kept
-    /// so the call-graph passes can see through it; the
-    /// interpreter evaluates it for its effects and call sites only.
+    /// A closure `|params| body` (also `move` closures). The
+    /// interpreter evaluates the body for its effects and sanitizer sites
+    /// only.
     Closure {
         /// Parameter patterns (type ascriptions stripped).
         params: Vec<Pat>,
         /// The closure body expression.
         body: Box<Expr>,
-        /// 1-based line of the opening pipe.
-        line: usize,
     },
     /// An array literal `[a, b, c]`; `[e; n]` is kept as a single-element
     /// array (every element has `e`'s abstract value).
     Array(Vec<Expr>),
     /// `expr as Type` — the value is ⊤ (casts truncate/saturate), but the
-    /// operand is kept for the call-graph and capture passes.
+    /// operand is kept so sanitizer sites inside it are still classified.
     Cast(Box<Expr>),
     /// Anything the grammar does not model (macros, literals,
     /// struct expressions, indexing).
@@ -282,12 +261,6 @@ pub enum Stmt {
 pub struct Param {
     /// Binding name (`None` for patterns we do not model, e.g. tuples).
     pub name: Option<String>,
-    /// Type tokens joined with spaces (empty for proptest-style binders).
-    pub ty: String,
-    /// `true` for a `&T` (shared reference) parameter.
-    pub by_ref: bool,
-    /// `true` for a `&mut T` parameter.
-    pub by_mut_ref: bool,
     /// Value range of a proptest-style binder (`name in lo..hi`), when the
     /// strategy bounds are numeric literals. Anything else stays `None`
     /// (⊤): `any::<f64>()` style strategies can generate NaN.
@@ -297,30 +270,12 @@ pub struct Param {
 /// A parsed free or associated function.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Function name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Body statements (with trailing expression appended as a statement).
     pub body: Vec<Stmt>,
     /// `true` when the `fn` line sits in a `#[cfg(test)]` region.
     pub in_test: bool,
     /// Value parameters (the `self` receiver excluded).
     pub params: Vec<Param>,
-    /// `true` when the first parameter is a `self` receiver.
-    pub has_self: bool,
-    /// `true` for a `&mut self` receiver.
-    pub self_mut: bool,
-    /// `true` when the item is `pub` (any visibility restriction counts).
-    pub is_pub: bool,
-    /// `true` when the signature has a `->` return type at all.
-    pub has_ret: bool,
-    /// `true` when the declared return type mentions `Result`.
-    pub fallible: bool,
-    /// `true` when the body's own tokens contain a panic source (unwrap/
-    /// expect/panic!/assert!/indexing); callee panics are propagated by
-    /// the summary pass, not here.
-    pub panicky: bool,
 }
 
 /// Parses every function with a body out of `src`.
@@ -340,10 +295,10 @@ pub fn parse_fns(src: &SourceFile) -> Vec<FnDef> {
         let Some(name_tok) = tokens.get(i + 1) else {
             break;
         };
-        let Some(name) = name_tok.ident() else {
+        if name_tok.ident().is_none() {
             i += 1;
             continue;
-        };
+        }
         let line = tokens[i].line;
         // Skip generics between the name and the parameter list.
         let mut j = i + 2;
@@ -391,61 +346,15 @@ pub fn parse_fns(src: &SourceFile) -> Vec<FnDef> {
         if let Some(e) = trailing {
             body.push(Stmt::Expr(e));
         }
-        let (params, has_self, self_mut) = parse_params(&tokens[j + 1..params_close]);
-        let ret_toks = &tokens[params_close + 1..open];
-        let has_ret = ret_toks.iter().any(|t| t.is_op("->"));
-        let fallible = has_ret && ret_toks.iter().any(|t| t.is_ident("Result"));
         out.push(FnDef {
-            name: name.to_owned(),
-            line,
             body,
             in_test: src.is_test_line(line),
-            params,
-            has_self,
-            self_mut,
-            is_pub: is_pub_fn(&tokens, i),
-            has_ret,
-            fallible,
-            panicky: body_panics(&tokens[open + 1..close]),
+            params: parse_params(&tokens[j + 1..params_close]),
         });
         // Continue *inside* the body so nested fns are found too.
         i = open + 1;
     }
     out
-}
-
-/// `true` when the `fn` keyword at `at` carries a `pub` qualifier, walking
-/// back over `const`/`unsafe`/`async`/`extern "…"` and `pub(crate)` groups.
-fn is_pub_fn(tokens: &[Token], at: usize) -> bool {
-    let mut k = at;
-    while k > 0 {
-        let prev = &tokens[k - 1];
-        match &prev.tok {
-            Tok::Ident(w) if w == "pub" => return true,
-            Tok::Ident(w) if w == "const" || w == "unsafe" || w == "async" || w == "extern" => {
-                k -= 1;
-            }
-            // `pub(crate)`: step back over the `(…)` group to its `(`.
-            Tok::Op(")") => {
-                let mut depth = 1i32;
-                let mut b = k - 1;
-                while b > 0 && depth > 0 {
-                    b -= 1;
-                    match &tokens[b].tok {
-                        Tok::Op(")") => depth += 1,
-                        Tok::Op("(") => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if depth != 0 {
-                    return false;
-                }
-                k = b;
-            }
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// `true` when an `if`/`else` token chain contains a `let` at bracket depth
@@ -467,59 +376,18 @@ fn chain_has_depth0_let(tokens: &[Token]) -> bool {
     false
 }
 
-/// Panic-source idents the `panicky` flag looks for inside a body.
-const PANIC_IDENTS: &[&str] = &[
-    "unwrap",
-    "expect",
-    "panic",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-    "unreachable",
-    "todo",
-    "unimplemented",
-];
-
-/// `true` when the body token slice contains an explicit panic source:
-/// a panic-family ident, or a postfix `[` index (out-of-bounds panics).
-fn body_panics(body: &[Token]) -> bool {
-    for (n, t) in body.iter().enumerate() {
-        if let Tok::Ident(w) = &t.tok {
-            if PANIC_IDENTS.contains(&w.as_str()) {
-                return true;
-            }
-        }
-        // `expr[` — an index position: the previous token ends an operand.
-        if t.is_op("[") && n > 0 {
-            match &body[n - 1].tok {
-                Tok::Ident(_) | Tok::Op(")") | Tok::Op("]") => return true,
-                _ => {}
-            }
-        }
+/// Parses a parameter-list token slice into its value parameters (a
+/// leading `self` receiver is skipped).
+fn parse_params(tokens: &[Token]) -> Vec<Param> {
+    let mut parts = split_top_commas(tokens);
+    if parts.first().is_some_and(|part| is_self_param(part)) {
+        parts.remove(0);
     }
-    false
-}
-
-/// Parses a parameter-list token slice into `(params, has_self, self_mut)`.
-fn parse_params(tokens: &[Token]) -> (Vec<Param>, bool, bool) {
-    let mut params = Vec::new();
-    let mut has_self = false;
-    let mut self_mut = false;
-    for (idx, part) in split_top_commas(tokens).into_iter().enumerate() {
-        if part.is_empty() {
-            continue;
-        }
-        if idx == 0 && is_self_param(part) {
-            has_self = true;
-            self_mut = part.iter().any(|t| t.is_op("&")) && part.iter().any(|t| t.is_ident("mut"));
-            continue;
-        }
-        params.push(parse_param(part));
-    }
-    (params, has_self, self_mut)
+    parts
+        .into_iter()
+        .filter(|part| !part.is_empty())
+        .map(parse_param)
+        .collect()
 }
 
 /// `true` when the part is a `self` receiver (`self`, `mut self`,
@@ -546,70 +414,18 @@ fn parse_param(part: &[Token]) -> Param {
             _ => {}
         }
     }
-    if let Some(c) = colon {
-        let name = match parse_pattern(&part[..c]) {
-            Pat::Bind(n) => Some(n),
-            _ => None,
-        };
-        let ty_toks = &part[c + 1..];
-        let ty = render_tokens(ty_toks);
-        let by_ref = ty_toks.first().is_some_and(|t| t.is_op("&"));
-        let by_mut_ref = by_ref
-            && ty_toks
-                .iter()
-                .skip(1)
-                .find(|t| !matches!(&t.tok, Tok::Lifetime(_)))
-                .is_some_and(|t| t.is_ident("mut"));
-        return Param {
-            name,
-            ty,
-            by_ref,
-            by_mut_ref,
-            range: None,
-        };
-    }
-    if let Some(k) = in_kw {
-        let name = match parse_pattern(&part[..k]) {
-            Pat::Bind(n) => Some(n),
-            _ => None,
-        };
-        return Param {
-            name,
-            ty: String::new(),
-            by_ref: false,
-            by_mut_ref: false,
-            range: parse_range_hint(&part[k + 1..]),
-        };
-    }
-    Param {
-        name: match parse_pattern(part) {
-            Pat::Bind(n) => Some(n),
-            _ => None,
-        },
-        ty: String::new(),
-        by_ref: false,
-        by_mut_ref: false,
-        range: None,
-    }
-}
-
-/// Renders tokens with single spaces (type text for reports/heuristics).
-fn render_tokens(tokens: &[Token]) -> String {
-    let mut out = String::new();
-    for t in tokens {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        match &t.tok {
-            Tok::Ident(w) | Tok::Num(w) => out.push_str(w),
-            Tok::Lifetime(w) => {
-                out.push('\'');
-                out.push_str(w);
-            }
-            Tok::Op(o) => out.push_str(o),
-        }
-    }
-    out
+    // `pat: Type` binds the pattern before the colon; a binder
+    // `name in lo..hi` also carries the strategy's range.
+    let (pat_toks, range) = match (colon, in_kw) {
+        (Some(c), _) => (&part[..c], None),
+        (None, Some(k)) => (&part[..k], parse_range_hint(&part[k + 1..])),
+        (None, None) => (part, None),
+    };
+    let name = match parse_pattern(pat_toks) {
+        Pat::Bind(n) => Some(n),
+        _ => None,
+    };
+    Param { name, range }
 }
 
 /// The interval of a proptest range strategy `lo..hi` / `lo..=hi` with
@@ -1230,9 +1046,9 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.at_ident("as") {
-                // Cast: consume the type path; the operand survives so the
-                // interprocedural passes can look inside it, but the value
-                // is lost (casts truncate/saturate).
+                // Cast: consume the type path; the operand survives so
+                // sanitizer sites inside it are still classified, but the
+                // value is lost (casts truncate/saturate).
                 self.pos += 1;
                 while self
                     .peek()
@@ -1346,7 +1162,6 @@ impl<'a> Parser<'a> {
                 )
             }
             Tok::Op("|") | Tok::Op("||") => {
-                let line = t.line;
                 let mut params = Vec::new();
                 if self.at_op("||") {
                     self.pos += 1;
@@ -1400,7 +1215,6 @@ impl<'a> Parser<'a> {
                 Expr::Closure {
                     params,
                     body: Box::new(body),
-                    line,
                 }
             }
             Tok::Ident(w) if w == "if" => {
@@ -1906,9 +1720,10 @@ mod tests {
         let Stmt::For { pat, .. } = &b[1] else {
             panic!("{b:?}")
         };
-        let mut names = Vec::new();
-        pat.bound_names(&mut names);
-        assert_eq!(names, ["i", "s"]);
+        assert_eq!(
+            *pat,
+            Pat::Tuple(vec![Pat::Bind("i".to_owned()), Pat::Bind("s".to_owned())])
+        );
     }
 
     #[test]
@@ -1953,17 +1768,12 @@ mod tests {
         let src = SourceFile::parse("t.rs", text);
         let fns = parse_fns(&src);
         assert_eq!(fns.len(), 2);
+        // The `&mut self` receiver is not a value parameter.
         let f = &fns[0];
-        assert!(f.is_pub && f.has_self && f.self_mut && f.has_ret && f.fallible);
-        assert!(!f.panicky);
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.params[0].name.as_deref(), Some("x"));
-        assert!(!f.params[0].by_ref);
         assert_eq!(f.params[1].name.as_deref(), Some("buf"));
-        assert!(f.params[1].by_mut_ref);
-        let g = &fns[1];
-        assert!(!g.is_pub && !g.has_self && !g.fallible && g.has_ret);
-        assert!(g.panicky, "indexing is a panic source");
+        assert_eq!(fns[1].params[0].name.as_deref(), Some("n"));
     }
 
     #[test]

@@ -23,20 +23,18 @@
 //! [`crate::lint`] (inline `// lint:allow(<pass>): <reason>` markers, with
 //! unused waivers failing the run).
 //!
-//! The range pass runs *interprocedurally*: [`run`] first builds the
-//! workspace call graph ([`crate::graph`]) and feeds its derived function
-//! summaries back as a [`range::CallOracle`], so call sites the hand-written
-//! seeds don't cover still get non-⊤ return intervals, and closed-world
-//! parameters get intervals joined over every call site.
+//! The range pass is *intra-procedural*: a call the seeds do not cover
+//! evaluates to ⊤, so such a check stays a runtime check.
 //!
 //! `cargo xtask flow` additionally enforces a *proof-coverage ratchet*:
 //! the proven fraction of sanitizer checks is compared against the
 //! baseline recorded in the committed `results/flow_report.json` — it may
-//! rise but never drop (`cargo xtask flow --bless` advances the baseline
-//! by rewriting the report). With no committed report the fixed floor
-//! [`PROVEN_RATIO_FLOOR`] applies. [`write_report`] serialises the run
-//! into `results/flow_report.json` in canonical sorted-key JSON
-//! ([`crate::jsonout`]), so the artifact is byte-diffable.
+//! rise but never drop. With no committed report the fixed floor
+//! [`PROVEN_RATIO_FLOOR`] applies. [`bless`] moves the baseline to the
+//! current ratio by rewriting the report in canonical sorted-key JSON
+//! ([`crate::jsonout`]), so the artifact is byte-diffable, and
+//! [`report_is_fresh`] tells a plain run whether the committed bytes
+//! still match.
 
 pub mod ast;
 // The domain and interpreter compare exact f64 interval endpoints (bounds
@@ -69,8 +67,7 @@ pub const PROVEN_RATIO_FLOOR: f64 = 0.70;
 /// clamped to at least [`PROVEN_RATIO_FLOOR`] (the ratchet never winds
 /// backwards past the original gate).
 pub fn baseline_ratio(root: &Path) -> f64 {
-    let path = root.join("results").join("flow_report.json");
-    fs::read_to_string(&path)
+    fs::read_to_string(report_path(root))
         .ok()
         .and_then(|text| parse_ratio(&text))
         .map_or(PROVEN_RATIO_FLOOR, |r| r.max(PROVEN_RATIO_FLOOR))
@@ -78,7 +75,7 @@ pub fn baseline_ratio(root: &Path) -> f64 {
 
 /// Extracts the `"proven_ratio": <number>` field from a report without a
 /// JSON parser (xtask is dependency-free; the field is written by
-/// [`write_report`] in a known canonical shape).
+/// [`bless`] in a known canonical shape).
 fn parse_ratio(text: &str) -> Option<f64> {
     let key = "\"proven_ratio\":";
     let rest = text[text.find(key)? + key.len()..].trim_start();
@@ -149,19 +146,10 @@ impl FlowOutcome {
 /// Runs the range pass over the workspace rooted at `root`.
 ///
 /// Side-effect free: writing `results/flow_report.json` is a separate,
-/// explicit step ([`write_report`]) so tests can run the analysis without
+/// explicit step ([`bless`]) so tests can run the analysis without
 /// touching the filesystem.
 pub fn run(root: &Path) -> Result<FlowOutcome, String> {
     let seeds = seeds::Seeds::learn(root)?;
-
-    // Interprocedural front end: derive function summaries and closed-world
-    // parameter intervals from the whole-workspace call graph, then hold the
-    // range pass to them through the `CallOracle` hook. Sites the seeds
-    // already cover are unaffected; everything else gets sharper than ⊤.
-    let graph_sources = crate::graph::load_sources(root)?;
-    let analysis = crate::graph::analyze(&graph_sources, &seeds);
-    let oracle = &analysis.summary.oracle;
-
     let paths = files::collect_crate_sources(root)?;
     let mut report = Report {
         files_scanned: paths.len(),
@@ -175,7 +163,7 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
         let src = SourceFile::parse(&rel, &text);
         let mut findings = Vec::new();
         if range::applies_to(&src.path) {
-            let (file_sites, file_violations) = range::check_with(&src, &seeds, Some(oracle));
+            let (file_sites, file_violations) = range::check(&src, &seeds);
             sites.extend(file_sites);
             findings.extend(file_violations);
         }
@@ -285,16 +273,28 @@ pub fn report_json(outcome: &FlowOutcome) -> Json {
     ])
 }
 
-/// Serialises `outcome` to `results/flow_report.json` (canonical sorted-
-/// key JSON — this is the artifact [`baseline_ratio`] ratchets against).
+/// The committed report [`baseline_ratio`] ratchets against.
+pub fn report_path(root: &Path) -> PathBuf {
+    root.join("results").join("flow_report.json")
+}
+
+/// Moves the ratchet to this run's ratio and writes the report. The
+/// blessed `baseline` is the ratio being blessed, so the next plain run
+/// reads it back, renders the same bytes and finds the report fresh.
 /// Returns the path written.
-pub fn write_report(root: &Path, outcome: &FlowOutcome) -> Result<PathBuf, String> {
-    let dir = root.join("results");
-    fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let path = dir.join("flow_report.json");
-    fs::write(&path, report_json(outcome).render())
+pub fn bless(root: &Path, outcome: &mut FlowOutcome) -> Result<PathBuf, String> {
+    outcome.baseline = outcome.proven_ratio;
+    outcome.proof_gate_passed = true;
+    let path = report_path(root);
+    fs::create_dir_all(root.join("results"))
+        .and_then(|()| fs::write(&path, report_json(outcome).render()))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(path)
+}
+
+/// `true` when the committed report is byte-identical to this run's.
+pub fn report_is_fresh(root: &Path, outcome: &FlowOutcome) -> bool {
+    fs::read_to_string(report_path(root)).ok() == Some(report_json(outcome).render())
 }
 
 /// The crate name component of a `crates/<name>/…` path.
@@ -337,14 +337,6 @@ mod tests {
             outcome.proof_gate_passed,
             "proven ratio {:.4} below ratchet baseline {:.4} — sites: {:#?}",
             outcome.proven_ratio, outcome.baseline, outcome.sites
-        );
-        // The interprocedural oracle must beat the best purely seed-driven
-        // run (20/27 ≈ 0.7407): derived summaries and closed-world params
-        // are load-bearing, not decorative.
-        assert!(
-            outcome.proven_ratio > 0.7407,
-            "oracle added no proofs: ratio {:.4}",
-            outcome.proven_ratio
         );
     }
 
@@ -390,6 +382,54 @@ mod tests {
         )
         .expect("write");
         assert_eq!(baseline_ratio(&dir), 0.8);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One `--bless` reaches a fixed point: the blessed report records the
+    /// blessed ratio as its baseline, so the next plain run renders the
+    /// same bytes instead of calling the fresh report stale.
+    #[allow(clippy::float_cmp)] // exact round-trip through the report text
+    #[test]
+    fn one_bless_leaves_a_fresh_report() {
+        let dir = std::env::temp_dir().join("xtask-flow-bless-test");
+        let _ = fs::remove_dir_all(&dir);
+        let real = workspace_root();
+        for seeded in [
+            "crates/solarcore/src/invariants.rs",
+            "crates/archsim/src/dvfs.rs",
+        ] {
+            let to = dir.join(seeded);
+            fs::create_dir_all(to.parent().expect("file has a parent")).expect("mkdir");
+            fs::copy(real.join(seeded), to).expect("copy seed source");
+        }
+        // Three literal sites prove both checks, one unknown proves none:
+        // 6/8 = 0.75 clears the 0.70 floor without equalling it.
+        fs::create_dir_all(dir.join("crates/x/src")).expect("mkdir");
+        fs::write(
+            dir.join("crates/x/src/lib.rs"),
+            "fn f(p: Watts) {\n\
+             invariants::assert_power(\"a\", Watts::new(1.0));\n\
+             invariants::assert_power(\"b\", Watts::new(2.0));\n\
+             invariants::assert_power(\"c\", Watts::new(3.0));\n\
+             invariants::assert_power(\"d\", p);\n\
+             }\n",
+        )
+        .expect("write");
+
+        let mut first = run(&dir).expect("first run");
+        assert!(first.proof_gate_passed, "0.75 clears the floor");
+        bless(&dir, &mut first).expect("bless");
+        let plain = run(&dir).expect("plain run");
+        assert_eq!(plain.proven_ratio, 0.75);
+        assert_eq!(
+            plain.baseline, 0.75,
+            "the blessed ratio is the new baseline"
+        );
+        assert!(plain.proof_gate_passed);
+        assert!(
+            report_is_fresh(&dir, &plain),
+            "a just-blessed report is fresh"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -78,132 +78,31 @@ pub fn applies_to(path: &str) -> bool {
         && path != "crates/solarcore/src/invariants.rs"
 }
 
-/// What an interprocedural oracle knows about one resolved call site.
-#[derive(Debug, Clone, Copy)]
-pub struct CallFacts {
-    /// Interval of the call's (success) value.
-    pub ret: Interval,
-    /// `true` when the callee takes `&mut self` — the receiver local must
-    /// still be invalidated.
-    pub mutates_receiver: bool,
-}
-
-/// Interprocedural knowledge source (implemented by `graph::Analysis`).
-/// The intra-procedural pass runs with `None` and loses no soundness,
-/// only precision: every uncovered call stays ⊤.
-pub trait CallOracle {
-    /// Facts for the call at `path:line` to `callee` (last path segment or
-    /// method name), if the call graph resolved it to a summarized target.
-    fn call_return(&self, path: &str, line: usize, callee: &str) -> Option<CallFacts>;
-
-    /// Sound parameter intervals for the function declared at
-    /// `path:fn_line`, when closed-world call-site accounting derived any.
-    fn params_for(&self, path: &str, fn_line: usize) -> Option<&BTreeMap<String, Interval>>;
-}
-
-/// One call observed while interpreting a function body (recorded exactly
-/// once per syntactic site, under the stable loop-head state).
-#[derive(Debug, Clone)]
-pub struct CallEvent {
-    /// 1-based line of the callee token.
-    pub line: usize,
-    /// Callee path segments (a single segment for method calls).
-    pub path: Vec<String>,
-    /// `true` for `recv.name(args)` calls.
-    pub is_method: bool,
-    /// The receiver local's name, when it is a plain local.
-    pub recv: Option<String>,
-    /// Abstract argument values at the site.
-    pub args: Vec<Interval>,
-}
-
-/// Everything one run of the interpreter learned about one function.
-#[derive(Debug)]
-pub struct FnFlow {
-    /// Sanitizer sites found in the body.
-    pub sites: Vec<SiteRecord>,
-    /// Definite violations found in the body.
-    pub violations: Vec<Violation>,
-    /// Calls observed in the body.
-    pub calls: Vec<CallEvent>,
-    /// Join of all (non-`Err`) returned values; `None` when no return
-    /// value was observed (diverging or unit functions) — callers must
-    /// treat that as ⊤.
-    pub ret: Option<Interval>,
-}
-
-/// Interprets one function body: seeds the store from parameter range
-/// hints (proptest binders) plus any oracle-derived parameter intervals,
-/// then records sanitizer sites, call events and return values.
-pub fn interpret_fn(
-    path: &str,
-    f: &ast::FnDef,
-    seeds: &Seeds,
-    oracle: Option<&dyn CallOracle>,
-    params: Option<&BTreeMap<String, Interval>>,
-) -> FnFlow {
+/// Runs the pass over one file: returns every sanitizer site found (with
+/// per-check classification) plus the definite violations. Each function
+/// starts from the range hints of its parameters (proptest binders);
+/// calls the seeds do not cover evaluate to ⊤.
+pub fn check(src: &SourceFile, seeds: &Seeds) -> (Vec<SiteRecord>, Vec<Violation>) {
     let mut interp = Interp {
         seeds,
-        path: path.to_owned(),
+        path: src.path.clone(),
         sites: Vec::new(),
         violations: Vec::new(),
         record: true,
-        oracle,
-        calls: Vec::new(),
-        returns: Vec::new(),
     };
-    let mut state = State::new();
-    for p in &f.params {
-        if let (Some(name), Some(r)) = (&p.name, p.range) {
-            state.insert(name.clone(), AVal::Num(r));
-        }
-    }
-    if let Some(derived) = params {
-        for (name, iv) in derived {
-            state.insert(name.clone(), AVal::Num(*iv));
-        }
-    }
-    interp.exec_body_value(&f.body, state, f.has_ret);
-    let ret = interp.returns.iter().copied().reduce(|a, b| a.join(&b));
-    FnFlow {
-        sites: interp.sites,
-        violations: interp.violations,
-        calls: interp.calls,
-        ret,
-    }
-}
-
-/// `true` for an `Err(…)` construction — excluded from the derived return
-/// interval, which models the *success* value (consistent with the
-/// transparent treatment of `?` and `Ok`).
-fn is_err_expr(e: &Expr) -> bool {
-    matches!(e, Expr::Call { path, .. } if path.last().is_some_and(|s| s == "Err"))
-}
-
-/// Runs the pass over one file with an optional interprocedural oracle.
-pub fn check_with(
-    src: &SourceFile,
-    seeds: &Seeds,
-    oracle: Option<&dyn CallOracle>,
-) -> (Vec<SiteRecord>, Vec<Violation>) {
-    let mut sites = Vec::new();
-    let mut violations = Vec::new();
     for f in ast::parse_fns(src) {
         if f.in_test {
             continue;
         }
-        let params = oracle.and_then(|o| o.params_for(&src.path, f.line));
-        let flow = interpret_fn(&src.path, &f, seeds, oracle, params);
-        sites.extend(flow.sites);
-        violations.extend(flow.violations);
+        let mut state = State::new();
+        for p in &f.params {
+            if let (Some(name), Some(r)) = (&p.name, p.range) {
+                state.insert(name.clone(), AVal::Num(r));
+            }
+        }
+        interp.exec_stmts(&f.body, state);
     }
-    (sites, violations)
-}
-
-/// Runs the pass over one file: returns every sanitizer site found (with
-/// per-check classification) plus the definite violations.
-pub fn check(src: &SourceFile, seeds: &Seeds) -> (Vec<SiteRecord>, Vec<Violation>) {
-    check_with(src, seeds, None)
+    (interp.sites, interp.violations)
 }
 
 /// Abstract value: a numeric interval or a tuple of abstract values.
@@ -296,65 +195,10 @@ struct Interp<'a> {
     /// Recording is off during loop-fixpoint iterations so each site is
     /// classified exactly once, under the stable head state.
     record: bool,
-    /// Interprocedural facts; `None` runs the pure intra-procedural pass.
-    oracle: Option<&'a dyn CallOracle>,
-    /// Call events observed under `record`.
-    calls: Vec<CallEvent>,
-    /// Non-`Err` returned values observed under `record`.
-    returns: Vec<Interval>,
 }
 
 impl<'a> Interp<'a> {
     // ----- statements -------------------------------------------------
-
-    /// Executes a function body. When `want_value` (a `-> T` signature),
-    /// the trailing statement is the function's value: a trailing
-    /// expression is pushed onto `returns`, and a trailing `if` or bare
-    /// block recurses per branch (with condition refinement), so
-    /// idiomatic tail conditionals contribute precise return intervals
-    /// instead of ⊤.
-    fn exec_body_value(&mut self, stmts: &[Stmt], state: State, want_value: bool) {
-        if !want_value {
-            self.exec_stmts(stmts, state);
-            return;
-        }
-        let Some((last, rest)) = stmts.split_last() else {
-            return;
-        };
-        match last {
-            Stmt::Expr(e) => {
-                if let Some(mut s) = self.exec_stmts(rest, state).fall {
-                    let v = self.eval(e, &mut s);
-                    if self.record && !is_err_expr(e) {
-                        self.returns.push(v.num());
-                    }
-                }
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                if let Some(mut s) = self.exec_stmts(rest, state).fall {
-                    self.eval(cond, &mut s);
-                    let mut then_state = s.clone();
-                    self.refine(cond, true, &mut then_state);
-                    let mut else_state = s;
-                    self.refine(cond, false, &mut else_state);
-                    self.exec_body_value(then_body, then_state, true);
-                    self.exec_body_value(else_body, else_state, true);
-                }
-            }
-            Stmt::Block(body) => {
-                if let Some(s) = self.exec_stmts(rest, state).fall {
-                    self.exec_body_value(body, s, true);
-                }
-            }
-            _ => {
-                self.exec_stmts(stmts, state);
-            }
-        }
-    }
 
     fn exec_stmts(&mut self, stmts: &[Stmt], state: State) -> Outcome {
         let mut out = Outcome {
@@ -517,10 +361,7 @@ impl<'a> Interp<'a> {
             }
             Stmt::Return(e) => {
                 if let Some(e) = e {
-                    let v = self.eval(e, &mut state);
-                    if self.record && !is_err_expr(e) {
-                        self.returns.push(v.num());
-                    }
+                    self.eval(e, &mut state);
                 }
                 out.fall = None;
             }
@@ -753,7 +594,7 @@ impl<'a> Interp<'a> {
             Expr::Try(e) | Expr::Ref { expr: e, .. } => self.eval(e, state),
             Expr::Closure { params, body, .. } => {
                 // The body is evaluated under the *current* state so sites
-                // and call events inside see the captured knowledge; the
+                // inside see the captured knowledge; the
                 // closure itself runs zero or more times at unknown points,
                 // so afterwards only bindings the body provably left
                 // untouched keep their value — anything it changed or
@@ -840,15 +681,6 @@ impl<'a> Interp<'a> {
     ) -> AVal {
         let vals: Vec<AVal> = args.iter().map(|a| self.eval(a, state)).collect();
         self.apply_ref_mut_kills(args, state);
-        if self.record {
-            self.calls.push(CallEvent {
-                line,
-                path: path.to_vec(),
-                is_method: false,
-                recv: None,
-                args: vals.iter().map(AVal::num).collect(),
-            });
-        }
         let last = path.last().map(String::as_str).unwrap_or("");
         match last {
             "assert_power" | "assert_budget" | "assert_conversion" | "assert_bus_voltage" => {
@@ -889,18 +721,12 @@ impl<'a> Interp<'a> {
             "Some" | "Ok" | "Err" if vals.len() == 1 => {
                 vals.into_iter().next().unwrap_or_else(AVal::top)
             }
-            _ => {
-                if let Some(i) = self.seeds.const_value(path) {
-                    return AVal::Num(i); // e.g. a const fn mistaken for a call
-                }
-                if let Some(facts) = self
-                    .oracle
-                    .and_then(|o| o.call_return(&self.path, line, last))
-                {
-                    return AVal::Num(facts.ret);
-                }
-                AVal::top()
-            }
+            // A seeded constant (e.g. a const fn mistaken for a call);
+            // any other call is ⊤.
+            _ => self
+                .seeds
+                .const_value(path)
+                .map_or_else(AVal::top, AVal::Num),
         }
     }
 
@@ -915,19 +741,6 @@ impl<'a> Interp<'a> {
         let rval = self.eval(recv, state);
         let avals: Vec<AVal> = args.iter().map(|a| self.eval(a, state)).collect();
         self.apply_ref_mut_kills(args, state);
-        if self.record {
-            let recv_name = match recv {
-                Expr::Path(segs) if segs.len() == 1 => Some(segs[0].clone()),
-                _ => None,
-            };
-            self.calls.push(CallEvent {
-                line,
-                path: vec![name.to_owned()],
-                is_method: true,
-                recv: recv_name,
-                args: avals.iter().map(AVal::num).collect(),
-            });
-        }
         let r = rval.num();
         let result = match (name, avals.len()) {
             ("get", 0) => Some(rval.clone()),
@@ -981,23 +794,14 @@ impl<'a> Interp<'a> {
         match result {
             Some(v) => v,
             None => {
-                // Unknown method: ask the oracle; a summarized callee that
-                // provably takes `self`/`&self` spares the receiver local.
-                let facts = self
-                    .oracle
-                    .and_then(|o| o.call_return(&self.path, line, name));
-                let kills_recv = facts.is_none_or(|f| f.mutates_receiver);
-                if kills_recv {
-                    if let Expr::Path(segs) = recv {
-                        if segs.len() == 1 {
-                            state.remove(&segs[0]);
-                        }
+                // Unknown method: it may mutate through the receiver, so
+                // the receiver local is killed.
+                if let Expr::Path(segs) = recv {
+                    if segs.len() == 1 {
+                        state.remove(&segs[0]);
                     }
                 }
-                match facts {
-                    Some(f) => AVal::Num(f.ret),
-                    None => AVal::top(),
-                }
+                AVal::top()
             }
         }
     }

@@ -273,34 +273,6 @@ impl Seeds {
     pub fn power_slack(&self) -> f64 {
         self.consts["POWER_SLACK_W"]
     }
-
-    /// Every method name carrying a trusted contract in
-    /// [`Seeds::method_summary`], enumerated so the interprocedural pass
-    /// can cross-check each one against its derived summary
-    /// (seeds-as-checked-not-trusted; see `DESIGN.md` §16).
-    pub fn contract_method_names() -> &'static [&'static str] {
-        &[
-            "total_power",
-            "power_if",
-            "panel_power",
-            "output_power",
-            "power",
-            "fallback_budget",
-            "output_voltage",
-            "open_circuit_voltage",
-            "voltage",
-            "efficiency",
-            "ratio",
-            "ratio_step",
-        ]
-    }
-
-    /// The unit newtypes whose `new` is trusted to wrap its operand
-    /// verbatim; the interprocedural pass verifies each body is literally
-    /// `Self(value)`.
-    pub fn unit_type_names() -> &'static [&'static str] {
-        UNIT_TYPES
-    }
 }
 
 /// Collects every `pub? const NAME: f64 = <number>;` in the file.

@@ -8,13 +8,10 @@
 //!
 //! * [`syntax`] — the shared dependency-free source model: comment/string
 //!   masking, waiver markers, the token lexer and the workspace walker.
-//! * [`lint`] — the finding type and the waiver machinery every source
-//!   pass reuses.
+//! * [`lint`] — the finding type and the waiver machinery of the source
+//!   pass.
 //! * [`flow`] — interval/range analysis of physical quantities over a
-//!   per-function abstract interpreter.
-//! * [`graph`] — interprocedural passes over the workspace call graph:
-//!   bottom-up function summaries (SCC fixpoint), the seeds cross-check
-//!   and the reachability report.
+//!   per-function abstract interpreter, held to a proof ratchet.
 //! * [`docs`] — documentation cross-reference pass: DESIGN.md §-anchors,
 //!   the EXPERIMENTS.md artifact catalog and the README crate map.
 //! * [`jsonout`] — the canonical sorted-key JSON renderer every committed
@@ -30,7 +27,6 @@
 pub mod bench;
 pub mod docs;
 pub mod flow;
-pub mod graph;
 pub mod jsonout;
 pub mod lint;
 pub mod syntax;

@@ -1,5 +1,5 @@
-//! The shared finding and waiver machinery of the source passes
-//! (`cargo xtask flow` and `graph`).
+//! The finding and waiver machinery of the source pass
+//! (`cargo xtask flow`).
 //!
 //! Panic-free library code and unchecked casts are not checked here:
 //! clippy carries them through the crate lint attributes (DESIGN.md §11).
@@ -16,7 +16,7 @@ use crate::syntax::source::SourceFile;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Which pass produced the finding (`range`, `summary`, ...).
+    /// Which pass produced the finding (`range`).
     pub pass: &'static str,
     /// Path relative to the workspace root.
     pub path: String,

@@ -4,14 +4,10 @@
 //!
 //! * `flow` — interval/range analysis of physical quantities over a
 //!   per-function abstract interpreter, proving runtime sanitizer checks
-//!   statically dischargeable (sharpened by the interprocedural summaries
-//!   from `graph`). The proven fraction is held to a ratchet: it may never
-//!   drop below the baseline in the committed `results/flow_report.json`;
-//!   `--bless` rewrites the report to advance the baseline.
-//! * `graph` — interprocedural call-graph analysis: workspace call graph
-//!   with SCC condensation, bottom-up derived function summaries
-//!   cross-checked against every hand-trusted seed contract, and a
-//!   reachability/dead-`pub` report. Writes `results/graph_report.json`.
+//!   statically dischargeable. The proven fraction is held to a ratchet:
+//!   it may never drop below the baseline in the committed
+//!   `results/flow_report.json`; `--bless` rewrites the report to move the
+//!   baseline to the current ratio.
 //! * `determinism` — dynamic bitwise-reproducibility harness: runs the
 //!   policy-grid day simulations at 1 thread, N threads, and with shuffled
 //!   input order and compares canonical `f64::to_bits` hashes.
@@ -60,13 +56,13 @@
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use xtask::{bench, docs, flow, graph, lint};
+use xtask::{bench, docs, flow, lint};
 
 /// The `cargo xtask ci` gates, in order: the cheap static gates first so
 /// they fail fast, then the build, the tests and the end-to-end harness
 /// smokes. Each entry is either a `cargo` command line or an `xtask`
 /// command dispatched in-process.
-const CI_GATES: [&[&str]; 14] = [
+const CI_GATES: [&[&str]; 13] = [
     &["xtask", "docs"],
     &[
         "cargo",
@@ -78,7 +74,6 @@ const CI_GATES: [&[&str]; 14] = [
         "warnings",
     ],
     &["xtask", "flow"],
-    &["xtask", "graph"],
     // Rustdoc runs with RUSTDOCFLAGS=-D warnings: the telemetry schema in
     // `solarcore::schema` is rustdoc, so doc rot fails CI.
     &["cargo", "doc", "--no-deps", "--workspace"],
@@ -148,7 +143,6 @@ fn dispatch(args: &[&str]) -> ExitCode {
         },
         Some("docs") => finish("docs", docs::run(&workspace_root())),
         Some("flow") => run_flow(args.contains(&"--bless")),
-        Some("graph") => run_graph(),
         Some("ci") => run_ci(),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`");
@@ -164,14 +158,13 @@ fn dispatch(args: &[&str]) -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo xtask <docs | flow [--bless] | graph | determinism | \
+        "usage: cargo xtask <docs | flow [--bless] | determinism | \
          bench [--smoke] | trace | chaos [--smoke] | campaign [--smoke] | profile [--smoke] | \
          tdiff <a> <b> | ci>"
     );
     eprintln!("  docs         check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
     eprintln!("  flow         run interval/range analysis of the sanitizer checks");
-    eprintln!("               (--bless rewrites results/flow_report.json, advancing the ratchet)");
-    eprintln!("  graph        run call-graph summary, seeds cross-check and reachability passes");
+    eprintln!("               (--bless rewrites results/flow_report.json, moving the ratchet)");
     eprintln!("  determinism  verify bit-identical day-sim output across thread counts");
     eprintln!("  bench        run the criterion suite and write BENCH_pr3.json");
     eprintln!("  trace        run the golden telemetry day and render its timeline");
@@ -191,7 +184,7 @@ fn print_usage() {
     eprintln!("               (--smoke proves byte-stability/transparency and writes nothing)");
     eprintln!("  tdiff        schema-aware diff of two telemetry/profile/campaign artifacts");
     eprintln!(
-        "  ci           docs, clippy, flow, graph, doc, build, test, perfbench test, \
+        "  ci           docs, clippy, flow, doc, build, test, perfbench test, \
          determinism, chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
     );
 }
@@ -235,7 +228,7 @@ fn finish(command: &str, result: Result<lint::Report, String>) -> ExitCode {
 
 fn run_flow(bless: bool) -> ExitCode {
     let root = workspace_root();
-    let outcome = match flow::run(&root) {
+    let mut outcome = match flow::run(&root) {
         Ok(outcome) => outcome,
         Err(err) => {
             eprintln!("xtask flow: error: {err}");
@@ -245,66 +238,40 @@ fn run_flow(bless: bool) -> ExitCode {
     println!("{}", outcome.summary());
     // Gate order: findings, then the ratchet, then artifact freshness —
     // so the most actionable failure prints first.
-    let proven_ratio = outcome.proven_ratio;
-    let baseline = outcome.baseline;
-    let gate_passed = outcome.proof_gate_passed;
-    let rendered = flow::report_json(&outcome).render();
-    let code = finish("flow", Ok(outcome.report));
+    let code = finish("flow", Ok(std::mem::take(&mut outcome.report)));
     if code != ExitCode::SUCCESS {
         return code;
     }
-    if !gate_passed {
+    if !outcome.proof_gate_passed {
         eprintln!(
             "xtask flow: proven-invariant ratio {:.2}% dropped below the ratchet \
              baseline {:.2}% (results/flow_report.json); prove more, don't regress",
-            proven_ratio * 100.0,
-            baseline * 100.0
+            outcome.proven_ratio * 100.0,
+            outcome.baseline * 100.0
         );
         return ExitCode::FAILURE;
     }
-    let report_path = root.join("results").join("flow_report.json");
     if bless {
-        let write = std::fs::create_dir_all(root.join("results"))
-            .and_then(|()| std::fs::write(&report_path, &rendered));
-        if let Err(err) = write {
-            eprintln!("xtask flow: cannot write {}: {err}", report_path.display());
-            return ExitCode::FAILURE;
+        match flow::bless(&root, &mut outcome) {
+            Ok(path) => println!(
+                "xtask flow: report blessed at {} (ratchet now {:.2}%)",
+                path.display(),
+                outcome.proven_ratio * 100.0
+            ),
+            Err(err) => {
+                eprintln!("xtask flow: {err}");
+                return ExitCode::FAILURE;
+            }
         }
-        println!(
-            "xtask flow: report blessed at {} (ratchet now {:.2}%)",
-            report_path.display(),
-            proven_ratio * 100.0
-        );
-    } else if std::fs::read_to_string(&report_path).ok().as_deref() != Some(&rendered) {
+    } else if !flow::report_is_fresh(&root, &outcome) {
         eprintln!(
             "xtask flow: {} is stale (the analysis moved); run `cargo xtask flow \
              --bless` and commit the report",
-            report_path.display()
+            flow::report_path(&root).display()
         );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-fn run_graph() -> ExitCode {
-    let root = workspace_root();
-    match graph::run(&root) {
-        Ok(outcome) => {
-            println!("{}", outcome.summary());
-            match graph::write_report(&root, &outcome) {
-                Ok(path) => println!("xtask graph: report written to {}", path.display()),
-                Err(err) => {
-                    eprintln!("xtask graph: error: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            finish("graph", Ok(outcome.report))
-        }
-        Err(err) => {
-            eprintln!("xtask graph: error: {err}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Runs one `bench` binary in release mode with `args` after `--`;

@@ -1,9 +1,9 @@
-//! Shared lexical infrastructure for every static-analysis command.
+//! Lexical infrastructure for the static-analysis command.
 //!
-//! `cargo xtask flow` and `graph` are two clients of the same
-//! dependency-free source model: [`source::SourceFile`] (comment/string
-//! masking, `#[cfg(test)]` regions, waiver markers), the token
-//! [`lexer`], and the [`files`] workspace walker.
+//! `cargo xtask flow` reads the workspace through a dependency-free
+//! source model: [`source::SourceFile`] (comment/string masking,
+//! `#[cfg(test)]` regions, waiver markers), the token [`lexer`], and the
+//! [`files`] workspace walker.
 
 pub mod files;
 pub mod lexer;
