@@ -273,6 +273,38 @@ mod tests {
         assert!((predicted.get() - actual.get()).abs() < 1e-9);
     }
 
+    /// A minute's power queries — what `total_power`, `power_if`,
+    /// `power_capacity` and a TPR table ask, at every level — solve each
+    /// (core, level) pair at most once.
+    #[test]
+    fn a_minute_solves_each_core_level_at_most_once() {
+        let evals = || crate::power::CORE_POWER_EVALS.with(std::cell::Cell::get);
+        let mut chip = MultiCoreChip::new(&Mix::hm2());
+        let phases = [0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 0.7, 1.05];
+        let start = evals();
+        chip.step(&phases, 60.0).unwrap();
+        for round in 0..100 {
+            chip.set_all_levels(VfLevel::from_index(round % VfLevel::COUNT).unwrap());
+            let _ = chip.total_power();
+            let _ = chip.power_capacity();
+            for core in chip.cores() {
+                let (level, phase) = (core.level(), core.phase());
+                let _ = chip.power_if(core.id(), level).unwrap();
+                for step in [level.faster(), Some(level), level.slower()]
+                    .into_iter()
+                    .flatten()
+                {
+                    let _ = core.power_at(step, phase);
+                }
+            }
+        }
+        assert!(
+            evals() - start <= (chip.core_count() * VfLevel::COUNT) as u64,
+            "{} core_power evaluations",
+            evals() - start
+        );
+    }
+
     #[test]
     fn set_all_levels_applies_uniformly() {
         let mut chip = MultiCoreChip::new(&Mix::h2());

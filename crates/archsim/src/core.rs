@@ -1,5 +1,6 @@
 //! A single core: V/F state, gating, and accumulated work/energy.
 
+use std::cell::Cell;
 use std::fmt;
 
 use pv::units::{Celsius, Joules, Watts};
@@ -46,6 +47,22 @@ pub struct Core {
     phase: f64,
     retired_instructions: f64,
     energy: Joules,
+    power_table: LevelPowerTable,
+}
+
+/// [`power::core_power`] at a core's current phase, one slot per V/F level,
+/// filled on first use and emptied by [`Core::step`] when the phase's bits
+/// change. The controller asks for the same few values many times a
+/// minute, and each one is a leakage–temperature fixed point.
+#[derive(Debug, Clone, Default)]
+struct LevelPowerTable([Cell<Option<(Watts, Celsius)>>; VfLevel::COUNT]);
+
+/// The table is a pure function of the core's `spec` and `phase`, which
+/// `Core`'s equality already compares, so a warm core equals a cold one.
+impl PartialEq for LevelPowerTable {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Core {
@@ -59,6 +76,7 @@ impl Core {
             phase: 1.0,
             retired_instructions: 0.0,
             energy: Joules::ZERO,
+            power_table: LevelPowerTable::default(),
         }
     }
 
@@ -129,14 +147,29 @@ impl Core {
         if self.gated {
             return Watts::ZERO;
         }
-        power::core_power(&self.spec, level, phase, power::MACHINE_AMBIENT).0
+        self.level_power(level, phase).0
     }
 
     /// What-if power at a level ignoring gating — the core's *capacity*
     /// contribution ("how much could this core absorb if it ran"). Used to
     /// compute the achievable chip budget.
     pub fn potential_power_at(&self, level: VfLevel, phase: f64) -> Watts {
-        power::core_power(&self.spec, level, phase, power::MACHINE_AMBIENT).0
+        self.level_power(level, phase).0
+    }
+
+    /// [`power::core_power`] at the machine ambient, read from the table
+    /// when `phase` is the core's own phase bit for bit.
+    fn level_power(&self, level: VfLevel, phase: f64) -> (Watts, Celsius) {
+        let solve = || power::core_power(&self.spec, level, phase, power::MACHINE_AMBIENT);
+        if phase.to_bits() != self.phase.to_bits() {
+            return solve();
+        }
+        let slot = &self.power_table.0[level.index()];
+        slot.get().unwrap_or_else(|| {
+            let fresh = solve();
+            slot.set(Some(fresh));
+            fresh
+        })
     }
 
     /// What-if throughput at another level.
@@ -152,13 +185,16 @@ impl Core {
         if self.gated {
             power::MACHINE_AMBIENT
         } else {
-            power::core_power(&self.spec, self.level, self.phase, power::MACHINE_AMBIENT).1
+            self.level_power(self.level, self.phase).1
         }
     }
 
     /// Advances the core by `dt` seconds under phase multiplier `phase`,
     /// accumulating retired instructions and energy.
     pub fn step(&mut self, phase: f64, dt: f64) {
+        if phase.to_bits() != self.phase.to_bits() {
+            self.power_table = LevelPowerTable::default();
+        }
         self.phase = phase;
         if self.gated {
             return;
@@ -259,6 +295,71 @@ mod tests {
         assert!(t.ips > 0.0);
         assert!(t.power.get() > 0.0);
         assert!((t.ipc - t.ips / t.level.frequency().get()).abs() < 1e-12);
+    }
+
+    /// Every power query answers with the bits of a direct
+    /// [`power::core_power`] solve, across repeated and changing phases,
+    /// signed zeros, gating toggles, a warm clone and a foreign phase.
+    #[test]
+    fn level_power_table_is_transparent() {
+        let direct = |spec: &BenchmarkSpec, level, phase| {
+            power::core_power(spec, level, phase, power::MACHINE_AMBIENT)
+        };
+        let bits = |w: Watts| w.get().to_bits();
+        // (phase, gated) per step: a repeat, both zeros, gating on and off.
+        let steps = [
+            (1.0, false),
+            (1.0, false),
+            (0.7, false),
+            (0.0, false),
+            (-0.0, false),
+            (-0.0, true),
+            (1.3, true),
+            (1.3, false),
+            (0.7, false),
+        ];
+        let check = |c: &Core| {
+            let (spec, phase) = (*c.spec(), c.phase());
+            for level in VfLevel::all() {
+                let foreign = direct(&spec, level, phase + 0.25).0;
+                let expected = if c.is_gated() { Watts::ZERO } else { foreign };
+                assert_eq!(bits(c.power_at(level, phase + 0.25)), bits(expected));
+                let (p, _) = direct(&spec, level, phase);
+                let expected = if c.is_gated() { Watts::ZERO } else { p };
+                assert_eq!(bits(c.power_at(level, phase)), bits(expected));
+                assert_eq!(bits(c.potential_power_at(level, phase)), bits(p));
+            }
+            let (p, die) = direct(&spec, c.level(), phase);
+            let (p, die) = if c.is_gated() {
+                (Watts::ZERO, power::MACHINE_AMBIENT)
+            } else {
+                (p, die)
+            };
+            assert_eq!(bits(c.current_power()), bits(p));
+            assert_eq!(c.die_temperature().get().to_bits(), die.get().to_bits());
+        };
+        for spec in spec2000::all() {
+            for start in VfLevel::all() {
+                let mut core = Core::new(CoreId(0), spec);
+                let mut twin = core.clone();
+                for (i, &(phase, gated)) in steps.iter().enumerate() {
+                    let level = VfLevel::from_index((start.index() + i) % VfLevel::COUNT).unwrap();
+                    for c in [&mut core, &mut twin] {
+                        c.set_level(level);
+                        c.set_gated(gated);
+                        c.step(phase, 60.0);
+                    }
+                    check(&core);
+                    let warm = core.clone();
+                    check(&warm);
+                    assert_eq!(warm, twin, "a warm table must not affect equality");
+                }
+            }
+            let cold = Core::new(CoreId(1), spec);
+            let warm = cold.clone();
+            check(&warm);
+            assert_eq!(warm.clone(), cold);
+        }
     }
 
     #[test]

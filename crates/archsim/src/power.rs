@@ -73,6 +73,13 @@ pub fn leakage_power(level: VfLevel, die_temp: Celsius) -> Watts {
     Watts::new(LEAKAGE_NOMINAL_W * (v / v0) * scale)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`core_power`] evaluations on this thread, for tests that bound how
+    /// often the fixed point is solved.
+    pub(crate) static CORE_POWER_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Total per-core power (dynamic + leakage) with the die temperature solved
 /// self-consistently: `T_die = T_amb + θ_ja · P_total(T_die)`.
 ///
@@ -84,6 +91,8 @@ pub fn core_power(
     phase: f64,
     ambient: Celsius,
 ) -> (Watts, Celsius) {
+    #[cfg(test)]
+    CORE_POWER_EVALS.with(|n| n.set(n.get() + 1));
     let p_dyn = dynamic_power(spec, level, phase);
     let p_uncore = Watts::new(UNCORE_W);
     let mut die = Celsius::new(ambient.get() + THETA_JA * (p_dyn.get() + UNCORE_W));

@@ -102,3 +102,36 @@ fn solver_cache_does_not_change_day_hash() {
         "warm replay should actually hit the memo"
     );
 }
+
+/// The Fixed-Power days of the Fig. 16/17 sweep at one anchor cell (AZ,
+/// January, day 0; mixes H1, M2, HM2 and L1 at 25–125 W), folded in that
+/// order and pinned. Fixed-Power never tracks or op-solves, so this is the
+/// only tier-1 check on the bits of the TPR budget fill and of the chip's
+/// per-core power queries; `paper_claims` compares such days only within
+/// tolerances.
+#[test]
+fn fixed_power_days_match_their_pinned_digest() {
+    const PINNED: u64 = 0xeac9_746e_5f37_b539;
+    let mut fold = bench::determinism::CanonicalHasher::default();
+    for budget_w in [25.0, 50.0, 75.0, 100.0, 125.0] {
+        for mix in [Mix::h1(), Mix::m2(), Mix::hm2(), Mix::l1()] {
+            let result = DaySimulation::builder()
+                .site(Site::phoenix_az())
+                .season(Season::Jan)
+                .day(0)
+                .mix(mix)
+                .policy(Policy::FixedPower(pv::units::Watts::new(budget_w)))
+                .build()
+                .expect("valid config")
+                .run()
+                .expect("day runs");
+            fold.u64(day_hash(&result));
+        }
+    }
+    assert_eq!(
+        fold.finish(),
+        PINNED,
+        "Fixed-Power digest {:#018x} moved",
+        fold.finish()
+    );
+}

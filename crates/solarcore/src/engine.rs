@@ -969,24 +969,17 @@ pub fn allocate_budget(chip: &mut MultiCoreChip, budget: Watts) -> Result<u32, C
     }
 
     let mut blocked = vec![false; chip.core_count()];
-    loop {
-        let table = tpr::tpr_table(chip);
-        let Some(entry) = table
-            .iter()
-            .find(|e| e.tpr_up.is_some() && !blocked[e.core.0])
-        else {
-            break;
-        };
+    while let Some(core) = tpr::best_increase_among(chip, |id| !blocked[id.0]) {
         let next = chip
-            .core(entry.core)?
+            .core(core)?
             .level()
             .faster()
-            .ok_or(CoreError::LevelExhausted { core: entry.core.0 })?;
-        if chip.power_if(entry.core, next)? <= budget {
-            chip.set_level(entry.core, next)?;
+            .ok_or(CoreError::LevelExhausted { core: core.0 })?;
+        if chip.power_if(core, next)? <= budget {
+            chip.set_level(core, next)?;
             moves += 1;
         } else {
-            blocked[entry.core.0] = true;
+            blocked[core.0] = true;
         }
     }
     if invariants::enabled() {

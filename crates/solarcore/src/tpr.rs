@@ -6,7 +6,7 @@
 //! directly from the substrate's what-if queries, which degenerates to the
 //! same expression under the paper's assumptions.
 
-use archsim::{CoreId, MultiCoreChip, VfLevel};
+use archsim::{Core, CoreId, MultiCoreChip, VfLevel};
 
 /// Per-core TPR entries — the table of Figure 10.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,56 +23,82 @@ pub struct TprEntry {
     pub tpr_down: Option<f64>,
 }
 
+/// Throughput per watt of moving `core` between two levels at its current
+/// phase (`None` if the core is gated or the move changes no power).
+fn step_ratio(core: &Core, to: VfLevel, from: VfLevel) -> Option<f64> {
+    if core.is_gated() {
+        return None;
+    }
+    let phase = core.phase();
+    let dt = core.ips_at(to, phase) - core.ips_at(from, phase);
+    let dp = core.power_at(to, phase).get() - core.power_at(from, phase).get();
+    (dp.abs() > f64::EPSILON).then(|| dt / dp)
+}
+
+fn tpr_up(core: &Core) -> Option<f64> {
+    let level = core.level();
+    level.faster().and_then(|f| step_ratio(core, f, level))
+}
+
+fn tpr_down(core: &Core) -> Option<f64> {
+    let level = core.level();
+    level.slower().and_then(|s| step_ratio(core, level, s))
+}
+
+/// The key of Figure 10's order: `tpr_up`, with `None` below every ratio.
+fn up_key(tpr_up: Option<f64>) -> f64 {
+    tpr_up.unwrap_or(f64::NEG_INFINITY)
+}
+
 /// Builds the TPR table for the whole chip, sorted by descending `tpr_up`
-/// (cores most deserving of extra power first, as in Figure 10).
+/// (cores most deserving of extra power first, as in Figure 10). The sort
+/// is stable, so equal ratios keep core order.
 pub fn tpr_table(chip: &MultiCoreChip) -> Vec<TprEntry> {
     let mut entries: Vec<TprEntry> = chip
         .cores()
         .iter()
-        .map(|core| {
-            let level = core.level();
-            let phase = core.phase();
-            let make = |to: VfLevel, from: VfLevel| -> Option<f64> {
-                if core.is_gated() {
-                    return None;
-                }
-                let dt = core.ips_at(to, phase) - core.ips_at(from, phase);
-                let dp = core.power_at(to, phase).get() - core.power_at(from, phase).get();
-                (dp.abs() > f64::EPSILON).then(|| dt / dp)
-            };
-            TprEntry {
-                core: core.id(),
-                level,
-                tpr_up: level.faster().and_then(|f| make(f, level)),
-                tpr_down: level.slower().and_then(|s| make(level, s)),
-            }
+        .map(|core| TprEntry {
+            core: core.id(),
+            level: core.level(),
+            tpr_up: tpr_up(core),
+            tpr_down: tpr_down(core),
         })
         .collect();
-    entries.sort_by(|a, b| {
-        let ka = a.tpr_up.unwrap_or(f64::NEG_INFINITY);
-        let kb = b.tpr_up.unwrap_or(f64::NEG_INFINITY);
-        kb.partial_cmp(&ka).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    entries.sort_by(|a, b| up_key(b.tpr_up).total_cmp(&up_key(a.tpr_up)));
     entries
 }
 
 /// The core with the highest `tpr_up` — who should receive the next watt.
+/// A tie goes to the lowest core index, the core [`tpr_table`] lists first.
 pub fn best_increase(chip: &MultiCoreChip) -> Option<CoreId> {
-    tpr_table(chip)
-        .into_iter()
-        .filter(|e| e.tpr_up.is_some())
-        .map(|e| e.core)
-        .next()
+    best_increase_among(chip, |_| true)
+}
+
+/// [`best_increase`] over the cores `eligible` admits, in one pass over
+/// the chip instead of a built and sorted table.
+pub(crate) fn best_increase_among(
+    chip: &MultiCoreChip,
+    eligible: impl Fn(CoreId) -> bool,
+) -> Option<CoreId> {
+    chip.cores()
+        .iter()
+        .filter(|core| eligible(core.id()))
+        .filter_map(|core| Some((core.id(), tpr_up(core)?)))
+        // `min_by` keeps the first of equal elements, so the reversed order
+        // picks the highest ratio at the lowest index.
+        .min_by(|a, b| b.1.total_cmp(&a.1))
+        .map(|(id, _)| id)
 }
 
 /// The core with the lowest `tpr_down` — who loses the least throughput per
-/// watt freed when the budget shrinks.
+/// watt freed when the budget shrinks. A tie goes to the core [`tpr_table`]
+/// lists first: the higher `tpr_up`, then the lower core index.
 pub fn best_decrease(chip: &MultiCoreChip) -> Option<CoreId> {
-    tpr_table(chip)
-        .into_iter()
-        .filter_map(|e| e.tpr_down.map(|t| (e.core, t)))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(core, _)| core)
+    chip.cores()
+        .iter()
+        .filter_map(|core| Some((core.id(), tpr_down(core)?, up_key(tpr_up(core)))))
+        .min_by(|a, b| a.1.total_cmp(&b.1).then(b.2.total_cmp(&a.2)))
+        .map(|(id, _, _)| id)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use archsim::{CoreId, MultiCoreChip, VfLevel};
 use pv::units::Watts;
 use solarcore::engine::allocate_budget;
-use solarcore::tpr::{best_increase, tpr_table};
+use solarcore::tpr::{best_decrease, best_increase, tpr_table};
 use workloads::Mix;
 
 /// Builds a chip in a seed-derived random state: each core gets an
@@ -162,5 +162,135 @@ proptest! {
             large.total_power() >= small.total_power(),
             "raising the cap from {budget_w} by {extra_w} W lowered the fill"
         );
+    }
+}
+
+/// The Fig. 16/17 Fixed-Power budgets, watts.
+const FIXED_BUDGETS_W: [f64; 5] = [25.0, 50.0, 75.0, 100.0, 125.0];
+
+/// Reference pick: the first entry of the sorted table that can step up.
+fn table_best_increase(chip: &MultiCoreChip) -> Option<CoreId> {
+    tpr_table(chip)
+        .into_iter()
+        .find(|e| e.tpr_up.is_some())
+        .map(|e| e.core)
+}
+
+/// Reference pick: the first lowest `tpr_down` in table order.
+fn table_best_decrease(chip: &MultiCoreChip) -> Option<CoreId> {
+    tpr_table(chip)
+        .into_iter()
+        .filter_map(|e| e.tpr_down.map(|t| (e.core, t)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(core, _)| core)
+}
+
+/// Reference fill: `allocate_budget` with a full table built and sorted
+/// for every one-step move.
+fn table_allocate(chip: &mut MultiCoreChip, budget: Watts) -> u32 {
+    let mut moves = 0;
+    for id in 0..chip.core_count() {
+        chip.gate(CoreId(id), false).expect("valid core id");
+    }
+    chip.set_all_levels(VfLevel::lowest());
+    let mut victim = chip.core_count();
+    while chip.total_power() > budget && victim > 0 {
+        victim -= 1;
+        chip.gate(CoreId(victim), true).expect("valid core id");
+        moves += 1;
+    }
+    let mut blocked = vec![false; chip.core_count()];
+    while let Some(entry) = tpr_table(chip)
+        .into_iter()
+        .find(|e| e.tpr_up.is_some() && !blocked[e.core.0])
+    {
+        let next = entry.level.faster().expect("tpr_up implies a faster level");
+        if chip.power_if(entry.core, next).expect("valid core id") <= budget {
+            chip.set_level(entry.core, next).expect("valid core id");
+            moves += 1;
+        } else {
+            blocked[entry.core.0] = true;
+        }
+    }
+    moves
+}
+
+/// A chip of `mix` with every core at `level`. Variant 0 keeps the unit
+/// phase and no gating, so cores running the same benchmark tie exactly.
+/// Other variants draw per-core levels and gating from the seed, and
+/// per-core phases too, except variant 1: it idles every core at phase 0,
+/// where every ratio is 0 and only the tie-breaks decide.
+fn chip_variant(mix: &Mix, level: VfLevel, variant: u64) -> MultiCoreChip {
+    let mut chip = MultiCoreChip::new(mix);
+    chip.set_all_levels(level);
+    if variant == 0 {
+        return chip;
+    }
+    let mut state = variant.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    #[allow(clippy::cast_precision_loss)] // < 2^31, exact in f64
+    let phases: Vec<f64> = (0..chip.core_count())
+        .map(|_| {
+            let draw = 0.5 + (next() % 1000) as f64 / 1000.0;
+            if variant == 1 {
+                0.0
+            } else {
+                draw
+            }
+        })
+        .collect();
+    chip.step(&phases, 60.0).expect("one phase per core");
+    for id in 0..chip.core_count() {
+        if next() % 3 == 0 {
+            #[allow(clippy::cast_possible_truncation)] // reduced mod COUNT (= 6)
+            let other = VfLevel::from_index(next() as usize % VfLevel::COUNT).expect("in range");
+            chip.set_level(CoreId(id), other).expect("valid core id");
+        }
+        chip.gate(CoreId(id), next() % 4 == 0)
+            .expect("valid core id");
+    }
+    chip
+}
+
+/// The one-pass picks and fill make exactly the choices of the sorted
+/// table they replace, ties included, over every mix, every start level,
+/// unit and seeded phases, gated cores and every Fixed-Power budget.
+#[test]
+fn one_pass_picks_and_fill_match_the_sorted_table() {
+    for mix in Mix::all() {
+        for level in VfLevel::all() {
+            for variant in 0..6 {
+                let chip = chip_variant(&mix, level, variant);
+                let at = format!("{} at {} variant {variant}", mix.name(), level.index());
+                assert_eq!(best_increase(&chip), table_best_increase(&chip), "{at}");
+                assert_eq!(best_decrease(&chip), table_best_decrease(&chip), "{at}");
+                for budget_w in FIXED_BUDGETS_W {
+                    let budget = Watts::new(budget_w);
+                    let mut fast = chip.clone();
+                    let mut slow = chip.clone();
+                    let moves = allocate_budget(&mut fast, budget).expect("allocation succeeds");
+                    assert_eq!(
+                        moves,
+                        table_allocate(&mut slow, budget),
+                        "{at}, {budget_w} W"
+                    );
+                    for (a, b) in fast.cores().iter().zip(slow.cores()) {
+                        assert_eq!(
+                            (a.level(), a.is_gated()),
+                            (b.level(), b.is_gated()),
+                            "{at}, {budget_w} W, {}",
+                            a.id()
+                        );
+                    }
+                    assert_eq!(best_increase(&fast), table_best_increase(&fast), "{at}");
+                    assert_eq!(best_decrease(&fast), table_best_decrease(&fast), "{at}");
+                }
+            }
+        }
     }
 }
