@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use archsim::{MultiCoreChip, VfLevel};
 use powertrain::DcDcConverter;
 use pv::units::{Celsius, Irradiance};
-use pv::{CellEnv, PvArray};
+use pv::{CellEnv, PvArray, PvGenerator};
 use solarcore::{ControllerConfig, LoadTuner, Policy, SolarCoreController, TrackingRig};
 use workloads::Mix;
 
@@ -23,6 +23,7 @@ fn bench_track(c: &mut Criterion) {
             let mut controller = SolarCoreController::new(ControllerConfig::paper_defaults())
                 .expect("paper defaults are valid");
             let env = CellEnv::new(Irradiance::new(g), Celsius::new(42.0));
+            let mpp = array.mpp(env);
             b.iter_batched(
                 || {
                     let mut chip = MultiCoreChip::new(&Mix::hm2());
@@ -37,6 +38,7 @@ fn bench_track(c: &mut Criterion) {
                     controller.track(&mut TrackingRig {
                         array: &array,
                         env: black_box(env),
+                        mpp,
                         converter: &mut converter,
                         chip: &mut chip,
                         tuner: &mut tuner,
@@ -56,6 +58,7 @@ fn bench_retrack_after_small_drift(c: &mut Criterion) {
     let array = PvArray::solarcore_default();
     let sunny = CellEnv::new(Irradiance::new(800.0), Celsius::new(42.0));
     let drifted = CellEnv::new(Irradiance::new(760.0), Celsius::new(43.0));
+    let drifted_mpp = array.mpp(drifted);
 
     // Converge once outside the measurement loop.
     let mut controller = SolarCoreController::new(ControllerConfig::paper_defaults())
@@ -68,6 +71,7 @@ fn bench_retrack_after_small_drift(c: &mut Criterion) {
         .track(&mut TrackingRig {
             array: &array,
             env: sunny,
+            mpp: array.mpp(sunny),
             converter: &mut converter,
             chip: &mut chip,
             tuner: &mut tuner,
@@ -82,6 +86,7 @@ fn bench_retrack_after_small_drift(c: &mut Criterion) {
                 controller.track(&mut TrackingRig {
                     array: &array,
                     env: black_box(drifted),
+                    mpp: drifted_mpp,
                     converter: &mut converter,
                     chip: &mut chip,
                     tuner: &mut tuner,

@@ -9,8 +9,8 @@ use std::path::Path;
 
 use serde::Serialize;
 
+use pv::CellEnv;
 use pv::PvArray;
-use pv::PvGenerator;
 use solarenv::{EnvTrace, Season, Site};
 
 use crate::output::{write_json, TextTable};
@@ -74,8 +74,9 @@ pub fn compute(days: u32) -> Fig15 {
             let mut total = 0usize;
             for day in 0..days {
                 let trace = EnvTrace::generate(&site, season, day);
-                for sample in trace.samples() {
-                    let mpp = array.mpp(sample.cell_env()).power.get();
+                let envs: Vec<CellEnv> = trace.samples().iter().map(|s| s.cell_env()).collect();
+                for point in array.mpp_column(&envs) {
+                    let mpp = point.power.get();
                     for (slot, &threshold) in fractions.iter_mut().zip(&THRESHOLDS_W) {
                         if mpp >= threshold {
                             *slot += 1.0;

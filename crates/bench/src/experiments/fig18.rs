@@ -109,12 +109,11 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig18 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::GridConfig;
 
     #[test]
     fn utilization_is_high_and_ordered_by_site_potential() {
-        let grid = PolicyGrid::compute(&GridConfig::quick());
-        let fig = compute(&grid);
+        let grid = PolicyGrid::quick();
+        let fig = compute(grid);
         assert_eq!(fig.sites.len(), 2); // AZ, TN in the quick grid
                                         // Headline scale: average solar utilization in the 70–95 % band.
         assert!(

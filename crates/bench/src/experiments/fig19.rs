@@ -77,12 +77,12 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig19 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{GridConfig, PolicyGrid};
+    use crate::grid::PolicyGrid;
 
     #[test]
     fn durations_land_in_the_papers_band() {
-        let grid = PolicyGrid::compute(&GridConfig::quick());
-        let fig = compute(&grid);
+        let grid = PolicyGrid::quick();
+        let fig = compute(grid);
         assert_eq!(fig.bars.len(), 4);
         for b in &fig.bars {
             // Paper: 60–90 % of daytime, give or take the sunniest cells.

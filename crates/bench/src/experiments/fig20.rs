@@ -91,12 +91,12 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig20 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{GridConfig, PolicyGrid};
+    use crate::grid::PolicyGrid;
 
     #[test]
     fn utilization_fallss_with_shorter_effective_duration() {
-        let grid = PolicyGrid::compute(&GridConfig::quick());
-        let fig = compute(&grid);
+        let grid = PolicyGrid::quick();
+        let fig = compute(grid);
         assert_eq!(fig.buckets.len(), 5);
         // Collect the populated bucket means for MPPT&Opt, longest first;
         // the trend must be non-increasing overall (first populated ≥ last

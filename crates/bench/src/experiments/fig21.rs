@@ -98,12 +98,12 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig21 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{GridConfig, PolicyGrid};
+    use crate::grid::PolicyGrid;
 
     #[test]
     fn policy_ordering_and_battery_bracketing() {
-        let grid = PolicyGrid::compute(&GridConfig::quick());
-        let fig = compute(&grid);
+        let grid = PolicyGrid::quick();
+        let fig = compute(grid);
         assert_eq!(fig.groups.len(), 12); // 2×2×3 cells
         let mean = |label: &str| -> f64 { fig.means.iter().find(|(l, _)| l == label).unwrap().1 };
         let ic = mean("MPPT&IC");

@@ -115,14 +115,14 @@ pub fn run(grid: &PolicyGrid, fixed: &Fig16And17, out_dir: &Path) -> Headline {
 mod tests {
     use super::*;
     use crate::experiments::fig16;
-    use crate::grid::{GridConfig, PolicyGrid};
+    use crate::grid::PolicyGrid;
     use workloads::Mix;
 
     #[test]
     fn claims_have_the_papers_directions() {
-        let grid = PolicyGrid::compute(&GridConfig::quick());
+        let grid = PolicyGrid::quick();
         let fixed = fig16::compute(&[Mix::hm2()]);
-        let headline = compute(&grid, &fixed);
+        let headline = compute(grid, &fixed);
         let get = |name: &str| -> f64 {
             headline
                 .claims

@@ -70,12 +70,12 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Tab07 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{GridConfig, PolicyGrid};
+    use crate::grid::PolicyGrid;
 
     #[test]
     fn errors_are_single_to_low_double_digit_percent() {
-        let grid = PolicyGrid::compute(&GridConfig::quick());
-        let tab = compute(&grid);
+        let grid = PolicyGrid::quick();
+        let tab = compute(grid);
         assert_eq!(tab.mixes.len(), 3);
         assert_eq!(tab.rows.len(), 4); // 2 sites × 2 seasons
         for (site, season, errors) in &tab.rows {

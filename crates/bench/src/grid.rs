@@ -300,6 +300,14 @@ impl PolicyGrid {
         let values: Vec<f64> = self.for_policy(policy).map(|s| s.utilization).collect();
         solarcore::metrics::mean(&values)
     }
+
+    /// The [`GridConfig::quick`] grid, computed once per test binary and
+    /// shared by every experiment test that reduces it.
+    #[cfg(test)]
+    pub(crate) fn quick() -> &'static PolicyGrid {
+        static QUICK: std::sync::OnceLock<PolicyGrid> = std::sync::OnceLock::new();
+        QUICK.get_or_init(|| PolicyGrid::compute(&GridConfig::quick()))
+    }
 }
 
 #[cfg(test)]

@@ -9,12 +9,54 @@
 // the remaining silent-conversion holes.
 #![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::thread;
+
 use crate::cell::CellEnv;
 use crate::error::PvError;
 use crate::generator::PvGenerator;
 use crate::module::PvModule;
 use crate::mpp::{self, MppPoint};
 use crate::units::{Amps, Volts};
+
+/// Environments per block of [`PvArray::mpp_column`]'s work: about 0.1 ms
+/// of golden-section searches, so a day's 601 minutes make ~38 blocks.
+const MPP_BLOCK: usize = 16;
+
+/// Stack size of an MPP helper thread. A search needs a few hundred bytes,
+/// and a stack smaller than std's 2 MiB default keeps the helper's share of
+/// peak RSS down.
+const HELPER_STACK: usize = 256 << 10;
+
+/// MPP helper threads running in this process. [`PvArray::mpp_column`]
+/// keeps it below the CPU count, so columns computed at once (by the
+/// workers of a parallel sweep) share the spare CPUs instead of each
+/// spawning a helper per CPU; each helper thread adds its stack and a
+/// malloc arena to the peak RSS.
+static HELPERS: AtomicUsize = AtomicUsize::new(0);
+
+/// One of the process's helper slots, released on drop.
+struct HelperSlot;
+
+impl HelperSlot {
+    /// Claims a slot if fewer than `limit` are taken.
+    fn claim(limit: usize) -> Option<Self> {
+        HELPERS
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < limit).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| HelperSlot)
+    }
+}
+
+impl Drop for HelperSlot {
+    fn drop(&mut self) {
+        HELPERS.fetch_sub(1, Ordering::AcqRel);
+    }
+}
 
 /// An array of identical PV modules: `modules_series` in series per string,
 /// `strings_parallel` strings in parallel, all under uniform conditions.
@@ -94,6 +136,61 @@ impl PvArray {
     pub fn strings_parallel(&self) -> u32 {
         self.strings_parallel
     }
+
+    /// The maximum power point of every environment in `envs`, in order:
+    /// entry `i` is bit-identical to `self.mpp(envs[i])`.
+    ///
+    /// The searches are independent, so the column is cut into contiguous
+    /// blocks of 16 environments that the calling thread and scoped helper
+    /// threads claim in turn. There is at most one helper per further
+    /// available CPU, counted across the process, so concurrent callers do
+    /// not multiply threads. Each block's points are written in place at
+    /// their own indices, so the bits do not depend on the thread count or
+    /// on which thread searched which block. Claiming blocks instead of
+    /// owning a fixed share keeps a helper that starts late from holding up
+    /// the caller. A helper's panic is resumed on the calling thread.
+    pub fn mpp_column(&self, envs: &[CellEnv]) -> Vec<MppPoint> {
+        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.mpp_column_in(envs, threads, MPP_BLOCK)
+    }
+
+    /// [`Self::mpp_column`] on at most `threads` threads, in blocks of
+    /// `block` environments.
+    fn mpp_column_in(&self, envs: &[CellEnv], threads: usize, block: usize) -> Vec<MppPoint> {
+        let mut column = vec![MppPoint::DARK; envs.len()];
+        let block = block.max(1);
+        let wanted = threads.min(envs.len().div_ceil(block)).saturating_sub(1);
+        let slots: Vec<HelperSlot> = (0..wanted)
+            .map_while(|_| HelperSlot::claim(threads.saturating_sub(1)))
+            .collect();
+        let blocks = Mutex::new(envs.chunks(block).zip(column.chunks_mut(block)));
+        let work = || loop {
+            let claimed = blocks.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((envs, out)) = claimed else { break };
+            for (point, &env) in out.iter_mut().zip(envs) {
+                *point = self.mpp(env);
+            }
+        };
+        thread::scope(|scope| {
+            // A helper that cannot be spawned leaves its blocks to the others.
+            let helpers: Vec<_> = slots
+                .iter()
+                .filter_map(|_| {
+                    thread::Builder::new()
+                        .stack_size(HELPER_STACK)
+                        .spawn_scoped(scope, work)
+                        .ok()
+                })
+                .collect();
+            work();
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+        column
+    }
 }
 
 impl PvGenerator for PvArray {
@@ -148,6 +245,42 @@ mod tests {
         let i = array.current_at(env, v).unwrap();
         let i_module = array.module().current_at(env, Volts::new(36.0)).unwrap();
         assert!((i.get() - 2.0 * i_module.get()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mpp_column_bits_do_not_depend_on_the_split() {
+        use crate::units::{Celsius, Irradiance};
+        let array = PvArray::new(PvModule::bp3180n(), 2, 3).unwrap();
+        let day: Vec<CellEnv> = (0..41)
+            .map(|m| {
+                let g = (f64::from(m) * 0.08).sin().max(0.0) * 1100.0;
+                CellEnv::new(Irradiance::new(g), Celsius::new(5.0 + f64::from(m)))
+            })
+            .collect();
+        let bits = |column: &[MppPoint]| -> Vec<[u64; 3]> {
+            column
+                .iter()
+                .map(|p| {
+                    [
+                        p.voltage.get().to_bits(),
+                        p.current.get().to_bits(),
+                        p.power.get().to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        for envs in [&day[..], &day[7..8], &[]] {
+            let want: Vec<MppPoint> = envs.iter().map(|&e| array.mpp(e)).collect();
+            for threads in [1, 2, 3, 7] {
+                for block in [1, 3, MPP_BLOCK, 64] {
+                    let got = array.mpp_column_in(envs, threads, block);
+                    let case = format!("{} envs, {threads} threads, block {block}", envs.len());
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                }
+            }
+            assert_eq!(bits(&array.mpp_column(envs)), bits(&want));
+        }
+        assert!(day.iter().any(|e| e.irradiance.get() == 0.0));
     }
 
     #[test]

@@ -14,12 +14,20 @@
 //!    the *exact same arithmetic* against the resolved values, so every
 //!    returned bit matches the cold path.
 //! 2. **Exact-bits memoization** ([`ArrayCache`] / [`CachedArray`]): the
-//!    controller's perturb-and-observe loop and the per-minute budget
-//!    oracle re-evaluate *identical* `(G, T, V)` triples many times over.
+//!    controller's perturb-and-observe loop and the operating-point
+//!    solver re-evaluate *identical* `(G, T, V)` triples many times over.
 //!    A bounded, deterministic, set-associative memo keyed on
 //!    [`f64::to_bits`] returns the previously computed bits verbatim.
 //!    Exact-key lookups can never substitute a "close enough" neighbour,
-//!    which is what keeps the determinism harness hashes unchanged.
+//!    which is what keeps the determinism harness hashes unchanged. A
+//!    second, per-environment memo holds each `(G, T)`'s `Voc`, which
+//!    every operating-point solve asks for. The MPP is not memoized: the
+//!    engine computes each minute's once, when the day is prepared
+//!    ([`PvArray::mpp_column`]).
+//!
+//! Below the cell's `Voc` the current solve also skips the bracket
+//! expansion's first residual, which provably could not expand the
+//! bracket there (DESIGN.md §13, mechanism 5).
 //!
 //! Deliberately *not* implemented: seeding Newton from a neighbouring
 //! operating point. A different starting iterate walks a different
@@ -76,6 +84,9 @@ pub struct ModuleSolver<'m> {
     module: &'m PvModule,
     env: CellEnv,
     coeffs: CellCoeffs,
+    /// Per-cell open-circuit voltage of `coeffs` (zero in darkness): below
+    /// it the current solve's bracket needs no expansion.
+    voc_cell: Volts,
 }
 
 /// Maximum iterations for the hybrid Newton/bisection current solver.
@@ -87,10 +98,12 @@ const CURRENT_TOLERANCE: f64 = 1e-10;
 impl<'m> ModuleSolver<'m> {
     /// Resolves the `(G, T)` coefficients of `module` under `env`.
     pub fn new(module: &'m PvModule, env: CellEnv) -> Self {
+        let coeffs = CellCoeffs::resolve(module.cell(), env);
         Self {
             module,
             env,
-            coeffs: CellCoeffs::resolve(module.cell(), env),
+            coeffs,
+            voc_cell: coeffs.open_circuit_cell_voltage(),
         }
     }
 
@@ -106,11 +119,10 @@ impl<'m> ModuleSolver<'m> {
 
     /// Open-circuit voltage `Voc` (closed form); zero in darkness.
     pub fn open_circuit_voltage(&self) -> Volts {
-        let v_cell = self.coeffs.open_circuit_cell_voltage();
-        if v_cell <= Volts::ZERO {
+        if self.voc_cell <= Volts::ZERO {
             return Volts::ZERO;
         }
-        Volts::new(v_cell.get() * self.module.cells_series() as f64)
+        Volts::new(self.voc_cell.get() * self.module.cells_series() as f64)
     }
 
     /// Module output current at a prescribed terminal voltage — the
@@ -148,17 +160,24 @@ impl<'m> ModuleSolver<'m> {
 
         // Bracket the root of the strictly-decreasing residual f(i):
         // f(iph) <= 0 always; expand the lower bound until f(lo) >= 0.
+        // Up to the cell's Voc the start already brackets it: lo <= -0.01
+        // and v_cell + lo·Rs <= Voc,cell give I0·expm1(arg) <= Iph (to
+        // ~1e-13 A of rounding), so f(lo) >= -lo - 1e-13 > 0 and the
+        // expansion loop could not run. Skipping its residual there is
+        // exact (DESIGN.md §13, mechanism 5).
         let mut hi = iph;
         let mut lo = 0.0_f64.min(-0.01 * iph.max(1.0));
-        let mut expand = 0;
-        while self.coeffs.residual(v_cell, Amps::new(lo)).get() < 0.0 {
-            lo = lo * 4.0 - 1.0;
-            expand += 1;
-            if expand > 64 {
-                return Err(PvError::NoConvergence {
-                    context: "bracketing module current",
-                    iterations: expand,
-                });
+        if v_cell > self.voc_cell {
+            let mut expand = 0;
+            while self.coeffs.residual(v_cell, Amps::new(lo)).get() < 0.0 {
+                lo = lo * 4.0 - 1.0;
+                expand += 1;
+                if expand > 64 {
+                    return Err(PvError::NoConvergence {
+                        context: "bracketing module current",
+                        iterations: expand,
+                    });
+                }
             }
         }
         debug_assert!(self.coeffs.residual(v_cell, Amps::new(hi)).get() <= 0.0);
@@ -226,9 +245,10 @@ const WAYS: usize = 4;
 /// perturbation with room to spare; ~40 B/entry, so ≈160 KiB total.
 const SOLVE_SETS: usize = 1024;
 
-/// Sets in the per-environment memo (`Voc`, MPP). A simulated day has 601
-/// distinct `(G, T)` samples; `512 × 4` entries keep a whole day resident
-/// so every policy after the first in a batch hits.
+/// Sets in the per-environment `Voc` memo. A simulated day has 601
+/// distinct `(G, T)` samples; `512 × 4` entries keep a whole day resident,
+/// so across all the policies of a batch only the first operating-point
+/// solve under each `(G, T)` computes its `Voc`.
 const ENV_SETS: usize = 512;
 
 /// One stored I-V solve.
@@ -245,10 +265,8 @@ struct SolveEntry {
 #[derive(Debug, Clone, Copy)]
 struct EnvEntry {
     key: EnvKey,
-    /// `to_bits` of the open-circuit voltage, when resolved.
-    voc_bits: Option<u64>,
-    /// The located maximum power point, when resolved.
-    mpp: Option<MppPoint>,
+    /// `to_bits` of the open-circuit voltage.
+    voc_bits: u64,
     stamp: u64,
 }
 
@@ -370,37 +388,28 @@ impl CacheState {
         self.last_solve = Some((key, set, way));
     }
 
-    fn lookup_env(&mut self, key: EnvKey) -> Option<EnvEntry> {
+    /// Looks up the stored `Voc` bits of one environment.
+    fn lookup_env(&mut self, key: EnvKey) -> Option<u64> {
         let idx = set_index(self.hash_env(key), ENV_SETS);
         let stamp = self.tick();
         for entry in self.envs[idx].iter_mut().flatten() {
             if entry.key == key {
                 entry.stamp = stamp;
-                return Some(*entry);
+                return Some(entry.voc_bits);
             }
         }
         None
     }
 
-    /// Merges one field of the per-environment record, creating or
-    /// refreshing the entry.
-    fn update_env(&mut self, key: EnvKey, voc_bits: Option<u64>, mpp: Option<MppPoint>) {
+    /// Stores the `Voc` bits of an environment [`Self::lookup_env`] missed.
+    fn store_env(&mut self, key: EnvKey, voc_bits: u64) {
         let idx = set_index(self.hash_env(key), ENV_SETS);
         let stamp = self.tick();
         let set = &mut self.envs[idx];
-        for entry in set.iter_mut().flatten() {
-            if entry.key == key {
-                entry.voc_bits = voc_bits.or(entry.voc_bits);
-                entry.mpp = mpp.or(entry.mpp);
-                entry.stamp = stamp;
-                return;
-            }
-        }
         let slot = eldest_way(set.iter().map(|w| w.as_ref().map(|e| e.stamp)));
         set[slot] = Some(EnvEntry {
             key,
             voc_bits,
-            mpp,
             stamp,
         });
     }
@@ -506,14 +515,14 @@ impl PvGenerator for CachedArray<'_> {
     fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
         let key = Self::env_key(env);
         let cached = self.cache.state.borrow_mut().lookup_env(key);
-        if let Some(bits) = cached.and_then(|e| e.voc_bits) {
+        if let Some(bits) = cached {
             return Volts::new(f64::from_bits(bits));
         }
         let voc = self.array.open_circuit_voltage(env);
         self.cache
             .state
             .borrow_mut()
-            .update_env(key, Some(voc.get().to_bits()), None);
+            .store_env(key, voc.get().to_bits());
         voc
     }
 
@@ -538,18 +547,10 @@ impl PvGenerator for CachedArray<'_> {
         Ok((current, iters))
     }
 
+    /// Not memoized: the engine reads each minute's MPP from the setup's
+    /// precomputed column ([`PvArray::mpp_column`]), so no caller asks twice.
     fn mpp(&self, env: CellEnv) -> MppPoint {
-        let key = Self::env_key(env);
-        let cached = self.cache.state.borrow_mut().lookup_env(key);
-        if let Some(point) = cached.and_then(|e| e.mpp) {
-            return point;
-        }
-        let point = self.array.mpp(env);
-        self.cache
-            .state
-            .borrow_mut()
-            .update_env(key, None, Some(point));
-        point
+        self.array.mpp(env)
     }
 }
 
@@ -582,6 +583,145 @@ mod tests {
             let mm = module.mpp(e);
             assert_eq!(sm.voltage.get().to_bits(), mm.voltage.get().to_bits());
             assert_eq!(sm.power.get().to_bits(), mm.power.get().to_bits());
+        }
+    }
+
+    /// `ModuleSolver::current_at_counted` as it was before the bracket
+    /// skip: the expansion loop's first residual runs on every solve.
+    fn current_with_full_bracket(
+        solver: &ModuleSolver<'_>,
+        voltage: Volts,
+    ) -> Result<(Amps, u32), PvError> {
+        let v_cell = Volts::new(voltage.get() / solver.module.cells_series() as f64);
+        let iph = solver.coeffs.photocurrent().get();
+        let mut hi = iph;
+        let mut lo = 0.0_f64.min(-0.01 * iph.max(1.0));
+        let mut expand = 0;
+        while solver.coeffs.residual(v_cell, Amps::new(lo)).get() < 0.0 {
+            lo = lo * 4.0 - 1.0;
+            expand += 1;
+            if expand > 64 {
+                return Err(PvError::NoConvergence {
+                    context: "bracketing module current",
+                    iterations: expand,
+                });
+            }
+        }
+        let strings = solver.module.strings_parallel() as f64;
+        let mut i = 0.5 * (lo + hi);
+        for iter in 0..MAX_SOLVER_ITERS {
+            let f = solver.coeffs.residual(v_cell, Amps::new(i)).get();
+            if f.abs() < CURRENT_TOLERANCE {
+                return Ok((Amps::new(i * strings), iter + 1));
+            }
+            if f > 0.0 {
+                lo = i;
+            } else {
+                hi = i;
+            }
+            let df = solver.coeffs.residual_di(v_cell, Amps::new(i));
+            let newton = i - f / df;
+            i = if newton > lo && newton < hi {
+                newton
+            } else {
+                0.5 * (lo + hi)
+            };
+            if (hi - lo).abs() < CURRENT_TOLERANCE {
+                return Ok((Amps::new(i * strings), iter + 1));
+            }
+        }
+        Err(PvError::NoConvergence {
+            context: "module current at voltage",
+            iterations: MAX_SOLVER_ITERS,
+        })
+    }
+
+    /// The BP3180N and a 72-cell module whose cell has no series
+    /// resistance.
+    fn bracket_modules() -> [PvModule; 2] {
+        let cell = crate::cell::CellParams::new(
+            Amps::new(5.4),
+            Amps::new(5.0e-9),
+            1.3,
+            crate::units::Ohms::ZERO,
+            0.003,
+        )
+        .unwrap();
+        [
+            PvModule::bp3180n(),
+            PvModule::new("Rs = 0", cell, 72, 1).unwrap(),
+        ]
+    }
+
+    /// Up to the cell's `Voc` the bracket's start already has
+    /// `residual(lo) >= 0`, and the solve returns the bits and iteration
+    /// count of the full-bracket copy.
+    ///
+    /// The solves are compared only where `hi = Iph` bounds the root
+    /// (`residual(hi) <= 0`, which the solver debug-asserts). Below about
+    /// `-Iph·Rs` per cell, and so at any negative voltage in the dark, the
+    /// root lies above `Iph`; no caller probes there.
+    fn check_bracket_skip(module: &PvModule, e: CellEnv, voltage: Volts) -> Result<(), String> {
+        let solver = ModuleSolver::new(module, e);
+        let v_cell = Volts::new(voltage.get() / module.cells_series() as f64);
+        let iph = solver.coeffs.photocurrent();
+        let lo = 0.0_f64.min(-0.01 * iph.get().max(1.0));
+        if v_cell <= solver.voc_cell && solver.coeffs.residual(v_cell, Amps::new(lo)).get() < 0.0 {
+            return Err(format!("residual(lo) < 0 at {e:?}, V = {voltage}"));
+        }
+        if solver.coeffs.residual(v_cell, iph).get() > 0.0 {
+            return Ok(());
+        }
+        let got = solver
+            .current_at_counted(voltage)
+            .map(|(i, n)| (i.get().to_bits(), n));
+        let want = current_with_full_bracket(&solver, voltage).map(|(i, n)| (i.get().to_bits(), n));
+        if got != want {
+            return Err(format!("{got:?} != {want:?} at {e:?}, V = {voltage}"));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bracket_skip_is_exact_up_to_voc(
+            g in 0.0..1400.0_f64,
+            t in -20.0..85.0_f64,
+            frac in 0.0..=1.0_f64,
+        ) {
+            for module in &bracket_modules() {
+                let e = env(g, t);
+                let voc = module.open_circuit_voltage(e).get();
+                let voltage = Volts::new(-1.0 + frac * (voc + 1.0));
+                let checked = check_bracket_skip(module, e, voltage);
+                proptest::prop_assert!(checked.is_ok(), "{:?}", checked);
+            }
+        }
+    }
+
+    #[test]
+    fn bracket_skip_is_exact_at_the_edges() {
+        for module in &bracket_modules() {
+            for g in [0.0, 1e-9, 1.0, 1400.0] {
+                for t in [-20.0, 25.0, 85.0] {
+                    let e = env(g, t);
+                    let voc = module.open_circuit_voltage(e).get();
+                    // -1 V, 0 V, Voc and its float neighbours (the one above
+                    // runs the expansion loop), and a point well beyond Voc.
+                    for v in [
+                        -1.0,
+                        0.0,
+                        voc,
+                        f64::from_bits(voc.to_bits().saturating_sub(1)),
+                        f64::from_bits(voc.to_bits() + 1),
+                        voc + 5.0,
+                    ] {
+                        check_bracket_skip(module, e, Volts::new(v)).unwrap();
+                    }
+                }
+            }
         }
     }
 
@@ -709,35 +849,26 @@ mod tests {
             set[slot] = Some(entry);
         }
 
-        fn lookup_env(&mut self, key: EnvKey) -> Option<EnvEntry> {
+        fn lookup_env(&mut self, key: EnvKey) -> Option<u64> {
             let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
             let stamp = self.tick();
             for entry in self.envs[idx].iter_mut().flatten() {
                 if entry.key == key {
                     entry.stamp = stamp;
-                    return Some(*entry);
+                    return Some(entry.voc_bits);
                 }
             }
             None
         }
 
-        fn update_env(&mut self, key: EnvKey, voc_bits: Option<u64>, mpp: Option<MppPoint>) {
+        fn store_env(&mut self, key: EnvKey, voc_bits: u64) {
             let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
             let stamp = self.tick();
             let set = &mut self.envs[idx];
-            for entry in set.iter_mut().flatten() {
-                if entry.key == key {
-                    entry.voc_bits = voc_bits.or(entry.voc_bits);
-                    entry.mpp = mpp.or(entry.mpp);
-                    entry.stamp = stamp;
-                    return;
-                }
-            }
             let slot = eldest_way(set.iter().map(|w| w.as_ref().map(|e| e.stamp)));
             set[slot] = Some(EnvEntry {
                 key,
                 voc_bits,
-                mpp,
                 stamp,
             });
         }
@@ -791,11 +922,11 @@ mod tests {
         fn voc(&mut self, e: CellEnv) -> f64 {
             let got = CachedArray::new(self.array, self.cache).open_circuit_voltage(e);
             let key = CachedArray::env_key(e);
-            let want = match self.memo.lookup_env(key).and_then(|entry| entry.voc_bits) {
+            let want = match self.memo.lookup_env(key) {
                 Some(bits) => bits,
                 None => {
                     let bits = self.array.open_circuit_voltage(e).get().to_bits();
-                    self.memo.update_env(key, Some(bits), None);
+                    self.memo.store_env(key, bits);
                     bits
                 }
             };
@@ -804,17 +935,13 @@ mod tests {
             got.get()
         }
 
+        /// An MPP query passes through to the array and leaves the memo,
+        /// its stamp included, untouched.
         fn mpp(&mut self, e: CellEnv) {
+            let stamp = self.cache.state.borrow().stamp;
             let got = CachedArray::new(self.array, self.cache).mpp(e);
-            let key = CachedArray::env_key(e);
-            let want = match self.memo.lookup_env(key).and_then(|entry| entry.mpp) {
-                Some(point) => point,
-                None => {
-                    let point = self.array.mpp(e);
-                    self.memo.update_env(key, None, Some(point));
-                    point
-                }
-            };
+            assert_eq!(self.cache.state.borrow().stamp, stamp);
+            let want = self.array.mpp(e);
             assert_eq!(
                 got.power.get().to_bits(),
                 want.power.get().to_bits(),
@@ -910,7 +1037,7 @@ mod tests {
                 .collect()
         };
         assert!(solves(&state.solves) == solves(&run.memo.solves));
-        let envs = |sets: &[[Option<EnvEntry>; WAYS]]| -> Vec<Option<(EnvKey, Option<u64>, u64)>> {
+        let envs = |sets: &[[Option<EnvEntry>; WAYS]]| -> Vec<Option<(EnvKey, u64, u64)>> {
             sets.iter()
                 .flatten()
                 .map(|w| w.map(|e| (e.key, e.voc_bits, e.stamp)))

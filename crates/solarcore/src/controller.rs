@@ -24,6 +24,7 @@ use powertrain::{
 use pv::cell::CellEnv;
 use pv::generator::PvGenerator;
 use pv::units::{Amps, Ohms, Volts};
+use pv::MppPoint;
 
 use crate::adapter::LoadTuner;
 use crate::config::ControllerConfig;
@@ -47,6 +48,10 @@ pub struct TrackingRig<'a> {
     pub array: &'a dyn PvGenerator,
     /// Atmospheric conditions during this invocation.
     pub env: CellEnv,
+    /// The true maximum power point under `env` (the budget oracle), whose
+    /// power the tracked point may never beat. The engine passes the
+    /// minute's entry of its precomputed MPP column.
+    pub mpp: MppPoint,
     /// The tunable DC/DC converter.
     pub converter: &'a mut DcDcConverter,
     /// The multi-core load.
@@ -338,11 +343,7 @@ impl SolarCoreController {
         if invariants::enabled() {
             // The tracked point can never beat the MPP oracle, and the
             // converter must show its configured losses.
-            invariants::assert_budget(
-                "controller track",
-                final_op.panel_power(),
-                rig.array.mpp(rig.env).power,
-            );
+            invariants::assert_budget("controller track", final_op.panel_power(), rig.mpp.power);
             invariants::assert_conversion(
                 "controller track",
                 final_op.panel_power(),
@@ -507,6 +508,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env,
+                mpp: array.mpp(env),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -551,6 +553,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env: sunny,
+                mpp: array.mpp(sunny),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -567,6 +570,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env: cloudy,
+                mpp: array.mpp(cloudy),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -584,6 +588,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env: sunny,
+                mpp: array.mpp(sunny),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -606,6 +611,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env,
+                mpp: array.mpp(env),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -633,6 +639,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env: dark,
+                mpp: array.mpp(dark),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -681,6 +688,7 @@ mod tests {
         let tracked = controller.track(&mut TrackingRig {
             array: &broken,
             env,
+            mpp: broken.mpp(env),
             converter: &mut converter,
             chip: &mut chip,
             tuner: &mut tuner,
@@ -701,6 +709,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env,
+                mpp: array.mpp(env),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -727,6 +736,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env,
+                mpp: array.mpp(env),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,
@@ -767,6 +777,7 @@ mod tests {
             .track(&mut TrackingRig {
                 array: &array,
                 env,
+                mpp: array.mpp(env),
                 converter: &mut converter,
                 chip: &mut chip,
                 tuner: &mut tuner,

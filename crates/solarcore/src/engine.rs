@@ -130,15 +130,17 @@ pub struct DaySimulationBuilder {
 }
 
 /// Reusable per-`(site, season, day, mix)` state of a day simulation: the
-/// decoded weather trace, the workload phase traces, and the PV solver memo
+/// decoded weather trace, the workload phase traces, each minute's maximum
+/// power point (the budget oracle), and the PV solver memo
 /// ([`pv::ArrayCache`]).
 ///
 /// [`DaySimulation::run`] builds one of these internally on every call;
 /// [`DaySimulation::prepare`] + [`DaySimulation::run_prepared`] let callers
 /// amortize it — across the policies of a [`DayBatch`], or across repeated
 /// runs (the cold-vs-warm comparison the benchmark suite measures). Because
-/// trace generation is a pure function of `(site, season, day, mix)` and the
-/// cache is bitwise-transparent, a prepared run is bit-identical to a fresh
+/// the trace is a pure function of `(site, season, day, mix)` and the fault
+/// plan, the MPP column a pure function of the trace and the array, and the
+/// cache bitwise-transparent, a prepared run is bit-identical to a fresh
 /// one; `crates/bench/tests/determinism.rs` asserts exactly that.
 #[derive(Debug)]
 pub struct SimSetup {
@@ -153,6 +155,10 @@ pub struct SimSetup {
     faults_digest: u64,
     trace: EnvTrace,
     phases: Vec<PhaseTrace>,
+    /// The array the MPP column was computed for.
+    array: pv::PvArray,
+    /// `array.mpp` of every trace sample, one entry per minute.
+    mpp: Vec<pv::MppPoint>,
     cache: pv::ArrayCache,
 }
 
@@ -221,8 +227,9 @@ impl DaySimulation {
     }
 
     /// Decodes the per-`(site, season, day, mix)` inputs — weather trace and
-    /// workload phases — and allocates a fresh PV solver memo, for reuse
-    /// across [`Self::run_prepared`] calls.
+    /// workload phases — computes every minute's maximum power point, and
+    /// allocates a fresh PV solver memo, for reuse across
+    /// [`Self::run_prepared`] calls.
     pub fn prepare(&self) -> SimSetup {
         self.prepare_with_cache(pv::ArrayCache::new())
     }
@@ -236,6 +243,11 @@ impl DaySimulation {
     /// solver, so a warm-started day is bit-identical to a cold one; the
     /// cache is only meaningful for the same [`pv::PvArray`] the entries
     /// were solved against, which is the caller's responsibility.
+    ///
+    /// The day's budget oracle is computed here, once, after any irradiance
+    /// fault is baked into the trace: [`pv::PvArray::mpp_column`] searches
+    /// every sample's MPP, split across the available CPUs with the same
+    /// bits at any thread count. Every policy run on the setup reads it.
     pub fn prepare_with_cache(&self, cache: pv::ArrayCache) -> SimSetup {
         let _prof = self.profiler.scope(schema::PROF_PREPARE);
         let mut trace = EnvTrace::generate(&self.site, self.season, self.day);
@@ -250,6 +262,8 @@ impl DaySimulation {
         let minutes = trace.samples().len();
         let seed = phase_seed(&self.site, self.season, self.day);
         let phases = PhaseTrace::for_mix(&self.mix, seed, minutes);
+        let envs: Vec<pv::CellEnv> = trace.samples().iter().map(|s| s.cell_env()).collect();
+        let mpp = self.array.mpp_column(&envs);
         SimSetup {
             site_code: self.site.code(),
             season: self.season,
@@ -258,6 +272,8 @@ impl DaySimulation {
             faults_digest: self.faults_digest(),
             trace,
             phases,
+            array: self.array.clone(),
+            mpp,
             cache,
         }
     }
@@ -269,13 +285,14 @@ impl DaySimulation {
     }
 
     /// Runs the day against a previously [`Self::prepare`]d setup, skipping
-    /// trace regeneration and reusing the setup's PV solver memo.
+    /// trace regeneration and the MPP searches and reusing the setup's PV
+    /// solver memo.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if `setup` was prepared for a
-    /// different `(site, season, day, mix)`, plus everything
-    /// [`Self::run`] can return.
+    /// different `(site, season, day, mix)`, fault plan or PV array, plus
+    /// everything [`Self::run`] can return.
     pub fn run_prepared(&self, setup: &SimSetup) -> Result<DayResult, CoreError> {
         if setup.site_code != self.site.code()
             || setup.season != self.season
@@ -291,6 +308,11 @@ impl DaySimulation {
                 reason: "SimSetup was prepared under a different fault plan",
             });
         }
+        if setup.array != self.array {
+            return Err(CoreError::InvalidConfig {
+                reason: "SimSetup was prepared for a different PV array",
+            });
+        }
         // Wall-clock profiling of the day (fenced: measurements never
         // touch simulated state; a disabled handle costs one branch).
         let prof = &self.profiler;
@@ -300,9 +322,10 @@ impl DaySimulation {
         let trace = &setup.trace;
         let phases = &setup.phases;
 
-        // All PV access goes through one generator handle; with the solver
+        // All PV solves go through one generator handle; with the solver
         // cache enabled that handle memoizes exact-key solves (bitwise
-        // transparent — every miss delegates to the plain array).
+        // transparent — every miss delegates to the plain array). The
+        // minute's budget oracle comes from the setup's MPP column.
         let cached = pv::CachedArray::new(&self.array, &setup.cache);
         let array: &dyn PvGenerator = if self.solver_cache {
             &cached
@@ -380,7 +403,7 @@ impl DaySimulation {
         let mut gated_minutes = vec![0u64; chip.core_count()];
 
         let mut records = Vec::with_capacity(trace.samples().len());
-        for (t, sample) in trace.samples().iter().enumerate() {
+        for (t, (sample, mpp)) in trace.samples().iter().zip(&setup.mpp).enumerate() {
             tel.set_minute(sample.minute_of_day);
             prof.set_minute(sample.minute_of_day);
             let minute = sample.minute_of_day;
@@ -411,7 +434,9 @@ impl DaySimulation {
                 converter.set_actuator_lag(plan.actuator_lag_at(minute));
             }
             let env = sample.cell_env();
-            let budget = array.mpp(env).power;
+            // One oracle query per minute, answered by the column.
+            let budget = mpp.power;
+            instruments.mpp_queries.incr();
             let source = match plan.and_then(|p| p.ats_override_at(minute)) {
                 Some(AtsOverride::ForceUtility) => ats.force(PowerSource::Utility),
                 Some(AtsOverride::ForceSolar) => ats.force(PowerSource::Solar),
@@ -563,6 +588,7 @@ impl DaySimulation {
                                     controller.track(&mut TrackingRig {
                                         array,
                                         env,
+                                        mpp: *mpp,
                                         converter: &mut converter,
                                         chip: &mut chip,
                                         tuner: &mut tuner,
@@ -1174,6 +1200,71 @@ mod tests {
             .unwrap()
             .run()
             .unwrap()
+    }
+
+    /// Every entry of a setup's MPP column is the bits of a direct search.
+    fn assert_column_is_the_oracle(sim: &DaySimulation) -> SimSetup {
+        let setup = sim.prepare();
+        assert_eq!(setup.mpp.len(), setup.trace.samples().len());
+        for (sample, point) in setup.trace.samples().iter().zip(&setup.mpp) {
+            let want = sim.array.mpp(sample.cell_env());
+            for (got, want) in [
+                (point.voltage.get(), want.voltage.get()),
+                (point.current.get(), want.current.get()),
+                (point.power.get(), want.power.get()),
+            ] {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "minute {}",
+                    sample.minute_of_day
+                );
+            }
+        }
+        setup
+    }
+
+    #[test]
+    fn prepared_mpp_column_is_the_oracle_on_clean_and_clouded_days() {
+        let clean = DaySimulation::builder()
+            .site(Site::phoenix_az())
+            .season(Season::Jul)
+            .build()
+            .unwrap();
+        let clean_setup = assert_column_is_the_oracle(&clean);
+        let plan = faults::parse_scenario(
+            "[scenario]\nname = \"cliff\"\nseed = 13\n\n[[fault]]\n\
+             kind = \"irradiance_cliff\"\nfactor = 0.25\nramp_minutes = 10\n\
+             start = 780\nend = 900\n",
+        )
+        .unwrap();
+        assert!(plan.has_irradiance_faults());
+        let armed = DaySimulation::builder()
+            .site(Site::phoenix_az())
+            .season(Season::Jul)
+            .fault_plan(plan)
+            .build()
+            .unwrap();
+        let armed_setup = assert_column_is_the_oracle(&armed);
+        // The cliff is baked into the trace before the column is computed.
+        let clouded = clean_setup
+            .mpp
+            .iter()
+            .zip(&armed_setup.mpp)
+            .filter(|(c, a)| a.power < c.power)
+            .count();
+        assert!(clouded > 60, "{clouded} clouded minutes");
+    }
+
+    #[test]
+    fn a_setup_runs_only_on_the_array_it_was_prepared_for() {
+        let sim = DaySimulation::builder().build().unwrap();
+        let other = DaySimulation::builder()
+            .array(pv::PvArray::new(pv::PvModule::bp3180n(), 1, 2).unwrap())
+            .build()
+            .unwrap();
+        let err = other.run_prepared(&sim.prepare()).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { .. }));
     }
 
     #[test]

@@ -270,7 +270,8 @@ pub struct DayInstruments {
     pub tpr_moves: Histogram,
     /// Converter-ratio trajectory in centisteps, sampled per minute.
     pub ratio_k_centi: Histogram,
-    /// MPP oracle queries.
+    /// MPP oracle queries: one per simulated minute, which the engine
+    /// answers from the setup's precomputed column.
     pub mpp_queries: Counter,
     /// Zero-iteration evaluations (memo hits) batched out of the hot path;
     /// folded into `newton_iters` by [`Self::fold_zero_evals`].

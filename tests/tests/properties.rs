@@ -78,6 +78,7 @@ proptest! {
         let report = controller.track(&mut TrackingRig {
             array: &array,
             env,
+            mpp: array.mpp(env),
             converter: &mut converter,
             chip: &mut chip,
             tuner: &mut tuner,

@@ -42,6 +42,7 @@ fn assert_tracking_converges(env: CellEnv, start_ratio: f64, mix_idx: usize) {
         .track(&mut TrackingRig {
             array: &array,
             env,
+            mpp: array.mpp(env),
             converter: &mut converter,
             chip: &mut chip,
             tuner: &mut tuner,

@@ -5,7 +5,9 @@
 //! path named by `SOLARCORE_BENCH_JSON`; this command points that at a
 //! scratch file, runs `cargo bench -p bench`, validates the lines, and
 //! writes the aggregate report (sorted by name, plus the derived
-//! cold-vs-warm day-simulation speedup) to the repository root.
+//! cold-vs-warm day-simulation speedup) to the repository root. A
+//! `--smoke` run writes its report to `target/BENCH_smoke.json` instead,
+//! so checking the harness never overwrites the committed full-mode file.
 //!
 //! Failure modes — a panicking benchmark, no output, malformed lines,
 //! non-finite medians, or a missing cold/warm or telemetry comparison
@@ -41,7 +43,8 @@ const TELEMETRY_NULL: &str = "day_sim_telemetry/null_sink";
 /// Minimum number of named benchmarks a healthy run must emit.
 const MIN_BENCHMARKS: usize = 5;
 
-/// Runs the suite and writes `BENCH_pr3.json`; non-zero on any failure.
+/// Runs the suite and writes `BENCH_pr3.json` (`target/BENCH_smoke.json`
+/// in smoke mode); non-zero on any failure.
 pub fn run(root: &Path, smoke: bool) -> ExitCode {
     let scratch = root.join("target").join("bench-report.jsonl");
     if let Some(parent) = scratch.parent() {
@@ -90,7 +93,11 @@ pub fn run(root: &Path, smoke: bool) -> ExitCode {
     }
 
     let report = render_report(&records, mode);
-    let out = root.join("BENCH_pr3.json");
+    let out = if smoke {
+        root.join("target").join("BENCH_smoke.json")
+    } else {
+        root.join("BENCH_pr3.json")
+    };
     if let Err(err) = std::fs::write(&out, report) {
         eprintln!("xtask bench: cannot write {out:?}: {err}");
         return ExitCode::FAILURE;

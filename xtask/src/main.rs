@@ -13,7 +13,8 @@
 //!   input order and compares canonical `f64::to_bits` hashes.
 //! * `bench` — runs the criterion suite and collects median ns/iter per
 //!   benchmark into `BENCH_pr3.json`; `--smoke` shrinks sample counts so
-//!   CI can verify the harness without a full measurement run.
+//!   CI can verify the harness without a full measurement run, and writes
+//!   its report to `target/BENCH_smoke.json`.
 //! * `trace` — runs the golden telemetry day (Golden CO / Jan / HM2 /
 //!   MPPT&Opt), writes its JSONL stream under `results/`, renders the
 //!   per-period tracking timeline and cross-checks the stream's
@@ -106,8 +107,9 @@ const CI_GATES: [&[&str]; 13] = [
         "results/campaign_report.json",
         "results/campaign_report.json",
     ],
-    // Every bench target runs and emits a well-formed BENCH_pr3.json;
-    // timing is not asserted.
+    // Every bench target runs and emits a well-formed report (under
+    // target/, leaving the committed BENCH_pr3.json alone); timing is not
+    // asserted.
     &["xtask", "bench", "--smoke"],
 ];
 
