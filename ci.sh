@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Full local CI gate (`cargo xtask ci`), in order:
-#   docs -> clippy -D warnings -> flow
-#   -> rustdoc -D warnings -> release build -> tests -> perfbench self-test
-#   -> determinism -> chaos smoke -> campaign smoke -> profile smoke
-#   -> tdiff self-check -> bench smoke
+#   docs -> clippy -D warnings -> rustdoc -D warnings -> release build
+#   -> tests -> perfbench self-test -> determinism -> chaos smoke
+#   -> campaign smoke -> profile smoke -> tdiff self-check
 # Exits non-zero on the first failing gate. docs/HANDBOOK.md walks through
 # what each gate proves and what to do when one goes red.
 set -eu

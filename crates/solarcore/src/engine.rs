@@ -889,7 +889,7 @@ impl DaySimulationBuilder {
         // Uphold the `Policy::FixedPower` payload contract here, at the
         // single entry point every simulation passes through: downstream
         // the budget feeds the TPR fill and the drawn-power accounting
-        // unchecked (and the `xtask flow` range pass seeds it as [0, ∞)).
+        // unchecked.
         if let Policy::FixedPower(budget) = self.policy {
             if !budget.get().is_finite() || budget.get() < 0.0 {
                 return Err(CoreError::InvalidConfig {

@@ -32,35 +32,6 @@ pub const fn enabled() -> bool {
 /// magnitude below the ~0.05 W tuning granularity that matters.
 pub const POWER_SLACK_W: f64 = 0.5;
 
-/// The numeric ranges of the SolarCore platform, exported as plain
-/// constants so tooling can consume them without linking the simulation.
-///
-/// These are the authoritative seed values for the `cargo xtask flow`
-/// interval analysis: the range pass learns them from this file (token
-/// level, no compilation) and cross-checks the V/F entries against the
-/// `VF_POINTS` ladder in `archsim::dvfs` at analysis time, so the two
-/// can never drift silently. The unit tests below pin every constant to
-/// the runtime structure it summarizes — edit those structures and the
-/// tests (then the analyzer) point here.
-pub mod bounds {
-    /// Lowest VID-ladder core voltage, volts (`VfLevel` index 0).
-    pub const VDD_MIN_V: f64 = 0.95;
-    /// Highest VID-ladder core voltage, volts (`VfLevel` index 5).
-    pub const VDD_MAX_V: f64 = 1.45;
-    /// Lowest ladder clock frequency, GHz.
-    pub const FREQ_MIN_GHZ: f64 = 1.0;
-    /// Highest ladder clock frequency, GHz.
-    pub const FREQ_MAX_GHZ: f64 = 2.5;
-    /// Lowest reachable DC/DC transfer ratio of the SolarCore converter.
-    pub const RATIO_K_MIN: f64 = 0.8;
-    /// Highest reachable DC/DC transfer ratio of the SolarCore converter.
-    pub const RATIO_K_MAX: f64 = 8.0;
-    /// Transfer-ratio step granularity Δk.
-    pub const RATIO_K_STEP: f64 = 0.05;
-    /// Converter efficiency ceiling: η ∈ (0, `EFFICIENCY_MAX`].
-    pub const EFFICIENCY_MAX: f64 = 1.0;
-}
-
 /// Asserts a power is finite and non-negative.
 ///
 /// # Panics
@@ -194,33 +165,5 @@ mod tests {
     #[should_panic(expected = "reachable range")]
     fn runaway_bus_voltage_trips_the_sanitizer() {
         assert_bus_voltage("test", Volts::new(80.0), Volts::new(56.0));
-    }
-
-    /// `bounds` must mirror the V/F ladder exactly: `cargo xtask flow`
-    /// seeds its interval analysis from these constants, so drift would
-    /// make the static proofs vacuous.
-    #[test]
-    fn bounds_pin_the_vf_ladder() {
-        use archsim::VfLevel;
-        let volts: Vec<f64> = VfLevel::all().map(|l| l.voltage().get()).collect();
-        let freqs: Vec<f64> = VfLevel::all().map(|l| l.frequency().to_ghz()).collect();
-        let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(bounds::VDD_MIN_V, min(&volts));
-        assert_eq!(bounds::VDD_MAX_V, max(&volts));
-        assert_eq!(bounds::FREQ_MIN_GHZ, min(&freqs));
-        assert_eq!(bounds::FREQ_MAX_GHZ, max(&freqs));
-    }
-
-    /// `bounds` must mirror the SolarCore converter configuration.
-    #[test]
-    fn bounds_pin_the_converter_range() {
-        use powertrain::DcDcConverter;
-        let c = DcDcConverter::solarcore_default();
-        let (k_min, k_max) = c.ratio_range();
-        assert_eq!(bounds::RATIO_K_MIN, k_min);
-        assert_eq!(bounds::RATIO_K_MAX, k_max);
-        assert_eq!(bounds::RATIO_K_STEP, c.ratio_step());
-        assert!(c.efficiency() > 0.0 && c.efficiency() <= bounds::EFFICIENCY_MAX);
     }
 }

@@ -15,9 +15,8 @@ pub enum Policy {
     ///
     /// Contract: the budget is a finite, non-negative power.
     /// [`DaySimulation::builder`](crate::DaySimulation::builder) rejects
-    /// anything else at `build()` time, which is what lets the
-    /// `cargo xtask flow` range pass seed this payload as `[0, ∞)` when it
-    /// proves the engine's budget-conservation checks.
+    /// anything else at `build()` time, which is what lets the TPR fill
+    /// and the drawn-power accounting downstream use the budget unchecked.
     FixedPower(Watts),
     /// MPPT with individual-core scheduling: keep tuning one core until it
     /// saturates, then move on.

@@ -7,24 +7,44 @@
 //! renumbered DESIGN section, a new results artifact, a new crate —
 //! so this pass re-checks them on every CI run:
 //!
-//! 1. **anchors** — every `§N` reference in README.md, EXPERIMENTS.md
-//!    and `docs/*.md` resolves to a `## N.` heading in DESIGN.md;
+//! 1. **anchors** — every `§N` reference in README.md, DESIGN.md itself,
+//!    EXPERIMENTS.md and `docs/*.md` resolves to a `## N.` heading in
+//!    DESIGN.md;
 //! 2. **catalog** — every committed `results/*.json` file is mentioned
 //!    in EXPERIMENTS.md;
 //! 3. **crate-map** — every directory under `crates/` has a
 //!    `crates/<name>` row in README.md's workspace table, and README
 //!    links the operator's handbook (`docs/HANDBOOK.md`).
-//!
-//! Violations reuse the [`Report`] shape so the `finish()` printer and
-//! exit-code policy are shared with every other pass.
 
 use std::collections::BTreeSet;
+use std::fmt;
 use std::path::Path;
 
-use crate::lint::{Report, Violation};
+/// One broken cross-reference.
+#[derive(Debug)]
+pub struct Violation {
+    /// Path relative to the workspace root.
+    pub path: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// Human-readable description.
+    pub message: String,
+}
 
-/// The pass label on every violation this module emits.
-pub const PASS: &str = "docs";
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}: [docs] {}", self.path, self.line, self.message)
+    }
+}
+
+/// Outcome of one docs-pass run.
+#[derive(Debug)]
+pub struct Report {
+    /// Every broken reference found.
+    pub violations: Vec<Violation>,
+    /// Number of documents and artifacts checked.
+    pub files_scanned: usize,
+}
 
 /// Runs the documentation cross-reference pass over the workspace.
 ///
@@ -50,10 +70,12 @@ pub fn run(root: &Path) -> Result<Report, String> {
         return Err("DESIGN.md: no `## N.` section headings found".to_owned());
     }
 
-    // Pass 1: §N anchors. Check README, EXPERIMENTS and everything under
-    // docs/ against DESIGN.md's actual heading numbers.
+    // Pass 1: §N anchors. Check README, DESIGN's own cross-references,
+    // EXPERIMENTS and everything under docs/ against DESIGN.md's actual
+    // heading numbers.
     let mut anchored: Vec<(String, String)> = vec![
         ("README.md".to_owned(), readme.clone()),
+        ("DESIGN.md".to_owned(), design.clone()),
         ("EXPERIMENTS.md".to_owned(), experiments.clone()),
     ];
     if let Ok(entries) = std::fs::read_dir(root.join("docs")) {
@@ -66,14 +88,16 @@ pub fn run(root: &Path) -> Result<Report, String> {
         for path in names {
             let rel = format!(
                 "docs/{}",
-                path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default()
+                path.file_name()
+                    .map(|n| n.to_string_lossy())
+                    .unwrap_or_default()
             );
             let text = std::fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
+            files_scanned += 1;
             anchored.push((rel, text));
         }
     }
     for (rel, text) in &anchored {
-        files_scanned += usize::from(!matches!(rel.as_str(), "README.md" | "EXPERIMENTS.md"));
         check_anchors(rel, text, &sections, &mut violations);
     }
 
@@ -90,11 +114,10 @@ pub fn run(root: &Path) -> Result<Report, String> {
             files_scanned += 1;
             if !experiments.contains(&name) {
                 violations.push(Violation {
-                    pass: PASS,
                     path: format!("results/{name}"),
                     line: 1,
-                    message:
-                        "committed results artifact is not catalogued in EXPERIMENTS.md".to_owned(),
+                    message: "committed results artifact is not catalogued in EXPERIMENTS.md"
+                        .to_owned(),
                 });
             }
         }
@@ -112,7 +135,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
         for name in names {
             if !readme.contains(&format!("crates/{name}")) {
                 violations.push(Violation {
-                    pass: PASS,
                     path: "README.md".to_owned(),
                     line: 1,
                     message: format!("workspace crate `crates/{name}` has no crate-map row"),
@@ -122,7 +144,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
     }
     if !readme.contains("docs/HANDBOOK.md") {
         violations.push(Violation {
-            pass: PASS,
             path: "README.md".to_owned(),
             line: 1,
             message: "README does not link the operator's handbook (docs/HANDBOOK.md)".to_owned(),
@@ -132,7 +153,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
     Ok(Report {
         violations,
         files_scanned,
-        waivers_used: 0,
     })
 }
 
@@ -171,7 +191,6 @@ fn check_anchors(rel: &str, text: &str, sections: &BTreeSet<u32>, out: &mut Vec<
             for n in referenced {
                 if !sections.contains(&n) {
                     out.push(Violation {
-                        pass: PASS,
                         path: rel.to_owned(),
                         line: idx + 1,
                         message: format!("§{n} does not resolve to a `## {n}.` DESIGN.md heading"),
@@ -211,5 +230,26 @@ mod tests {
         check_anchors("README.md", "§9–10\n", &sections, &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("§10"));
+    }
+
+    #[test]
+    fn design_is_checked_against_its_own_headings() {
+        let root = std::env::temp_dir().join(format!("xtask-docs-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let files = [
+            ("README.md", "see §1; handbook: docs/HANDBOOK.md\n"),
+            ("DESIGN.md", "## 1. Intro\nback to §1\n\nas §15 showed\n"),
+            ("EXPERIMENTS.md", "§1\n"),
+        ];
+        for (name, text) in files {
+            std::fs::write(root.join(name), text).unwrap();
+        }
+        let report = run(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let violations = report.unwrap().violations;
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].path, "DESIGN.md");
+        assert_eq!(violations[0].line, 4);
+        assert!(violations[0].message.contains("§15"));
     }
 }

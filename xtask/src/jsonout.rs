@@ -1,12 +1,12 @@
-//! Canonical hand-rolled JSON rendering for xtask report artifacts.
+//! Canonical hand-rolled JSON rendering for committed report artifacts.
 //!
 //! Reports under `results/` are committed, so two runs over the same
 //! sources must produce byte-identical files. This module guarantees that
 //! structurally: object keys render in sorted order (a [`BTreeMap`] is the
 //! only object representation), floats render via Rust's shortest-roundtrip
 //! `{}` formatting (deterministic, locale-free), and indentation is fixed
-//! at two spaces. xtask stays dependency-free, so this is the one JSON
-//! serializer every report goes through.
+//! at two spaces. xtask stays dependency-free, so it carries its own
+//! serializer.
 
 use std::collections::BTreeMap;
 

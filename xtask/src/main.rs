@@ -2,19 +2,9 @@
 //!
 //! Commands:
 //!
-//! * `flow` — interval/range analysis of physical quantities over a
-//!   per-function abstract interpreter, proving runtime sanitizer checks
-//!   statically dischargeable. The proven fraction is held to a ratchet:
-//!   it may never drop below the baseline in the committed
-//!   `results/flow_report.json`; `--bless` rewrites the report to move the
-//!   baseline to the current ratio.
 //! * `determinism` — dynamic bitwise-reproducibility harness: runs the
 //!   policy-grid day simulations at 1 thread, N threads, and with shuffled
 //!   input order and compares canonical `f64::to_bits` hashes.
-//! * `bench` — runs the criterion suite and collects median ns/iter per
-//!   benchmark into `BENCH_pr3.json`; `--smoke` shrinks sample counts so
-//!   CI can verify the harness without a full measurement run, and writes
-//!   its report to `target/BENCH_smoke.json`.
 //! * `trace` — runs the golden telemetry day (Golden CO / Jan / HM2 /
 //!   MPPT&Opt), writes its JSONL stream under `results/`, renders the
 //!   per-period tracking timeline and cross-checks the stream's
@@ -39,10 +29,10 @@
 //!   artifacts: counters by relative delta, histograms by quantile
 //!   profile, span trees structurally and by wall-time thresholds;
 //!   non-zero exit on any regression.
-//! * `docs` — documentation cross-reference pass: every `§N` pointer
-//!   resolves to a DESIGN.md heading, every committed `results/*.json`
-//!   is catalogued in EXPERIMENTS.md, and the README crate map covers
-//!   every workspace crate.
+//! * `docs` — documentation cross-reference pass: every `§N` pointer,
+//!   DESIGN.md's own included, resolves to a DESIGN.md heading, every
+//!   committed `results/*.json` is catalogued in EXPERIMENTS.md, and the
+//!   README crate map covers every workspace crate.
 //! * `ci` — the one-command verification gate, in the order of
 //!   [`CI_GATES`]. Determinism hazards, panics, casts, wildcard matches
 //!   and dropped `Result`s are carried by `clippy -D warnings` with the
@@ -50,20 +40,19 @@
 //!
 //! Exit status is non-zero when any command fails, so all of them can
 //! gate CI directly. The simulation harnesses are `bench` binaries, so
-//! xtask itself links nothing. The source passes live in the `xtask`
-//! library crate (see `src/lib.rs`) so the fixture ui tests can drive
-//! them directly.
+//! xtask itself links nothing; the docs pass is the one check it runs
+//! in-process, from the `xtask` library crate (see `src/lib.rs`).
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use xtask::{bench, docs, flow, lint};
+use xtask::docs;
 
 /// The `cargo xtask ci` gates, in order: the cheap static gates first so
 /// they fail fast, then the build, the tests and the end-to-end harness
 /// smokes. Each entry is either a `cargo` command line or an `xtask`
 /// command dispatched in-process.
-const CI_GATES: [&[&str]; 13] = [
+const CI_GATES: [&[&str]; 11] = [
     &["xtask", "docs"],
     &[
         "cargo",
@@ -74,7 +63,6 @@ const CI_GATES: [&[&str]; 13] = [
         "-D",
         "warnings",
     ],
-    &["xtask", "flow"],
     // Rustdoc runs with RUSTDOCFLAGS=-D warnings: the telemetry schema in
     // `solarcore::schema` is rustdoc, so doc rot fails CI.
     &["cargo", "doc", "--no-deps", "--workspace"],
@@ -107,10 +95,6 @@ const CI_GATES: [&[&str]; 13] = [
         "results/campaign_report.json",
         "results/campaign_report.json",
     ],
-    // Every bench target runs and emits a well-formed report (under
-    // target/, leaving the committed BENCH_pr3.json alone); timing is not
-    // asserted.
-    &["xtask", "bench", "--smoke"],
 ];
 
 fn main() -> ExitCode {
@@ -127,7 +111,6 @@ fn dispatch(args: &[&str]) -> ExitCode {
     };
     match args.first().copied() {
         Some("determinism") => bench_bin("determinism_check", &[], "divergence detected"),
-        Some("bench") => bench::run(&workspace_root(), !smoke.is_empty()),
         Some("trace") => bench_bin("trace_report", &[], "golden-day cross-check failed"),
         Some("chaos") => bench_bin("chaos_check", smoke, "campaign gate failed"),
         Some("campaign") => bench_bin("campaign", smoke, "determinism/resume gate failed"),
@@ -143,8 +126,7 @@ fn dispatch(args: &[&str]) -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("docs") => finish("docs", docs::run(&workspace_root())),
-        Some("flow") => run_flow(args.contains(&"--bless")),
+        Some("docs") => run_docs(),
         Some("ci") => run_ci(),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`");
@@ -160,15 +142,11 @@ fn dispatch(args: &[&str]) -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo xtask <docs | flow [--bless] | determinism | \
-         bench [--smoke] | trace | chaos [--smoke] | campaign [--smoke] | profile [--smoke] | \
-         tdiff <a> <b> | ci>"
+        "usage: cargo xtask <docs | determinism | trace | chaos [--smoke] | \
+         campaign [--smoke] | profile [--smoke] | tdiff <a> <b> | ci>"
     );
     eprintln!("  docs         check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
-    eprintln!("  flow         run interval/range analysis of the sanitizer checks");
-    eprintln!("               (--bless rewrites results/flow_report.json, moving the ratchet)");
     eprintln!("  determinism  verify bit-identical day-sim output across thread counts");
-    eprintln!("  bench        run the criterion suite and write BENCH_pr3.json");
     eprintln!("  trace        run the golden telemetry day and render its timeline");
     eprintln!(
         "  chaos        run the fault-injection campaign and write results/chaos_report.json"
@@ -186,8 +164,8 @@ fn print_usage() {
     eprintln!("               (--smoke proves byte-stability/transparency and writes nothing)");
     eprintln!("  tdiff        schema-aware diff of two telemetry/profile/campaign artifacts");
     eprintln!(
-        "  ci           docs, clippy, flow, doc, build, test, perfbench test, \
-         determinism, chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
+        "  ci           docs, clippy, doc, build, test, perfbench test, determinism, \
+         chaos smoke, campaign smoke, profile smoke, tdiff self-check"
     );
 }
 
@@ -199,15 +177,12 @@ fn workspace_root() -> PathBuf {
     dir.parent().map(PathBuf::from).unwrap_or(dir)
 }
 
-/// Prints a pass report and converts it to an exit code, shared by the
-/// static-analysis commands.
-fn finish(command: &str, result: Result<lint::Report, String>) -> ExitCode {
-    match result {
+/// Runs the docs pass, prints its findings and converts them to an exit
+/// code.
+fn run_docs() -> ExitCode {
+    match docs::run(&workspace_root()) {
         Ok(report) if report.violations.is_empty() => {
-            println!(
-                "xtask {command}: clean ({} files scanned, {} waivers in effect)",
-                report.files_scanned, report.waivers_used
-            );
+            println!("xtask docs: clean ({} files scanned)", report.files_scanned);
             ExitCode::SUCCESS
         }
         Ok(report) => {
@@ -215,65 +190,17 @@ fn finish(command: &str, result: Result<lint::Report, String>) -> ExitCode {
                 eprintln!("{v}");
             }
             eprintln!(
-                "xtask {command}: {} violation(s) in {} file(s) scanned",
+                "xtask docs: {} violation(s) in {} file(s) scanned",
                 report.violations.len(),
                 report.files_scanned
             );
             ExitCode::FAILURE
         }
         Err(err) => {
-            eprintln!("xtask {command}: error: {err}");
+            eprintln!("xtask docs: error: {err}");
             ExitCode::FAILURE
         }
     }
-}
-
-fn run_flow(bless: bool) -> ExitCode {
-    let root = workspace_root();
-    let mut outcome = match flow::run(&root) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("xtask flow: error: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", outcome.summary());
-    // Gate order: findings, then the ratchet, then artifact freshness —
-    // so the most actionable failure prints first.
-    let code = finish("flow", Ok(std::mem::take(&mut outcome.report)));
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    if !outcome.proof_gate_passed {
-        eprintln!(
-            "xtask flow: proven-invariant ratio {:.2}% dropped below the ratchet \
-             baseline {:.2}% (results/flow_report.json); prove more, don't regress",
-            outcome.proven_ratio * 100.0,
-            outcome.baseline * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    if bless {
-        match flow::bless(&root, &mut outcome) {
-            Ok(path) => println!(
-                "xtask flow: report blessed at {} (ratchet now {:.2}%)",
-                path.display(),
-                outcome.proven_ratio * 100.0
-            ),
-            Err(err) => {
-                eprintln!("xtask flow: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if !flow::report_is_fresh(&root, &outcome) {
-        eprintln!(
-            "xtask flow: {} is stale (the analysis moved); run `cargo xtask flow \
-             --bless` and commit the report",
-            flow::report_path(&root).display()
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// Runs one `bench` binary in release mode with `args` after `--`;

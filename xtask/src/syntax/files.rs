@@ -1,6 +1,6 @@
-//! Workspace source discovery for the analysis command.
+//! Workspace source discovery.
 //!
-//! `flow` walks `crates/*/src`, experiment binaries under `src/bin/`
+//! The walk covers `crates/*/src`, experiment binaries under `src/bin/`
 //! included. `vendor/` and `target/` are never scanned.
 
 use std::fs;

@@ -1,10 +1,10 @@
 //! A tiny Rust token lexer over the comment/string-masked source model.
 //!
-//! The source passes need to see *across* lines (multi-line expressions,
-//! match arms, impl headers), so this module turns a [`SourceFile`]'s
-//! masked code into a flat token stream with line anchors. It understands exactly as much of Rust's
-//! lexical grammar as the passes need: identifiers, numeric literals,
-//! lifetimes and multi-character operators. Everything inside comments,
+//! A source pass that needs to see *across* lines (multi-line
+//! expressions, match arms, impl headers) reads a [`SourceFile`]'s masked
+//! code as a flat token stream with line anchors. The lexer understands
+//! just enough of Rust's lexical grammar for that: identifiers, numeric
+//! literals, lifetimes and multi-character operators. Everything inside comments,
 //! strings and char literals was already blanked by the masker.
 
 use crate::syntax::source::SourceFile;

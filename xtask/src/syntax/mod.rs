@@ -1,9 +1,7 @@
-//! Lexical infrastructure for the static-analysis command.
-//!
-//! `cargo xtask flow` reads the workspace through a dependency-free
-//! source model: [`source::SourceFile`] (comment/string masking,
-//! `#[cfg(test)]` regions, waiver markers), the token [`lexer`], and the
-//! [`files`] workspace walker.
+//! Dependency-free lexical model of the workspace's Rust sources:
+//! [`source::SourceFile`] (comment/string masking, `#[cfg(test)]`
+//! regions, waiver markers), the token [`lexer`], and the [`files`]
+//! workspace walker. No command reads it at present (see the crate docs).
 
 pub mod files;
 pub mod lexer;

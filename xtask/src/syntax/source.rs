@@ -1,6 +1,5 @@
-//! Lightweight lexical model of a Rust source file shared by the lint
-//! passes: comment/string masking, `#[cfg(test)]` region detection, and
-//! inline waiver markers.
+//! Lightweight lexical model of a Rust source file: comment/string
+//! masking, `#[cfg(test)]` region detection, and inline waiver markers.
 //!
 //! This is a text-level analysis, not a parse — precise enough for the
 //! repo's rustfmt-formatted sources, and honest about it: anything the
