@@ -1,6 +1,6 @@
 //! Campaign engine runner (`cargo xtask campaign`).
 //!
-//! Full mode executes `campaigns/year_fleet.toml` — the 4-site × 12-month
+//! Executes `campaigns/year_fleet.toml` — the 4-site × 12-month
 //! fleet sweep — three ways and proves they agree bit-for-bit:
 //!
 //! 1. uninterrupted at 1 thread;
@@ -15,12 +15,8 @@
 //! one machine-dependent part of the artifact; the golden test pins the
 //! digest, never the timings).
 //!
-//! `--smoke` runs a four-shard inline spec (including one armed fault
-//! scenario) through the same kill/resume agreement check and writes
-//! nothing — the CI-sized variant wired into `cargo xtask ci`.
-//!
-//! Full mode reports per-wave progress (completed/total shards, elapsed,
-//! ETA) on stderr after every checkpoint wave; `--quiet` suppresses it.
+//! The run reports per-wave progress (completed/total shards, elapsed,
+//! ETA) on stderr after every checkpoint wave.
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
@@ -32,24 +28,8 @@ use bench::campaign::{
 use bench::parallel::default_threads;
 use bench::TextTable;
 
-/// The smoke spec: two sites × one month each way, one armed scenario —
-/// four shards, a few hundred milliseconds in release.
-const SMOKE_SPEC: &str = r#"
-[campaign]
-name = "smoke"
-sites = "AZ,TN"
-months = "Jan"
-days_per_month = 1
-mixes = "HM2"
-policies = "MPPT&Opt"
-scenarios = "none,10_stuck_noon.toml"
-checkpoint_every = 1
-"#;
-
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let quiet = std::env::args().any(|a| a == "--quiet");
-    match drive(smoke, quiet) {
+    match drive() {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -70,8 +50,8 @@ fn scenarios_dir() -> PathBuf {
 }
 
 /// A scratch checkpoint path unique to this process.
-fn scratch_checkpoint(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("solarcore_campaign_{}_{tag}.json", std::process::id()))
+fn scratch_checkpoint() -> PathBuf {
+    std::env::temp_dir().join(format!("solarcore_campaign_{}.json", std::process::id()))
 }
 
 /// Wall-clock seconds of `f` — scaling measurement only; every
@@ -95,23 +75,18 @@ fn progress_line(p: &WaveProgress) {
     );
 }
 
-fn drive(smoke: bool, quiet: bool) -> Result<bool, Box<dyn Error>> {
-    let progress: Option<fn(&WaveProgress)> = if quiet || smoke {
-        None
-    } else {
-        Some(progress_line)
-    };
-    let (spec, label) = if smoke {
-        (CampaignSpec::parse(SMOKE_SPEC)?, "smoke".to_owned())
-    } else {
-        let path = campaigns_dir().join("year_fleet.toml");
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        (CampaignSpec::parse(&text)?, path.display().to_string())
-    };
+fn drive() -> Result<bool, Box<dyn Error>> {
+    let progress: Option<fn(&WaveProgress)> = Some(progress_line);
+    let path = campaigns_dir().join("year_fleet.toml");
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let spec = CampaignSpec::parse(&text)?;
     let scenarios = scenarios_dir();
     let shards = spec.shards(&scenarios)?.len();
-    println!("campaign: {label} — {shards} shards, checkpoint every {}", spec.checkpoint_every);
+    println!(
+        "campaign: {} — {shards} shards, checkpoint every {}",
+        path.display(),
+        spec.checkpoint_every
+    );
 
     // Uninterrupted reference runs at 1 and N threads. Floor N at 2 so
     // the wide run exercises concurrent scheduling even on one core.
@@ -136,7 +111,7 @@ fn drive(smoke: bool, quiet: bool) -> Result<bool, Box<dyn Error>> {
     // Kill mid-campaign (mid-wave frontier), then resume from the
     // checkpoint. `kill_after` one past a wave boundary guarantees the
     // in-flight wave is lost and must re-execute.
-    let checkpoint = scratch_checkpoint(if smoke { "smoke" } else { "full" });
+    let checkpoint = scratch_checkpoint();
     let _ = std::fs::remove_file(&checkpoint);
     let kill_at = (shards / 2).max(1);
     let killed = run(&spec, &scenarios, &RunOptions {
@@ -162,7 +137,7 @@ fn drive(smoke: bool, quiet: bool) -> Result<bool, Box<dyn Error>> {
         serial.digest()
     );
 
-    if !smoke && ok {
+    if ok {
         let report = compose_report(&serial, &resumed, &[(1, serial_s), (threads, wide_s)], shards);
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         std::fs::create_dir_all(&dir)?;

@@ -13,30 +13,23 @@
 //!
 //! The full campaign also rewrites `results/chaos_report.json` (canonical
 //! row order + digest), the artifact `bench/tests/chaos_golden.rs` pins.
-//! `--smoke` runs a two-scenario, one-site, one-policy subset with the
-//! same gates and writes nothing — the CI-sized variant.
+//! That tier-1 test also asserts all three gates over the committed rows.
 //!
-//! Full mode reports per-cell progress (completed/total cells, elapsed,
-//! ETA) on stderr; `--quiet` suppresses it.
+//! The run reports per-cell progress (completed/total cells, elapsed,
+//! ETA) on stderr.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use bench::campaign::WaveProgress;
-use bench::chaos::{
-    load_scenarios, report_digest, run_campaign_profiled, run_cell, scenarios_dir, sites_for,
-    ChaosCell, CAMPAIGN_POLICIES,
-};
+use bench::chaos::{load_scenarios, report_digest, run_campaign, scenarios_dir, ChaosCell};
 use bench::{write_json, TextTable};
-use telemetry::Profiler;
 
 /// Minimum PTP retention for the clean-control rows.
 const CONTROL_RETENTION_FLOOR: f64 = 0.999;
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let quiet = std::env::args().any(|a| a == "--quiet");
-    match run(smoke, quiet) {
+    match run() {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -55,29 +48,17 @@ fn progress_line(p: &WaveProgress) {
     );
 }
 
-fn run(smoke: bool, quiet: bool) -> Result<bool, Box<dyn std::error::Error>> {
+fn run() -> Result<bool, Box<dyn std::error::Error>> {
     let scenarios = load_scenarios(&scenarios_dir())?;
     if scenarios.is_empty() {
         return Err("no scenarios found under scenarios/".into());
     }
 
-    let rows = if smoke {
-        // CI-sized subset: the control plus the first faulted scenario,
-        // each at its first applicable site, MPPT&Opt only.
-        let mut rows = Vec::new();
-        for scenario in scenarios.iter().take(2) {
-            let site = sites_for(scenario)[0];
-            rows.push(run_cell(scenario, site, CAMPAIGN_POLICIES[0])?);
-        }
-        rows
-    } else {
-        let progress: Option<fn(&WaveProgress)> = if quiet { None } else { Some(progress_line) };
-        let report = run_campaign_profiled(&scenarios, &Profiler::disabled(), progress)?;
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        let path = write_json(&dir, "chaos_report", &report)?;
-        println!("chaos: wrote {}", path.display());
-        report.rows
-    };
+    let report = run_campaign(&scenarios, Some(progress_line))?;
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let path = write_json(&dir, "chaos_report", &report)?;
+    println!("chaos: wrote {}", path.display());
+    let rows = report.rows;
 
     let mut table = TextTable::new([
         "scenario",

@@ -1,6 +1,6 @@
 //! Wall-clock profile runner (`cargo xtask profile`).
 //!
-//! Full mode executes `campaigns/year_fleet.toml` once, profiled, at N
+//! Executes `campaigns/year_fleet.toml` once, profiled, at N
 //! threads, and writes `results/profile_report.json` — two strictly
 //! separated sections:
 //!
@@ -13,24 +13,23 @@
 //!   thresholds instead of bytes.
 //!
 //! The run's campaign digest must equal the pinned golden digest — the
-//! profiler is bit-transparent or the run fails. Full mode also writes
+//! profiler is bit-transparent or the run fails. The run also writes
 //! two render-only artifacts under `target/`: `profile.folded`
 //! (collapsed stacks for any flamegraph tool) and `profile_trace.json`
 //! (Chrome `about:tracing` / Perfetto trace of one instrumented day).
 //!
-//! `--smoke` runs the four-shard smoke spec profiled at 1 and N threads,
-//! proves the structural section is byte-identical across thread counts
-//! and that profiling leaves the report bytes unchanged, and writes
-//! nothing — the CI-sized variant wired into `cargo xtask ci`.
+//! `bench/tests/profile.rs` checks the structural section's byte-stability
+//! across thread counts and the profiler's transparency in the tier-1
+//! suite.
 
 use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bench::campaign::{run, CampaignOutcome, CampaignSpec, RunOptions};
+use bench::campaign::{run, CampaignSpec, RunOptions};
 use bench::output::Json;
 use bench::parallel::default_threads;
-use bench::profile::{chrome_trace, collapse_lines, parse_collapsed, stack_of, structural_json};
+use bench::profile::{chrome_trace, collapse_lines, stack_of, structural_json};
 use solarcore::{DaySimulation, Policy};
 use solarenv::{Season, Site};
 use telemetry::Profiler;
@@ -40,22 +39,8 @@ use workloads::Mix;
 /// profiled full run must reproduce it exactly.
 const PINNED_CAMPAIGN_DIGEST: u64 = 0x0058_c774_acaf_e8e7;
 
-/// The same four-shard smoke spec the campaign runner uses.
-const SMOKE_SPEC: &str = r#"
-[campaign]
-name = "smoke"
-sites = "AZ,TN"
-months = "Jan"
-days_per_month = 1
-mixes = "HM2"
-policies = "MPPT&Opt"
-scenarios = "none,10_stuck_noon.toml"
-checkpoint_every = 1
-"#;
-
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    match drive(smoke) {
+    match drive() {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -69,11 +54,7 @@ fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
 }
 
-fn drive(smoke: bool) -> Result<bool, Box<dyn Error>> {
-    if smoke {
-        return smoke_gates();
-    }
-
+fn drive() -> Result<bool, Box<dyn Error>> {
     let path = repo_path("campaigns/year_fleet.toml");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let spec = CampaignSpec::parse(&text)?;
@@ -155,72 +136,4 @@ fn drive(smoke: bool) -> Result<bool, Box<dyn Error>> {
         target.join("profile_trace.json").display()
     );
     Ok(true)
-}
-
-/// The CI-sized gates: structural byte-stability across thread counts,
-/// report-byte transparency, sane pool analysis, flamegraph round-trip.
-fn smoke_gates() -> Result<bool, Box<dyn Error>> {
-    let spec = CampaignSpec::parse(SMOKE_SPEC)?;
-    let scenarios = repo_path("scenarios");
-    let threads = default_threads().max(2);
-
-    let profiled = |threads: usize| -> Result<CampaignOutcome, Box<dyn Error>> {
-        run(&spec, &scenarios, &RunOptions {
-            threads,
-            profile: true,
-            ..RunOptions::default()
-        })
-    };
-    let narrow = profiled(1)?;
-    let wide = profiled(threads)?;
-    let plain = run(&spec, &scenarios, &RunOptions {
-        threads,
-        ..RunOptions::default()
-    })?;
-
-    let mut ok = true;
-    let (Some(narrow_prof), Some(wide_prof)) = (&narrow.profile, &wide.profile) else {
-        eprintln!("profile: FAIL — profiled smoke runs carried no profile");
-        return Ok(false);
-    };
-    let narrow_doc = structural_json(&narrow_prof.tree).render();
-    let wide_doc = structural_json(&wide_prof.tree).render();
-    if narrow_doc != wide_doc {
-        eprintln!("profile: FAIL — structural section differs between 1 and {threads} threads");
-        ok = false;
-    }
-    if wide.report_json().render() != plain.report_json().render() {
-        eprintln!("profile: FAIL — profiling changed the campaign report bytes");
-        ok = false;
-    }
-    if wide_prof.tree.node_count() == 0 {
-        eprintln!("profile: FAIL — profiled smoke campaign recorded no spans");
-        ok = false;
-    }
-    let util = wide_prof.pool_utilization();
-    if !(util > 0.0 && util <= 1.0) {
-        eprintln!("profile: FAIL — pool utilization {util} out of (0, 1]");
-        ok = false;
-    }
-    let lines = collapse_lines(&stack_of(&wide_prof.tree));
-    match parse_collapsed(&lines) {
-        Ok(parsed) => {
-            if collapse_lines(&parsed) != lines {
-                eprintln!("profile: FAIL — flamegraph lines do not round-trip");
-                ok = false;
-            }
-        }
-        Err(e) => {
-            eprintln!("profile: FAIL — emitted flamegraph lines unparseable: {e}");
-            ok = false;
-        }
-    }
-    if ok {
-        println!(
-            "profile: OK — structural bytes stable at 1/{threads} threads, report \
-             bytes untouched, {} spans, pool utilization {util:.3}",
-            wide_prof.tree.node_count()
-        );
-    }
-    Ok(ok)
 }

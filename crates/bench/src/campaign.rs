@@ -22,7 +22,7 @@
 //! so every `f64` parses back to the exact same bits). A killed campaign
 //! resumes from the last full wave and re-executes only the in-flight
 //! wave; the finished report is byte-identical to an uninterrupted run's —
-//! `bench/tests/campaign_resume.rs` and `determinism_check` §6 enforce it.
+//! `bench/tests/campaign_resume.rs` enforces it.
 //!
 //! **Aggregation.** Each shard folds its day-end telemetry snapshots into
 //! a [`MetricFold`]; the engine merges per-shard folds into one campaign
@@ -360,8 +360,8 @@ pub struct Shard {
     pub plan: Option<FaultPlan>,
 }
 
-/// Maps a site code to its [`Site`].
-fn site_from_code(code: &str) -> Result<Site, CampaignError> {
+/// Maps a site code to its [`Site`] (shared with the chaos campaign).
+pub(crate) fn site_from_code(code: &str) -> Result<Site, CampaignError> {
     match code {
         "AZ" => Ok(Site::phoenix_az()),
         "CO" => Ok(Site::golden_co()),
@@ -557,35 +557,26 @@ fn parse_hex(s: &str) -> Result<u64, CampaignError> {
     u64::from_str_radix(s, 16).map_err(|_| invalid(format!("bad hex digest `{s}`")))
 }
 
-/// Runs one shard: `days` consecutive day simulations threading one warm
-/// PV solver memo, with day-end telemetry folded into a [`MetricFold`].
-///
-/// # Errors
-///
-/// Propagates simulation configuration/run errors as strings (the form
-/// that crosses [`parallel_map`]'s thread boundary).
-pub fn run_shard(shard: &Shard, days: u32) -> Result<(ShardRow, MetricFold), String> {
-    run_shard_profiled(shard, days, false).map(|(row, fold, _)| (row, fold))
-}
-
-/// A profiled shard result: the deterministic row and metric fold, plus —
-/// when profiling was requested — the frozen span tree and the shard's
-/// total wall time in nanoseconds.
+/// A shard result: the deterministic row and metric fold, plus — when
+/// profiling was requested — the frozen span tree and the shard's total
+/// wall time in nanoseconds.
 pub type ProfiledShard = (ShardRow, MetricFold, Option<(ProfTree, u64)>);
 
-/// [`run_shard`] with an optional wall-clock profile attached.
+/// Runs one shard: `days` consecutive day simulations threading one warm
+/// PV solver memo, with day-end telemetry folded into a [`MetricFold`].
 ///
 /// When `profile` is true, the whole shard runs under a per-thread
 /// [`Profiler`] inside one [`schema::PROF_SHARD`] span, and the result
 /// carries the frozen span tree plus the shard's total wall time in
 /// nanoseconds. The profiler never touches telemetry, the fold, or the
-/// digest — rows are bit-identical either way (`determinism_check` §7
-/// proves it).
+/// digest — rows are bit-identical either way
+/// (`bench/tests/profile.rs` checks it).
 ///
 /// # Errors
 ///
-/// Same failure modes as [`run_shard`].
-pub fn run_shard_profiled(shard: &Shard, days: u32, profile: bool) -> Result<ProfiledShard, String> {
+/// Propagates simulation configuration/run errors as strings (the form
+/// that crosses [`parallel_map`]'s thread boundary).
+pub fn run_shard(shard: &Shard, days: u32, profile: bool) -> Result<ProfiledShard, String> {
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -854,7 +845,7 @@ pub struct RunOptions {
     pub kill_after: Option<usize>,
     /// Collect a wall-clock [`CampaignProfile`] (merged span tree, per-wave
     /// pool analysis). Profiling never touches rows, aggregate, or digest —
-    /// `determinism_check` §7 proves the report bytes are identical.
+    /// `bench/tests/profile.rs` checks that the report bytes are identical.
     pub profile: bool,
     /// Invoked after every completed wave with cumulative progress and an
     /// ETA (a plain `fn` pointer so the options stay `Clone + Default`).
@@ -1062,8 +1053,7 @@ pub fn run(
         let wave_len = wave.len();
         let profiling = profile.is_some();
         let wave_watch = Stopwatch::new();
-        let results =
-            parallel_map(wave, threads, |shard| run_shard_profiled(shard, days, profiling));
+        let results = parallel_map(wave, threads, |shard| run_shard(shard, days, profiling));
         let wave_ns = wave_watch.elapsed_ns();
         let mut sum_shard_ns = 0u64;
         let mut max_shard_ns = 0u64;

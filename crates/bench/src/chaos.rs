@@ -23,13 +23,12 @@ use faults::{parse_scenario, FaultPlan};
 use serde::Serialize;
 use serde_json::Value;
 use solarcore::engine::DayResult;
-use solarcore::telemetry::schema;
 use solarcore::{DaySimulation, Policy};
-use solarenv::{Season, Site};
-use telemetry::{JsonlSink, Profiler, Stopwatch, Telemetry};
+use solarenv::Season;
+use telemetry::{JsonlSink, Stopwatch, Telemetry};
 use workloads::Mix;
 
-use crate::campaign::WaveProgress;
+use crate::campaign::{site_from_code, WaveProgress};
 use crate::determinism::CanonicalHasher;
 
 /// The policies the campaign exercises (the two MPPT allocators the paper
@@ -122,17 +121,6 @@ pub fn load_scenarios(dir: &Path) -> Result<Vec<ChaosScenario>, Box<dyn Error>> 
     Ok(scenarios)
 }
 
-/// Maps a campaign site code to its [`Site`].
-fn site_from_code(code: &str) -> Result<Site, Box<dyn Error>> {
-    match code {
-        "AZ" => Ok(Site::phoenix_az()),
-        "CO" => Ok(Site::golden_co()),
-        "NC" => Ok(Site::elizabeth_city_nc()),
-        "TN" => Ok(Site::oak_ridge_tn()),
-        other => Err(format!("unknown site code `{other}`").into()),
-    }
-}
-
 /// Maps a scenario season hint to a [`Season`] (default July — the
 /// paper's stress season for Phoenix).
 fn season_from_hint(hint: Option<&str>) -> Result<Season, Box<dyn Error>> {
@@ -197,32 +185,14 @@ fn scan_stream(stream: &str, onset: Option<u32>) -> Result<DetectionTrace, Box<d
 ///
 /// # Errors
 ///
-/// Propagates configuration, simulation and stream-parse errors.
+/// Propagates configuration, simulation and stream-parse errors, and an
+/// unknown site code.
 pub fn run_cell(
     scenario: &ChaosScenario,
     site_code: &str,
     policy: Policy,
 ) -> Result<ChaosCell, Box<dyn Error>> {
-    run_cell_profiled(scenario, site_code, policy, &Profiler::disabled())
-}
-
-/// [`run_cell`] under a caller-owned [`Profiler`]: the whole cell (clean
-/// twin + armed run) nests inside one [`schema::PROF_CHAOS_CELL`] span and
-/// both simulations carry the profiler through their engine seams. The
-/// profiler is wall-clock only — cell metrics and the campaign digest are
-/// bit-identical with profiling armed (`determinism_check` §7).
-///
-/// # Errors
-///
-/// Same failure modes as [`run_cell`].
-pub fn run_cell_profiled(
-    scenario: &ChaosScenario,
-    site_code: &str,
-    policy: Policy,
-    prof: &Profiler,
-) -> Result<ChaosCell, Box<dyn Error>> {
-    let _cell_span = prof.scope(schema::PROF_CHAOS_CELL);
-    let site = site_from_code(site_code)?;
+    let site = site_from_code(site_code).map_err(|_| format!("unknown site code `{site_code}`"))?;
     let season = season_from_hint(scenario.plan.season_hint())?;
     let day = scenario.plan.day_hint().unwrap_or(0);
     let builder = || {
@@ -232,7 +202,6 @@ pub fn run_cell_profiled(
             .day(day)
             .mix(Mix::hm2())
             .policy(policy)
-            .profiler(prof.clone())
     };
 
     let clean: DayResult = builder().build()?.run()?;
@@ -283,25 +252,15 @@ pub fn sites_for(scenario: &ChaosScenario) -> Vec<&str> {
 }
 
 /// Runs the full campaign over `scenarios` and assembles the report with
-/// its canonical digest.
+/// its canonical digest, with optional per-cell progress reporting (a
+/// chaos "wave" is one cell, so [`WaveProgress::executed`] always equals
+/// [`WaveProgress::done`]).
 ///
 /// # Errors
 ///
 /// Propagates the first cell failure.
-pub fn run_campaign(scenarios: &[ChaosScenario]) -> Result<ChaosReport, Box<dyn Error>> {
-    run_campaign_profiled(scenarios, &Profiler::disabled(), None)
-}
-
-/// [`run_campaign`] under a caller-owned [`Profiler`], with optional
-/// per-cell progress reporting (a chaos "wave" is one cell, so
-/// [`WaveProgress::executed`] always equals [`WaveProgress::done`]).
-///
-/// # Errors
-///
-/// Propagates the first cell failure.
-pub fn run_campaign_profiled(
+pub fn run_campaign(
     scenarios: &[ChaosScenario],
-    prof: &Profiler,
     progress: Option<fn(&WaveProgress)>,
 ) -> Result<ChaosReport, Box<dyn Error>> {
     let total: usize = scenarios
@@ -313,7 +272,7 @@ pub fn run_campaign_profiled(
     for scenario in scenarios {
         for site in sites_for(scenario) {
             for policy in CAMPAIGN_POLICIES {
-                rows.push(run_cell_profiled(scenario, site, policy, prof)?);
+                rows.push(run_cell(scenario, site, policy)?);
                 if let Some(report) = progress {
                     let done = rows.len();
                     let elapsed_secs = watch.elapsed_secs();

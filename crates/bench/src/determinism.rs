@@ -5,7 +5,7 @@
 //! *bit-identical* regardless of thread count and work ordering. These
 //! helpers give that property teeth: every quantity is folded into an
 //! FNV-1a hash via `f64::to_bits` (so `-0.0` vs `0.0` or a ULP of drift
-//! changes the hash), and `cargo xtask determinism` compares the hashes
+//! changes the hash), and `bench/tests/determinism.rs` compares the hashes
 //! across 1-thread, N-thread, and shuffled-input runs.
 
 use solarcore::engine::DayResult;

@@ -29,7 +29,7 @@
 //! # Quick start
 //!
 //! The sweeps all start from a [`grid::GridConfig`]; `quick()` is the
-//! reduced grid the tests and the determinism harness run:
+//! reduced grid the tests run:
 //!
 //! ```
 //! use bench::grid::GridConfig;

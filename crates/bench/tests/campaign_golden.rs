@@ -152,7 +152,8 @@ fn scaling_section_is_well_formed() {
 fn recomputed_shard_matches_committed_artifact() {
     let spec = committed_spec();
     let shards = spec.shards(&repo_path("scenarios")).expect("shards enumerate");
-    let (fresh, _fold) = run_shard(&shards[0], spec.days_per_month).expect("shard runs");
+    let (fresh, _fold, _) =
+        run_shard(&shards[0], spec.days_per_month, false).expect("shard runs");
 
     let report = load_report();
     let row = &report["rows"].as_array().expect("rows is an array")[0];

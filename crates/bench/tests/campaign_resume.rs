@@ -14,14 +14,17 @@ use bench::campaign::{run, CampaignSpec, RunOptions};
 use proptest::prelude::*;
 
 /// A four-shard spec with single-shard waves, so every kill point
-/// `1..=3` exercises a distinct frontier.
+/// `1..=3` exercises a distinct frontier. Every other shard is armed with
+/// a fault scenario, so checkpoints from kill point 2 on carry the
+/// fault and degradation event tallies through resume.
 const SPEC: &str = r#"
 [campaign]
 name = "resume-props"
 sites = "AZ,NC"
 months = "Apr"
 mixes = "HM2"
-policies = "MPPT&Opt,MPPT&RR"
+policies = "MPPT&Opt"
+scenarios = "none,10_stuck_noon.toml"
 checkpoint_every = 1
 "#;
 

@@ -43,7 +43,7 @@ fn report_path() -> PathBuf {
 fn load_report() -> Value {
     if std::env::var_os("BLESS").is_some() {
         let scenarios = load_scenarios(&scenarios_dir()).expect("scenarios load");
-        let report = run_campaign(&scenarios).expect("campaign runs");
+        let report = run_campaign(&scenarios, None).expect("campaign runs");
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         write_json(&dir, "chaos_report", &report).expect("report written");
     }
@@ -93,10 +93,29 @@ fn canonical_rows_match_pinned_scalars() {
             Some(enters),
             "{scenario}: degrade-enter count drifted"
         );
+    }
+
+    // The campaign's soundness gates hold on every committed row: each
+    // retention is a sane ratio and nothing false-tripped.
+    for row in report["rows"].as_array().expect("rows is an array") {
+        let field = |key: &str| row[key].as_str().unwrap_or("?").to_owned();
+        let cell = format!(
+            "{}/{}/{}",
+            field("scenario"),
+            field("site"),
+            field("policy")
+        );
+        let retention = row["ptp_retention"]
+            .as_f64()
+            .expect("retention is a number");
+        assert!(
+            retention.is_finite() && retention >= 0.0,
+            "{cell}: retention {retention} is not sane"
+        );
         assert_eq!(
             row["false_trips"].as_u64(),
             Some(0),
-            "{scenario}: committed artifact records a false trip"
+            "{cell}: committed artifact records a false trip"
         );
     }
 }

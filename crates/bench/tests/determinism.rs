@@ -1,12 +1,19 @@
-//! Golden bitwise-determinism test: the policy-grid sweep must produce
-//! byte-identical output at 1 thread, 8 threads, and with shuffled input
-//! order. This is the in-tree twin of `cargo xtask determinism` (which
-//! runs a larger sweep in release mode).
+//! The bitwise-reproducibility gate (DESIGN.md §12): the policy-grid
+//! sweep must produce byte-identical output at 1 thread, 8 threads, and
+//! with shuffled input order, and the canonical day must hash to its pin
+//! whether it runs plain, traced, armed with an empty fault plan or
+//! profiled.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bench::determinism::{day_hash, grid_hash};
 use bench::grid::{GridConfig, PolicyGrid};
+use faults::FaultPlan;
+use solarcore::engine::DaySimulationBuilder;
 use solarcore::{DaySimulation, Policy};
 use solarenv::{Season, Site};
+use telemetry::{JsonlSink, Profiler, Telemetry};
 use workloads::Mix;
 
 /// A small grid (2 cells) so the debug-mode runtime stays reasonable while
@@ -50,21 +57,67 @@ fn grid_is_bit_identical_across_threads_and_input_order() {
     assert_eq!(a, b, "serialized grid JSON is not byte-stable");
 }
 
+/// Day hash of the canonical AZ/Jul/day 0/HM2/MPPT&Opt run. Any engine
+/// change that moves this moved *every* disarmed simulation.
+const PINNED_DAY_HASH: u64 = 0x1fa5_23b6_19a8_188b;
+
+/// The canonical day, plain: a fresh run of it must hash to the pin, and
+/// so must every instrumented variant, because telemetry, the fault seams
+/// and the profiler are bitwise transparent. Two traced runs must also
+/// emit the same non-empty JSONL, byte for byte.
 #[test]
 fn repeated_day_simulation_hashes_identically() {
-    let run = || {
+    let canonical = || {
         DaySimulation::builder()
             .site(Site::phoenix_az())
             .season(Season::Jul)
             .day(0)
             .mix(Mix::hm2())
             .policy(Policy::MpptOpt)
-            .build()
-            .expect("valid config")
-            .run()
-            .expect("day runs")
     };
-    assert_eq!(day_hash(&run()), day_hash(&run()));
+    let hash = |builder: DaySimulationBuilder| {
+        day_hash(
+            &builder
+                .build()
+                .expect("valid config")
+                .run()
+                .expect("day runs"),
+        )
+    };
+    let pinned = |what: &str, h: u64| {
+        assert_eq!(
+            h, PINNED_DAY_HASH,
+            "{what} day hash {h:#018x} drifted from the pin {PINNED_DAY_HASH:#018x}"
+        );
+    };
+    pinned("plain", hash(canonical()));
+
+    let traced = || {
+        let sink = Rc::new(RefCell::new(JsonlSink::new()));
+        let h = hash(canonical().telemetry(Telemetry::attached(sink.clone())));
+        let stream = sink.borrow().buffer().to_string();
+        (h, stream)
+    };
+    let (first, stream) = traced();
+    let (second, again) = traced();
+    pinned("traced", first);
+    pinned("second traced", second);
+    assert!(!stream.is_empty(), "traced run emitted an empty stream");
+    // `assert!`, not `assert_eq!`: a diverging pair would dump both
+    // multi-thousand-line streams.
+    assert!(stream == again, "traced runs emit diverging JSONL streams");
+
+    pinned(
+        "armed-empty",
+        hash(canonical().fault_plan(FaultPlan::empty("control"))),
+    );
+
+    let prof = Profiler::enabled();
+    pinned("profiled", hash(canonical().profiler(prof.clone())));
+    assert!(
+        prof.tree().node_count() > 0,
+        "armed profiler recorded no spans"
+    );
 }
 
 /// The solver cache is bit-transparent end to end: a day simulated with

@@ -11,10 +11,11 @@
 //!    when nobody is measuring.
 //! 3. **Structural determinism** — the profile's structural section
 //!    renders byte-identically at 1 and 2 worker threads, twice over,
-//!    while the campaign digest matches the unprofiled run's.
+//!    while the report bytes match the unprofiled run's, the pool
+//!    analysis is sane and the emitted flamegraph lines round-trip.
 
 use bench::campaign::{run, CampaignSpec, RunOptions};
-use bench::profile::{collapse_lines, parse_collapsed, structural_json};
+use bench::profile::{collapse_lines, parse_collapsed, stack_of, structural_json};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -75,13 +76,15 @@ fn disabled_profiler_scope_is_free() {
 }
 
 /// The structural section is deterministic: byte-identical across worker
-/// thread counts and across repeated renders, while the profiled run's
-/// digest matches the unprofiled run's.
+/// thread counts and across repeated renders, while the profiled runs'
+/// report bytes match the unprofiled run's. The spec arms one fault
+/// scenario, so an armed shard is covered too.
 #[test]
 fn structural_section_is_byte_stable_across_thread_counts() {
     let spec = CampaignSpec::parse(
         "[campaign]\nname = \"profile-test\"\nsites = \"AZ,TN\"\nmonths = \"Jan\"\n\
-         mixes = \"HM2\"\npolicies = \"MPPT&Opt\"\ncheckpoint_every = 1\n",
+         mixes = \"HM2\"\npolicies = \"MPPT&Opt\"\nscenarios = \"none,10_stuck_noon.toml\"\n\
+         checkpoint_every = 1\n",
     )
     .expect("spec parses");
     let scenarios = scenarios_dir();
@@ -102,8 +105,9 @@ fn structural_section_is_byte_stable_across_thread_counts() {
     })
     .expect("unprofiled run");
 
+    let wide_prof = wide.profile.as_ref().expect("wide profile");
     let narrow_tree = &narrow.profile.as_ref().expect("narrow profile").tree;
-    let wide_tree = &wide.profile.as_ref().expect("wide profile").tree;
+    let wide_tree = &wide_prof.tree;
     assert!(narrow_tree.node_count() > 0, "profiled campaign recorded nothing");
 
     let narrow_doc = structural_json(narrow_tree).render();
@@ -116,10 +120,18 @@ fn structural_section_is_byte_stable_across_thread_counts() {
     );
 
     assert_eq!(wide.digest(), plain.digest(), "profiling moved the campaign digest");
-    assert_eq!(
-        wide.report_json().render(),
-        plain.report_json().render(),
-        "profiling changed the report bytes"
-    );
+    for (threads, outcome) in [(1, &narrow), (2, &wide)] {
+        assert_eq!(
+            outcome.report_json().render(),
+            plain.report_json().render(),
+            "profiling at {threads} thread(s) changed the report bytes"
+        );
+    }
     assert!(plain.profile.is_none(), "unprofiled run carried a profile");
+
+    let util = wide_prof.pool_utilization();
+    assert!(util > 0.0 && util <= 1.0, "pool utilization {util} out of (0, 1]");
+    let lines = collapse_lines(&stack_of(wide_tree));
+    let parsed = parse_collapsed(&lines).expect("emitted flamegraph lines parse");
+    assert_eq!(collapse_lines(&parsed), lines, "flamegraph lines do not round-trip");
 }

@@ -18,8 +18,8 @@
 //!   Identical plans produce bit-identical corruption on every run, thread
 //!   count and input order.
 //! - **Transparent when disarmed.** An empty or un-armed plan must leave
-//!   the simulation bit-identical to the un-wrapped stack; the bench
-//!   determinism harness pins this with a dedicated check section.
+//!   the simulation bit-identical to the un-wrapped stack;
+//!   `bench/tests/determinism.rs` pins this against the canonical day hash.
 //!
 //! The graceful-degradation logic that *survives* these faults lives in
 //! `solarcore` (detection, hold-last-good, MPPT→fixed-budget fallback);

@@ -826,7 +826,7 @@ impl DaySimulationBuilder {
     /// ([`telemetry::prof`]). Profiling is strictly fenced from simulated
     /// state: nothing it measures feeds any result, record or digest, so a
     /// profiled run is bit-identical to an unprofiled one
-    /// (`determinism_check` §7 pins exactly that).
+    /// (`bench/tests/determinism.rs` pins exactly that).
     pub fn profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = profiler;
         self

@@ -120,8 +120,13 @@ pub fn assert_bus_voltage(stage: &str, voltage: Volts, ceiling: Volts) {
 mod tests {
     use super::*;
 
-    // Debug test builds always have the checks on.
+    // Debug and `sanitize` builds always have the checks on; elsewhere the
+    // checks compile out, so the tests that need them are ignored.
     #[test]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "sanitize")),
+        ignore = "sanitizer compiled out"
+    )]
     fn checks_are_enabled_in_debug_builds() {
         assert!(enabled());
     }
@@ -138,24 +143,40 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "conservation of energy")]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "sanitize")),
+        ignore = "sanitizer compiled out"
+    )]
     fn corrupted_budget_trips_the_sanitizer() {
         assert_budget("test", Watts::new(120.0), Watts::new(100.0));
     }
 
     #[test]
     #[should_panic(expected = "finite non-negative")]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "sanitize")),
+        ignore = "sanitizer compiled out"
+    )]
     fn negative_power_trips_the_sanitizer() {
         assert_power("test", Watts::new(-1.0));
     }
 
     #[test]
     #[should_panic(expected = "finite non-negative")]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "sanitize")),
+        ignore = "sanitizer compiled out"
+    )]
     fn nan_power_trips_the_sanitizer() {
         assert_power("test", Watts::new(f64::NAN));
     }
 
     #[test]
     #[should_panic(expected = "is not η·input")]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "sanitize")),
+        ignore = "sanitizer compiled out"
+    )]
     fn over_unity_converter_trips_the_sanitizer() {
         // 100 W in, 99 W out at η = 0.95 — 4 W appear from nowhere.
         assert_conversion("test", Watts::new(100.0), Watts::new(99.0), 0.95);
@@ -163,6 +184,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "reachable range")]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "sanitize")),
+        ignore = "sanitizer compiled out"
+    )]
     fn runaway_bus_voltage_trips_the_sanitizer() {
         assert_bus_voltage("test", Volts::new(80.0), Volts::new(56.0));
     }

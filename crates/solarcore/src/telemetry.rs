@@ -31,7 +31,7 @@
 //!
 //! Timestamps are **simulation minutes-of-day** (the `minute` envelope
 //! field), never wall-clock time; a stream is bit-identical across runs,
-//! threads and machines (checked by `cargo xtask determinism`).
+//! threads and machines (checked by `bench/tests/determinism.rs`).
 
 use pv::cell::CellEnv;
 use pv::error::PvError;
@@ -139,10 +139,6 @@ pub mod schema {
     /// Wall-clock profiler span: one campaign shard (opened by
     /// `bench::campaign`, nested above [`PROF_RUN_DAY`]).
     pub const PROF_SHARD: &str = "shard";
-
-    /// Wall-clock profiler span: one chaos campaign cell (opened by
-    /// `bench::chaos`, nested above [`PROF_RUN_DAY`]).
-    pub const PROF_CHAOS_CELL: &str = "chaos_cell";
 
     /// Counter of PV generator MPP oracle queries.
     pub const COUNTER_MPP_QUERIES: &str = "mpp_queries";

@@ -8,8 +8,8 @@
 //! The fence is directional: the profiler *reads* the sim clock (via
 //! [`Profiler::set_minute`]) to attribute wall time to simulated time, but
 //! nothing ever flows back — no simulated value, no record, no digest input
-//! depends on a measurement taken here. `determinism_check` §7 proves the
-//! pinned hashes are bit-identical with profiling armed.
+//! depends on a measurement taken here. `bench/tests/determinism.rs` proves
+//! the pinned day hash is bit-identical with profiling armed.
 //!
 //! # Model
 //!

@@ -2,75 +2,23 @@
 //! (2 sites × 2 seasons × 3 mixes): policy ordering, battery bracketing,
 //! fixed-budget inferiority, utilization scale, and tracking error ranges.
 
+use bench::grid::{GridConfig, PolicyGrid};
 use pv::units::Watts;
-use pv::PvArray;
-use solarcore::engine::phase_seed;
 use solarcore::metrics::mean;
-use solarcore::{BatterySystem, DaySimulation, Policy};
-use solarenv::{EnvTrace, Season, Site};
+use solarcore::{DaySimulation, Policy};
+use solarenv::{Season, Site};
 use workloads::Mix;
-
-struct Cell {
-    ic: f64,
-    rr: f64,
-    opt: f64,
-    battery_u: f64,
-    battery_l: f64,
-    opt_util: f64,
-    opt_err: f64,
-}
-
-fn grid() -> Vec<Cell> {
-    let array = PvArray::solarcore_default();
-    let mut cells = Vec::new();
-    for site in [Site::phoenix_az(), Site::oak_ridge_tn()] {
-        for season in [Season::Jan, Season::Jul] {
-            for mix in [Mix::h1(), Mix::hm2(), Mix::l1()] {
-                let run = |policy: Policy| {
-                    DaySimulation::builder()
-                        .site(site.clone())
-                        .season(season)
-                        .mix(mix.clone())
-                        .policy(policy)
-                        .build()
-                        .unwrap()
-                        .run()
-                        .unwrap()
-                };
-                let ic = run(Policy::MpptIc);
-                let rr = run(Policy::MpptRr);
-                let opt = run(Policy::MpptOpt);
-                let trace = EnvTrace::generate(&site, season, 0);
-                let seed = phase_seed(&site, season, 0);
-                let bu = BatterySystem::upper_bound()
-                    .simulate_day(&array, &trace, &mix, seed)
-                    .unwrap();
-                let bl = BatterySystem::lower_bound()
-                    .simulate_day(&array, &trace, &mix, seed)
-                    .unwrap();
-                cells.push(Cell {
-                    ic: ic.solar_instructions() / bl.instructions,
-                    rr: rr.solar_instructions() / bl.instructions,
-                    opt: opt.solar_instructions() / bl.instructions,
-                    battery_u: bu.instructions / bl.instructions,
-                    battery_l: 1.0,
-                    opt_util: opt.utilization(),
-                    opt_err: opt.mean_tracking_error(),
-                });
-            }
-        }
-    }
-    cells
-}
 
 #[test]
 fn policy_ordering_battery_bracketing_and_utilization() {
-    let cells = grid();
-    let ic = mean(&cells.iter().map(|c| c.ic).collect::<Vec<_>>());
-    let rr = mean(&cells.iter().map(|c| c.rr).collect::<Vec<_>>());
-    let opt = mean(&cells.iter().map(|c| c.opt).collect::<Vec<_>>());
-    let bu = mean(&cells.iter().map(|c| c.battery_u).collect::<Vec<_>>());
-    let bl = mean(&cells.iter().map(|c| c.battery_l).collect::<Vec<_>>());
+    // The quick grid: AZ/TN × Jan/Jul × H1/HM2/L1, day 0, no faults. PTPs
+    // are normalized to Battery-L, so Battery-L itself averages 1.
+    let grid = PolicyGrid::compute(&GridConfig::quick());
+    let ic = grid.mean_normalized_ptp(Policy::MpptIc);
+    let rr = grid.mean_normalized_ptp(Policy::MpptRr);
+    let opt = grid.mean_normalized_ptp(Policy::MpptOpt);
+    let bu = grid.mean_normalized_battery_upper();
+    let bl = 1.0;
 
     // Section 6.4's ordering: IC < RR ≤ Opt, Battery-U ≈ Opt, everything
     // above Battery-L.
@@ -87,18 +35,18 @@ fn policy_ordering_battery_bracketing_and_utilization() {
     );
 
     // Section 6.3: average utilization at the ~82 % scale.
-    let util = mean(&cells.iter().map(|c| c.opt_util).collect::<Vec<_>>());
+    let util = grid.mean_utilization(Policy::MpptOpt);
     assert!(
         (0.72..=0.95).contains(&util),
         "mean utilization {util:.3} out of the paper's band"
     );
 
     // Table 7: tracking errors are single-digit to low-double-digit percent.
-    for c in &cells {
+    for s in grid.for_policy(Policy::MpptOpt) {
         assert!(
-            (0.005..0.30).contains(&c.opt_err),
+            (0.005..0.30).contains(&s.tracking_error),
             "tracking error {:.3} outside Table 7 range",
-            c.opt_err
+            s.tracking_error
         );
     }
 }

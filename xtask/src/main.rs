@@ -2,9 +2,6 @@
 //!
 //! Commands:
 //!
-//! * `determinism` — dynamic bitwise-reproducibility harness: runs the
-//!   policy-grid day simulations at 1 thread, N threads, and with shuffled
-//!   input order and compares canonical `f64::to_bits` hashes.
 //! * `trace` — runs the golden telemetry day (Golden CO / Jan / HM2 /
 //!   MPPT&Opt), writes its JSONL stream under `results/`, renders the
 //!   per-period tracking timeline and cross-checks the stream's
@@ -12,19 +9,15 @@
 //! * `chaos` — runs the differential fault-injection campaign over every
 //!   scenario under `scenarios/`, enforcing the soundness gates (control
 //!   rows bit-transparent, zero false degradation trips) and rewriting
-//!   `results/chaos_report.json`; `--smoke` runs a two-scenario subset
-//!   with the same gates and writes nothing.
+//!   `results/chaos_report.json`.
 //! * `campaign` — runs the year-scale sharded campaign engine on the
 //!   committed `campaigns/year_fleet.toml` spec, proves the report is
 //!   byte-identical across thread counts and across a kill/resume cycle,
-//!   and rewrites `results/campaign_report.json`; `--smoke` runs a
-//!   four-shard inline spec through the same gates and writes nothing.
+//!   and rewrites `results/campaign_report.json`.
 //! * `profile` — runs the year-scale campaign under the hierarchical
 //!   wall-clock profiler and writes `results/profile_report.json`
 //!   (deterministic structural section + machine-dependent wall section)
-//!   plus flamegraph/Chrome-trace renders under `target/`; `--smoke`
-//!   proves structural byte-stability and bit-transparency on the
-//!   four-shard spec and writes nothing.
+//!   plus flamegraph/Chrome-trace renders under `target/`.
 //! * `tdiff` — schema-aware diff of two telemetry/profile/campaign
 //!   artifacts: counters by relative delta, histograms by quantile
 //!   profile, span trees structurally and by wall-time thresholds;
@@ -37,22 +30,23 @@
 //!   [`CI_GATES`]. Determinism hazards, panics, casts, wildcard matches
 //!   and dropped `Result`s are carried by `clippy -D warnings` with the
 //!   root `clippy.toml` and the crate lint attributes (DESIGN.md §11).
+//!   Bitwise reproducibility is carried by the tier-1 tests (DESIGN.md
+//!   §12).
 //!
 //! Exit status is non-zero when any command fails, so all of them can
 //! gate CI directly. The simulation harnesses are `bench` binaries, so
 //! xtask itself links nothing; the docs pass is the one check it runs
-//! in-process, from the `xtask` library crate (see `src/lib.rs`).
+//! in-process.
+
+mod docs;
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use xtask::docs;
-
 /// The `cargo xtask ci` gates, in order: the cheap static gates first so
-/// they fail fast, then the build, the tests and the end-to-end harness
-/// smokes. Each entry is either a `cargo` command line or an `xtask`
-/// command dispatched in-process.
-const CI_GATES: [&[&str]; 11] = [
+/// they fail fast, then the build and the tests. Each entry is either a
+/// `cargo` command line or an `xtask` command dispatched in-process.
+const CI_GATES: [&[&str]; 7] = [
     &["xtask", "docs"],
     &[
         "cargo",
@@ -67,6 +61,7 @@ const CI_GATES: [&[&str]; 11] = [
     // `solarcore::schema` is rustdoc, so doc rot fails CI.
     &["cargo", "doc", "--no-deps", "--workspace"],
     &["cargo", "build", "--release", "--workspace"],
+    // The tier-1 suite, including the bitwise-reproducibility tests.
     &["cargo", "test", "-q", "--workspace"],
     // The benchmark is a workspace of its own that builds against the
     // simulator's public API: building and self-testing it here makes an
@@ -80,13 +75,6 @@ const CI_GATES: [&[&str]; 11] = [
         "--manifest-path",
         "perfbench/Cargo.toml",
     ],
-    &["xtask", "determinism"],
-    // Fault-injection soundness gates on a two-scenario subset.
-    &["xtask", "chaos", "--smoke"],
-    // Campaign determinism and kill/resume gates on a four-shard spec.
-    &["xtask", "campaign", "--smoke"],
-    // Profiler byte-stability across thread counts and bit-transparency.
-    &["xtask", "profile", "--smoke"],
     // The committed campaign report diffed against itself must report
     // zero findings: the comparison engine parses the real artifact.
     &[
@@ -104,21 +92,11 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &[&str]) -> ExitCode {
-    let smoke: &[&str] = if args.contains(&"--smoke") {
-        &["--smoke"]
-    } else {
-        &[]
-    };
     match args.first().copied() {
-        Some("determinism") => bench_bin("determinism_check", &[], "divergence detected"),
         Some("trace") => bench_bin("trace_report", &[], "golden-day cross-check failed"),
-        Some("chaos") => bench_bin("chaos_check", smoke, "campaign gate failed"),
-        Some("campaign") => bench_bin("campaign", smoke, "determinism/resume gate failed"),
-        Some("profile") => bench_bin(
-            "profile_report",
-            smoke,
-            "transparency/stability gate failed",
-        ),
+        Some("chaos") => bench_bin("chaos_check", &[], "campaign gate failed"),
+        Some("campaign") => bench_bin("campaign", &[], "determinism/resume gate failed"),
+        Some("profile") => bench_bin("profile_report", &[], "transparency gate failed"),
         Some("tdiff") => match args.get(1..3) {
             Some(pair) => bench_bin("tdiff", pair, "regressions found"),
             None => {
@@ -142,31 +120,19 @@ fn dispatch(args: &[&str]) -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo xtask <docs | determinism | trace | chaos [--smoke] | \
-         campaign [--smoke] | profile [--smoke] | tdiff <a> <b> | ci>"
+        "usage: cargo xtask <docs | trace | chaos | campaign | profile | tdiff <a> <b> | ci>"
     );
-    eprintln!("  docs         check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
-    eprintln!("  determinism  verify bit-identical day-sim output across thread counts");
-    eprintln!("  trace        run the golden telemetry day and render its timeline");
+    eprintln!("  docs      check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
+    eprintln!("  trace     run the golden telemetry day and render its timeline");
+    eprintln!("  chaos     run the fault-injection campaign and write results/chaos_report.json");
     eprintln!(
-        "  chaos        run the fault-injection campaign and write results/chaos_report.json"
+        "  campaign  run the year-scale sharded campaign and write results/campaign_report.json"
     );
-    eprintln!("               (--smoke runs a two-scenario subset and writes nothing)");
     eprintln!(
-        "  campaign     run the year-scale sharded campaign and write \
-         results/campaign_report.json"
+        "  profile   run the year-scale campaign profiled and write results/profile_report.json"
     );
-    eprintln!("               (--smoke runs a four-shard inline spec and writes nothing)");
-    eprintln!(
-        "  profile      run the year-scale campaign profiled and write \
-         results/profile_report.json"
-    );
-    eprintln!("               (--smoke proves byte-stability/transparency and writes nothing)");
-    eprintln!("  tdiff        schema-aware diff of two telemetry/profile/campaign artifacts");
-    eprintln!(
-        "  ci           docs, clippy, doc, build, test, perfbench test, determinism, \
-         chaos smoke, campaign smoke, profile smoke, tdiff self-check"
-    );
+    eprintln!("  tdiff     schema-aware diff of two telemetry/profile/campaign artifacts");
+    eprintln!("  ci        docs, clippy, doc, build, test, perfbench test, tdiff self-check");
 }
 
 /// Locates the workspace root (the directory holding the top Cargo.toml).
