@@ -11,8 +11,9 @@
 //!    scenario's first fault onset;
 //! 3. every retention ratio must be finite and non-negative.
 //!
-//! The full campaign also rewrites `results/chaos_report.json` (canonical
-//! row order + digest), the artifact `bench/tests/chaos_golden.rs` pins.
+//! When every gate holds, the run rewrites `results/chaos_report.json`
+//! (canonical row order + digest), the artifact `bench/tests/chaos_golden.rs`
+//! pins; a failing run leaves the committed artifact untouched.
 //! That tier-1 test also asserts all three gates over the committed rows.
 //!
 //! The run reports per-cell progress (completed/total cells, elapsed,
@@ -55,10 +56,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
     }
 
     let report = run_campaign(&scenarios, Some(progress_line))?;
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let path = write_json(&dir, "chaos_report", &report)?;
-    println!("chaos: wrote {}", path.display());
-    let rows = report.rows;
+    let rows = &report.rows;
 
     let mut table = TextTable::new([
         "scenario",
@@ -70,7 +68,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         "rejects",
         "false",
     ]);
-    for r in &rows {
+    for r in rows {
         table.row([
             r.scenario.clone(),
             r.site.clone(),
@@ -86,11 +84,18 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
     print!("{table}");
     println!(
         "chaos: digest {:016x} ({} cells)",
-        report_digest(&rows),
+        report_digest(rows),
         rows.len()
     );
 
-    Ok(gates_hold(&rows))
+    // A run that fails its gates must not overwrite the committed artifact.
+    if !gates_hold(rows) {
+        return Ok(false);
+    }
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let path = write_json(&dir, "chaos_report", &report)?;
+    println!("chaos: wrote {}", path.display());
+    Ok(true)
 }
 
 /// Applies the campaign soundness gates; prints every violation.

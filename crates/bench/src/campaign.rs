@@ -39,7 +39,7 @@ use solarcore::telemetry::{
     schema, NEWTON_ITER_BOUNDS, RATIO_K_BOUNDS, TPR_MOVE_BOUNDS, TRACK_BOUNDS,
 };
 use solarcore::{DaySimulation, Policy};
-use solarenv::{DayRange, Month, Site};
+use solarenv::{DayRange, Month, Season, Site};
 use telemetry::{CounterSnapshot, HistogramSnapshot, MetricFold, ProfTree, Profiler, Stopwatch, Telemetry};
 use workloads::Mix;
 
@@ -125,7 +125,8 @@ pub struct CampaignSpec {
     pub sites: Vec<String>,
     /// Months to sweep, in calendar order of appearance.
     pub months: Vec<Month>,
-    /// Consecutive weather realizations simulated per (site, month) cell.
+    /// Consecutive weather realizations simulated per (site, month) cell,
+    /// 1 ..= [`DayRange::MAX_DAYS`].
     pub days_per_month: u32,
     /// Workload mix names.
     pub mixes: Vec<String>,
@@ -197,6 +198,15 @@ impl CampaignSpec {
                 "months" => months = months_value(*line_no, value)?,
                 "days_per_month" => {
                     days_per_month = narrow(*line_no, int_value(*line_no, value)?)?;
+                    if days_per_month > DayRange::MAX_DAYS {
+                        return perr(
+                            *line_no,
+                            format!(
+                                "days_per_month {days_per_month} exceeds the {} realizations a month holds",
+                                DayRange::MAX_DAYS
+                            ),
+                        );
+                    }
                 }
                 "mixes" => mixes = list_value(*line_no, value)?,
                 "policies" => policies = list_value(*line_no, value)?,
@@ -562,8 +572,9 @@ fn parse_hex(s: &str) -> Result<u64, CampaignError> {
 /// wall time in nanoseconds.
 pub type ProfiledShard = (ShardRow, MetricFold, Option<(ProfTree, u64)>);
 
-/// Runs one shard: `days` consecutive day simulations threading one warm
-/// PV solver memo, with day-end telemetry folded into a [`MetricFold`].
+/// Runs one shard: `days` consecutive day simulations of its month
+/// ([`DayRange`]), threading one warm PV solver memo, with day-end
+/// telemetry folded into a [`MetricFold`].
 ///
 /// When `profile` is true, the whole shard runs under a per-thread
 /// [`Profiler`] inside one [`schema::PROF_SHARD`] span, and the result
@@ -577,6 +588,52 @@ pub type ProfiledShard = (ShardRow, MetricFold, Option<(ProfTree, u64)>);
 /// Propagates simulation configuration/run errors as strings (the form
 /// that crosses [`parallel_map`]'s thread boundary).
 pub fn run_shard(shard: &Shard, days: u32, profile: bool) -> Result<ProfiledShard, String> {
+    let days: Vec<u32> = DayRange::new(shard.month, days).day_indices().collect();
+    run_cell(
+        &Cell {
+            index: shard.index,
+            site: &shard.site,
+            mix: &shard.mix,
+            policy: shard.policy,
+            scenario: &shard.scenario,
+            plan: shard.plan.as_ref(),
+            season: shard.month.anchor(),
+            days: &days,
+            period: shard.month.name(),
+        },
+        profile,
+    )
+}
+
+/// One sweep cell as the shared day loop ([`run_cell`]) runs it: the
+/// identity its row records, and the days it simulates.
+pub(crate) struct Cell<'a> {
+    /// Row index.
+    pub(crate) index: usize,
+    /// The site simulated.
+    pub(crate) site: &'a Site,
+    /// The workload mix.
+    pub(crate) mix: &'a Mix,
+    /// The power-management policy.
+    pub(crate) policy: Policy,
+    /// Scenario label (`"none"` when disarmed).
+    pub(crate) scenario: &'a str,
+    /// The armed fault plan, if any.
+    pub(crate) plan: Option<&'a FaultPlan>,
+    /// The season every day's weather is drawn from.
+    pub(crate) season: Season,
+    /// Weather-realization indices, in run order.
+    pub(crate) days: &'a [u32],
+    /// The period label the row records in its `month` column.
+    pub(crate) period: &'a str,
+}
+
+/// The one day loop behind every sweep: builds, prepares and runs each of
+/// the cell's days through one warm PV solver memo, chains their
+/// [`day_hash`]es and folds their scalars into a [`ShardRow`]. Both
+/// [`run_shard`] and the policy grid ([`crate::grid::PolicyGrid::compute`])
+/// call it; see [`run_shard`] for `profile`.
+pub(crate) fn run_cell(cell: &Cell<'_>, profile: bool) -> Result<ProfiledShard, String> {
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -596,19 +653,18 @@ pub fn run_shard(shard: &Shard, days: u32, profile: bool) -> Result<ProfiledShar
     let mut energy_drawn_wh = 0.0;
     let mut energy_available_wh = 0.0;
 
-    let range = DayRange::new(shard.month, days);
     {
         let _shard_span = prof.scope(schema::PROF_SHARD);
-        for day in range.day_indices() {
+        for &day in cell.days {
             let mut builder = DaySimulation::builder()
-                .site(shard.site.clone())
-                .season(shard.month.anchor())
+                .site(cell.site.clone())
+                .season(cell.season)
                 .day(day)
-                .mix(shard.mix.clone())
-                .policy(shard.policy)
+                .mix(cell.mix.clone())
+                .policy(cell.policy)
                 .telemetry(Telemetry::attached(fold.clone()))
                 .profiler(prof.clone());
-            if let Some(plan) = &shard.plan {
+            if let Some(plan) = cell.plan {
                 builder = builder.fault_plan(plan.clone());
             }
             let sim = builder.build().map_err(|e| e.to_string())?;
@@ -632,14 +688,16 @@ pub fn run_shard(shard: &Shard, days: u32, profile: bool) -> Result<ProfiledShar
     let fold = Rc::try_unwrap(fold)
         .map_err(|_| "telemetry fold still shared after shard".to_owned())?
         .into_inner();
+    let days =
+        u32::try_from(cell.days.len()).map_err(|_| "too many days in one cell".to_owned())?;
     let n = f64::from(days.max(1));
     let row = ShardRow {
-        index: shard.index,
-        site: shard.site.code().to_owned(),
-        month: shard.month.name().to_owned(),
-        mix: shard.mix.name().to_owned(),
-        policy: shard.policy.label().to_owned(),
-        scenario: shard.scenario.clone(),
+        index: cell.index,
+        site: cell.site.code().to_owned(),
+        month: cell.period.to_owned(),
+        mix: cell.mix.name().to_owned(),
+        policy: cell.policy.label().to_owned(),
+        scenario: cell.scenario.to_owned(),
         days,
         digest: h.finish(),
         ptp,
@@ -1241,6 +1299,14 @@ checkpoint_every = 1
             .is_err());
         assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\nmonths = \"Smarch\"\n").is_err());
         assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\ndays_per_month = 0\n").is_err());
+        match CampaignSpec::parse("[campaign]\nname = \"x\"\n\ndays_per_month = 32\n") {
+            Err(CampaignError::Parse { line, reason }) => {
+                assert_eq!(line, 4);
+                assert!(reason.contains("31"), "{reason}");
+            }
+            other => panic!("expected days_per_month error, got {other:?}"),
+        }
+        assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\ndays_per_month = 31\n").is_ok());
         match CampaignSpec::parse("[campaign]\nname = \"x\"\nsites = \"AZ\"\n\nsites = \"CO\"\n") {
             Err(CampaignError::Parse { line, reason }) => {
                 assert_eq!(line, 5);

@@ -6,10 +6,11 @@
 //! helpers give that property teeth: every quantity is folded into an
 //! FNV-1a hash via `f64::to_bits` (so `-0.0` vs `0.0` or a ULP of drift
 //! changes the hash), and `bench/tests/determinism.rs` compares the hashes
-//! across 1-thread, N-thread, and shuffled-input runs.
+//! across 1-thread, N-thread, and reordered-input runs.
 
 use solarcore::engine::DayResult;
 
+use crate::campaign::rows_digest;
 use crate::grid::PolicyGrid;
 
 /// Canonical FNV-1a accumulator over simulation quantities.
@@ -79,30 +80,17 @@ pub fn day_hash(result: &DayResult) -> u64 {
     h.finish()
 }
 
-/// Canonical hash of a computed policy grid: every summary and battery
-/// baseline, field by field, in the grid's canonical order.
+/// Canonical hash of a computed policy grid: its rows' [`rows_digest`],
+/// then every battery baseline, field by field, in the grid's canonical
+/// order.
 pub fn grid_hash(grid: &PolicyGrid) -> u64 {
     let mut h = CanonicalHasher::default();
-    h.u64(grid.summaries.len() as u64);
-    for s in &grid.summaries {
-        h.str(&s.site);
-        h.str(&s.season);
-        h.str(&s.mix);
-        h.str(&s.policy);
-        h.u64(u64::from(s.day));
-        h.f64(s.utilization);
-        h.f64(s.effective_fraction);
-        h.f64(s.ptp);
-        h.f64(s.tracking_error);
-        h.f64(s.energy_drawn_wh);
-        h.f64(s.energy_available_wh);
-    }
+    h.u64(rows_digest(&grid.rows));
     h.u64(grid.battery.len() as u64);
     for b in &grid.battery {
         h.str(&b.site);
         h.str(&b.season);
         h.str(&b.mix);
-        h.u64(u64::from(b.day));
         h.f64(b.upper_ptp);
         h.f64(b.lower_ptp);
     }

@@ -35,7 +35,7 @@ pub struct Fig18 {
 /// Computes the figure from a policy grid.
 pub fn compute(grid: &PolicyGrid) -> Fig18 {
     let mut site_codes: Vec<String> = Vec::new();
-    for s in &grid.summaries {
+    for s in &grid.rows {
         if !site_codes.contains(&s.site) {
             site_codes.push(s.site.clone());
         }

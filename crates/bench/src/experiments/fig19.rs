@@ -33,7 +33,7 @@ pub struct Fig19 {
 pub fn compute(grid: &PolicyGrid) -> Fig19 {
     let mut keys: Vec<(String, String)> = Vec::new();
     for s in grid.for_policy(Policy::MpptOpt) {
-        let key = (s.site.clone(), s.season.clone());
+        let key = (s.site.clone(), s.month.clone());
         if !keys.contains(&key) {
             keys.push(key);
         }
@@ -43,7 +43,7 @@ pub fn compute(grid: &PolicyGrid) -> Fig19 {
         .map(|(site, season)| {
             let vals: Vec<f64> = grid
                 .for_policy(Policy::MpptOpt)
-                .filter(|s| s.site == site && s.season == season)
+                .filter(|s| s.site == site && s.month == season)
                 .map(|s| s.effective_fraction)
                 .collect();
             DurationBar {

@@ -47,9 +47,7 @@ pub fn compute(grid: &PolicyGrid) -> Fig21 {
             .map(|&p| {
                 let vals: Vec<f64> = grid
                     .for_policy(p)
-                    .filter(|s| {
-                        s.site == b.site && s.season == b.season && s.mix == b.mix && s.day == b.day
-                    })
+                    .filter(|s| s.site == b.site && s.month == b.season && s.mix == b.mix)
                     .map(|s| s.ptp / b.lower_ptp)
                     .collect();
                 (p.label().to_string(), solarcore::metrics::mean(&vals))

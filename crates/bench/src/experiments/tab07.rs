@@ -19,8 +19,8 @@ pub struct Tab07 {
     pub rows: Vec<(String, String, Vec<f64>)>,
 }
 
-/// Computes the table from a policy grid (uses the MPPT&Opt runs; multiple
-/// days per cell are combined with the paper's geometric mean).
+/// Computes the table from a policy grid (uses the MPPT&Opt runs; each
+/// cell's rows are combined with the paper's geometric mean).
 pub fn compute(grid: &PolicyGrid) -> Tab07 {
     let mut mixes: Vec<String> = Vec::new();
     for s in grid.for_policy(Policy::MpptOpt) {
@@ -32,16 +32,16 @@ pub fn compute(grid: &PolicyGrid) -> Tab07 {
     for s in grid.for_policy(Policy::MpptOpt) {
         if !rows
             .iter()
-            .any(|(site, season, _)| *site == s.site && *season == s.season)
+            .any(|(site, season, _)| *site == s.site && *season == s.month)
         {
-            rows.push((s.site.clone(), s.season.clone(), Vec::new()));
+            rows.push((s.site.clone(), s.month.clone(), Vec::new()));
         }
     }
     for (site, season, errors) in &mut rows {
         for mix in &mixes {
             let cell: Vec<f64> = grid
                 .for_policy(Policy::MpptOpt)
-                .filter(|s| s.site == *site && s.season == *season && s.mix == *mix)
+                .filter(|s| s.site == *site && s.month == *season && s.mix == *mix)
                 .map(|s| s.tracking_error)
                 .collect();
             errors.push(geometric_mean(&cell));

@@ -26,10 +26,14 @@
 //!
 //! `expt_all` regenerates everything (sharing the policy-grid sweep).
 //!
+//! Every sweep cell — a policy-grid cell on its season's anchor day, or a
+//! campaign shard over a month's days — runs through one day loop in
+//! [`campaign`] and folds into one row type, [`campaign::ShardRow`].
+//!
 //! # Quick start
 //!
-//! The sweeps all start from a [`grid::GridConfig`]; `quick()` is the
-//! reduced grid the tests run:
+//! The figure sweeps all start from a [`grid::GridConfig`]; `quick()` is
+//! the reduced grid the tests run:
 //!
 //! ```
 //! use bench::grid::GridConfig;
@@ -37,7 +41,7 @@
 //! let quick = GridConfig::quick();
 //! let full = GridConfig::default();
 //! assert!(quick.sites.len() < full.sites.len());
-//! assert_eq!(full.days, 1);
+//! assert_eq!(full.seasons.len(), 4); // the paper's four anchor days
 //! ```
 
 #![cfg_attr(test, allow(clippy::float_cmp))] // unit tests assert exact constructed values
@@ -52,5 +56,5 @@ pub mod profile;
 pub mod tdiff;
 pub mod trace_report;
 
-pub use grid::{DaySummary, GridConfig, PolicyGrid};
+pub use grid::{GridConfig, PolicyGrid};
 pub use output::{write_json, TextTable};

@@ -9,8 +9,9 @@
 //! checkpointed row and observing the tampered value survive resume.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use bench::campaign::{run, CampaignSpec, RunOptions};
+use bench::campaign::{run, CampaignSpec, RunOptions, ShardRow};
 use proptest::prelude::*;
 
 /// A four-shard spec with single-shard waves, so every kill point
@@ -30,6 +31,31 @@ checkpoint_every = 1
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+}
+
+/// What the tests read of the uninterrupted run of [`SPEC`]: its rendered
+/// report, its rows and its digest. (A `CampaignOutcome` holds a
+/// `MetricFold`, which is not `Sync`, so it cannot sit in a static.)
+struct Reference {
+    report: String,
+    rows: Vec<ShardRow>,
+    digest: u64,
+}
+
+/// The uninterrupted run of [`SPEC`], computed once per test binary and
+/// shared by every test that compares against it.
+fn reference() -> &'static Reference {
+    static REFERENCE: OnceLock<Reference> = OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let spec = CampaignSpec::parse(SPEC).expect("spec parses");
+        let outcome =
+            run(&spec, &scenarios_dir(), &RunOptions::default()).expect("uninterrupted run");
+        Reference {
+            report: outcome.report_json().render(),
+            digest: outcome.digest(),
+            rows: outcome.rows,
+        }
+    })
 }
 
 /// A checkpoint path unique to this process and `tag` (proptest cases
@@ -52,8 +78,7 @@ proptest! {
     fn killed_and_resumed_campaign_is_byte_identical(k in 1usize..=3) {
         let spec = CampaignSpec::parse(SPEC).expect("spec parses");
         let scenarios = scenarios_dir();
-        let reference = run(&spec, &scenarios, &RunOptions::default())
-            .expect("uninterrupted run");
+        let reference = reference();
 
         let checkpoint = scratch(k);
         let _ = std::fs::remove_file(&checkpoint);
@@ -77,7 +102,7 @@ proptest! {
         prop_assert!(resumed.complete);
         prop_assert_eq!(
             resumed.report_json().render(),
-            reference.report_json().render(),
+            reference.report.clone(),
             "kill@{}+resume diverged from the uninterrupted bytes", k
         );
         prop_assert_eq!(resumed.resumed_from, killed.checkpointed);
@@ -131,7 +156,7 @@ fn tampered_checkpoint_rows_survive_resume_verbatim() {
     .expect("resume runs");
     let _ = std::fs::remove_file(&checkpoint);
 
-    let reference = run(&spec, &scenarios, &RunOptions::default()).expect("clean run");
+    let reference = reference();
     assert_eq!(
         resumed.rows[0].ptp.to_bits(),
         123_456_789.0f64.to_bits(),
@@ -139,7 +164,7 @@ fn tampered_checkpoint_rows_survive_resume_verbatim() {
     );
     assert_ne!(
         resumed.digest(),
-        reference.digest(),
+        reference.digest,
         "tampering must surface in the campaign digest"
     );
     // Only the tampered field differs: every shard at/after the frontier

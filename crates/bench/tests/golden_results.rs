@@ -3,7 +3,7 @@
 //! Two guards:
 //!
 //! 1. *Reproduction*: selected Table 7 tracking-error cells are recomputed
-//!    from scratch through the (now cached/batched) engine and compared
+//!    from scratch through the (now cached) engine and compared
 //!    against the committed JSON within `1e-9`. The solver cache claims
 //!    bitwise transparency, so a pre-cache artifact must still reproduce
 //!    exactly; any drift here means the fast path changed the physics.

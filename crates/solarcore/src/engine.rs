@@ -136,12 +136,12 @@ pub struct DaySimulationBuilder {
 ///
 /// [`DaySimulation::run`] builds one of these internally on every call;
 /// [`DaySimulation::prepare`] + [`DaySimulation::run_prepared`] let callers
-/// amortize it — across the policies of a [`DayBatch`], or across repeated
-/// runs (the cold-vs-warm comparison the benchmark suite measures). Because
-/// the trace is a pure function of `(site, season, day, mix)` and the fault
-/// plan, the MPP column a pure function of the trace and the array, and the
-/// cache bitwise-transparent, a prepared run is bit-identical to a fresh
-/// one; `crates/bench/tests/determinism.rs` asserts exactly that.
+/// amortize it across repeated runs (the cold-vs-warm comparison the
+/// benchmark suite measures). Because the trace is a pure function of
+/// `(site, season, day, mix)` and the fault plan, the MPP column a pure
+/// function of the trace and the array, and the cache bitwise-transparent,
+/// a prepared run is bit-identical to a fresh one;
+/// `crates/bench/tests/determinism.rs` asserts exactly that.
 #[derive(Debug)]
 pub struct SimSetup {
     site_code: &'static str,
@@ -255,7 +255,7 @@ impl DaySimulation {
             if plan.has_irradiance_faults() {
                 // Environmental transients are a property of the day, not
                 // of the control loop: bake them into the trace once so
-                // every policy of a batch sees the same clouded sky.
+                // every run prepared on this setup sees the same clouded sky.
                 trace.scale_irradiance(|minute| plan.irradiance_factor_at(minute));
             }
         }
@@ -813,9 +813,9 @@ impl DaySimulationBuilder {
     /// Attaches a telemetry stream (default: disabled). An enabled handle
     /// makes every run emit the records documented in
     /// [`crate::telemetry::schema`]; instrumentation is bitwise transparent
-    /// — results are identical with the handle attached or not. In a
-    /// [`DayBatch`] the handle is shared by every policy's simulation, so
-    /// one sink receives the whole cell's stream in run order.
+    /// — results are identical with the handle attached or not. Handing
+    /// clones of one handle to several simulations makes one sink receive
+    /// all their streams in run order.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -851,28 +851,6 @@ impl DaySimulationBuilder {
     pub fn degrade(mut self, config: DegradeConfig) -> Self {
         self.degrade = Some(config);
         self
-    }
-
-    /// Builds one simulation per policy, all sharing a single prepared
-    /// [`SimSetup`] (one trace decode, one solver memo), returned as a
-    /// [`DayBatch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if `policies` is empty or the
-    /// controller configuration fails validation.
-    pub fn build_batch(self, policies: &[Policy]) -> Result<DayBatch, CoreError> {
-        let sims = policies
-            .iter()
-            .map(|&policy| self.clone().policy(policy).build())
-            .collect::<Result<Vec<_>, _>>()?;
-        let Some(first) = sims.first() else {
-            return Err(CoreError::InvalidConfig {
-                reason: "a day batch requires at least one policy",
-            });
-        };
-        let setup = first.prepare();
-        Ok(DayBatch { sims, setup })
     }
 
     /// Finalizes the simulation.
@@ -923,45 +901,6 @@ impl DaySimulationBuilder {
             fault_plan: self.fault_plan,
             degrade: self.degrade,
         })
-    }
-}
-
-/// A set of day simulations over the same `(site, season, day, mix)` cell —
-/// typically one per policy — sharing a single prepared [`SimSetup`].
-///
-/// Batching amortizes the per-cell setup (weather-trace synthesis, phase
-/// decode) and lets later simulations hit the solver memo the earlier ones
-/// warmed: the per-minute budget oracle solves the *same* MPP sequence
-/// under every policy. Output is bit-identical to running each simulation
-/// standalone (the determinism tests compare the two paths hash-for-hash).
-#[derive(Debug)]
-pub struct DayBatch {
-    sims: Vec<DaySimulation>,
-    setup: SimSetup,
-}
-
-impl DayBatch {
-    /// The batched simulations, in the policy order given to
-    /// [`DaySimulationBuilder::build_batch`].
-    pub fn simulations(&self) -> &[DaySimulation] {
-        &self.sims
-    }
-
-    /// The shared prepared setup.
-    pub fn setup(&self) -> &SimSetup {
-        &self.setup
-    }
-
-    /// Runs every simulation against the shared setup, in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CoreError`] any run returns.
-    pub fn run_all(&self) -> Result<Vec<DayResult>, CoreError> {
-        self.sims
-            .iter()
-            .map(|sim| sim.run_prepared(&self.setup))
-            .collect()
     }
 }
 
@@ -1341,23 +1280,6 @@ mod tests {
         let a = quick(Policy::MpptRr);
         let b = quick(Policy::MpptRr);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batch_exposes_its_simulations_and_matches_standalone_runs() {
-        let policies = [Policy::MpptOpt, Policy::MpptRr];
-        let batch = DaySimulation::builder()
-            .site(Site::phoenix_az())
-            .season(Season::Jan)
-            .mix(Mix::hm2())
-            .build_batch(&policies)
-            .unwrap();
-        assert_eq!(batch.simulations().len(), policies.len());
-        let results = batch.run_all().unwrap();
-        for (sim, batched) in batch.simulations().iter().zip(&results) {
-            let standalone = sim.run_prepared(batch.setup()).unwrap();
-            assert_eq!(standalone, *batched);
-        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use battery::{BatteryDayResult, BatterySystem, BatteryTier};
 pub use config::ControllerConfig;
 pub use controller::{SolarCoreController, TrackingRig};
 pub use degrade::{DegradationFsm, DegradeConfig, FaultDetector, FsmTransition, ProbeFault};
-pub use engine::{DayBatch, DayResult, DaySimulation, MinuteRecord, SimSetup};
+pub use engine::{DayResult, DaySimulation, MinuteRecord, SimSetup};
 pub use error::CoreError;
 pub use policy::{LoadScheduler, Policy};
 pub use telemetry::{schema, CountingArray, DayInstruments};

@@ -28,10 +28,6 @@ use crate::season::Season;
 use crate::site::Site;
 use crate::trace::EnvTrace;
 
-/// Width of each month's private day-index block. Wider than any plausible
-/// `days_per_month`, so realizations never collide across months.
-const DAY_BLOCK: u32 = 31;
-
 /// One of the twelve civil months, anchored to the paper's four seasons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Month {
@@ -113,7 +109,7 @@ impl Month {
     #[allow(clippy::cast_possible_truncation)]
     pub fn day_base(self) -> u32 {
         // index() ≤ 11, so the product fits comfortably in u32.
-        (self.index() as u32) * DAY_BLOCK
+        (self.index() as u32) * DayRange::MAX_DAYS
     }
 
     /// Parses a month name (`"Jan"` .. `"Dec"`, case-sensitive).
@@ -184,12 +180,16 @@ pub struct DayRange {
 }
 
 impl DayRange {
+    /// Width of each month's private day-index block, and so the longest
+    /// range a month holds: realizations never collide across months.
+    pub const MAX_DAYS: u32 = 31;
+
     /// A range of `days` consecutive realizations in `month`, clamped to
-    /// the month's private block so ranges never bleed into the next month.
+    /// [`Self::MAX_DAYS`] so ranges never bleed into the next month.
     pub fn new(month: Month, days: u32) -> DayRange {
         DayRange {
             month,
-            days: days.min(DAY_BLOCK),
+            days: days.min(Self::MAX_DAYS),
         }
     }
 
@@ -256,8 +256,10 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let block_a: Vec<u32> = DayRange::new(a, DAY_BLOCK).day_indices().collect();
-                let block_b: Vec<u32> = DayRange::new(b, DAY_BLOCK).day_indices().collect();
+                let block_a: Vec<u32> =
+                    DayRange::new(a, DayRange::MAX_DAYS).day_indices().collect();
+                let block_b: Vec<u32> =
+                    DayRange::new(b, DayRange::MAX_DAYS).day_indices().collect();
                 assert!(block_a.iter().all(|d| !block_b.contains(d)));
             }
         }
@@ -294,7 +296,7 @@ mod tests {
     #[test]
     fn ranges_clamp_to_block_width() {
         let r = DayRange::new(Month::Mar, 99);
-        assert_eq!(r.len(), DAY_BLOCK);
+        assert_eq!(r.len(), DayRange::MAX_DAYS);
     }
 
     #[test]
