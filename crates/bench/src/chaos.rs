@@ -144,15 +144,26 @@ struct DetectionTrace {
 
 /// Scans the telemetry stream for `fault_reject` / `degrade_enter`
 /// events. `onset` is the plan's first scheduled fault minute.
+///
+/// # Errors
+///
+/// A line that is not JSON, and a `fault_reject` or `degrade_enter`
+/// record without an integer `minute`, which would otherwise be read as
+/// a trip or a detection at minute 0.
 fn scan_stream(stream: &str, onset: Option<u32>) -> Result<DetectionTrace, Box<dyn Error>> {
     let mut trace = DetectionTrace::default();
-    for line in stream.lines() {
+    for (index, line) in stream.lines().enumerate() {
         let record: Value = serde_json::from_str(line)?;
         let name = record["name"].as_str().unwrap_or_default();
         if name != "fault_reject" && name != "degrade_enter" {
             continue;
         }
-        let minute = record["minute"].as_u64().unwrap_or(0);
+        let minute = record["minute"].as_u64().ok_or_else(|| {
+            format!(
+                "stream line {}: `{name}` record has no integer `minute`: {line}",
+                index + 1
+            )
+        })?;
         if name == "fault_reject" {
             trace.fault_rejects += 1;
         } else {
@@ -277,8 +288,8 @@ pub fn run_campaign(
                     let done = rows.len();
                     let elapsed_secs = watch.elapsed_secs();
                     #[allow(clippy::cast_precision_loss)] // cell counts are tiny
-                    let eta_secs = (done > 0)
-                        .then(|| elapsed_secs / done as f64 * (total - done) as f64);
+                    let eta_secs =
+                        (done > 0).then(|| elapsed_secs / done as f64 * (total - done) as f64);
                     report(&WaveProgress {
                         done,
                         total,
@@ -366,6 +377,27 @@ mod tests {
         let no_onset = scan_stream(stream, None).unwrap();
         assert_eq!(no_onset.false_trips, 2);
         assert_eq!(no_onset.first_detection_at, None);
+    }
+
+    #[test]
+    fn stream_scan_rejects_a_detection_without_its_minute() {
+        for (record, missing) in [
+            ("{\"t\":\"event\",\"name\":\"degrade_enter\",\"seq\":1,\"fields\":{}}", "degrade_enter"),
+            ("{\"t\":\"event\",\"name\":\"fault_reject\",\"minute\":\"7\",\"seq\":1,\"fields\":{}}", "fault_reject"),
+            ("{\"t\":\"event\",\"name\":\"fault_reject\",\"minute\":-3,\"seq\":1,\"fields\":{}}", "fault_reject"),
+        ] {
+            let stream = format!(
+                "{{\"t\":\"event\",\"name\":\"minute\",\"minute\":500,\"seq\":0,\"fields\":{{}}}}\n{record}\n"
+            );
+            for onset in [Some(650), None] {
+                let err = scan_stream(&stream, onset).unwrap_err().to_string();
+                assert!(err.contains("stream line 2"), "{err}");
+                assert!(err.contains(&format!("`{missing}` record has no integer `minute`")), "{err}");
+            }
+        }
+        // A record the scan does not read needs no minute.
+        let other = "{\"t\":\"event\",\"name\":\"day_start\",\"seq\":0,\"fields\":{}}\n";
+        assert_eq!(scan_stream(other, Some(650)).unwrap().fault_rejects, 0);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! The solver does not count its own work. Each probe is one
 //! [`PvGenerator::current_at`] call, so a caller that wants evaluation and
 //! iteration counts passes a counting generator (the engine's
-//! `solarcore::CountingArray`) and reads them there.
+//! `solarcore::PvHandle`) and reads them there. The solver is generic over
+//! the generator, so a concrete one is dispatched statically on every
+//! probe.
 
 use pv::cell::CellEnv;
 use pv::error::PvError;

@@ -19,6 +19,7 @@ use crate::error::PvError;
 use crate::generator::PvGenerator;
 use crate::module::PvModule;
 use crate::mpp::{self, MppPoint};
+use crate::solve::ModuleSolver;
 use crate::units::{Amps, Volts};
 
 /// Environments per block of [`PvArray::mpp_column`]'s work: about 0.1 ms
@@ -191,6 +192,19 @@ impl PvArray {
         });
         column
     }
+
+    /// [`PvGenerator::current_at_counted`] through `solver`, which must be
+    /// resolved for this array's module; the memo passes one it kept from
+    /// an earlier evaluation under the same environment.
+    pub(crate) fn current_with(
+        &self,
+        solver: &ModuleSolver<'_>,
+        voltage: Volts,
+    ) -> Result<(Amps, u32), PvError> {
+        let per_module = voltage / self.modules_series as f64;
+        let (current, iters) = solver.current_at_counted(per_module)?;
+        Ok((current * self.strings_parallel as f64, iters))
+    }
 }
 
 impl PvGenerator for PvArray {
@@ -199,9 +213,7 @@ impl PvGenerator for PvArray {
     }
 
     fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
-        let per_module = voltage / self.modules_series as f64;
-        let (current, iters) = self.module.current_at_counted(env, per_module)?;
-        Ok((current * self.strings_parallel as f64, iters))
+        self.current_with(&self.module.solver(env), voltage)
     }
 
     fn mpp(&self, env: CellEnv) -> MppPoint {

@@ -11,6 +11,8 @@
 // the remaining silent-conversion holes.
 #![deny(clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
+use std::sync::OnceLock;
+
 use crate::cell::{CellEnv, CellParams};
 use crate::datasheet::Datasheet;
 use crate::error::PvError;
@@ -78,15 +80,22 @@ impl PvModule {
     /// The BP3180N 180 W polycrystalline module studied in the paper:
     /// 72 series cells, `Pmax = 180 W`, `Vmp = 36.1 V`, `Imp = 4.98 A`,
     /// `Voc = 44.8 V`, `Isc = 5.4 A`. Parameters are extracted from the
-    /// datasheet via [`Datasheet::fit`].
+    /// datasheet via [`Datasheet::fit`], once per process; every call
+    /// returns a clone of that fit, which is the same bits a fresh fit
+    /// gives.
     #[expect(
         clippy::expect_used,
         reason = "compile-time-constant datasheet, pinned by a unit test"
     )]
     pub fn bp3180n() -> Self {
-        Datasheet::bp3180n()
-            .fit()
-            .expect("BP3180N datasheet parameters are known-good")
+        static FITTED: OnceLock<PvModule> = OnceLock::new();
+        FITTED
+            .get_or_init(|| {
+                Datasheet::bp3180n()
+                    .fit()
+                    .expect("BP3180N datasheet parameters are known-good")
+            })
+            .clone()
     }
 
     /// Human-readable module name.
@@ -230,6 +239,16 @@ mod tests {
             "Imp = {}",
             mpp.current
         );
+    }
+
+    #[test]
+    fn bp3180n_fit_is_reproducible() {
+        let fit = || Datasheet::bp3180n().fit().unwrap();
+        let (first, second) = (fit(), fit());
+        assert_eq!(first, second);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        assert_eq!(PvModule::bp3180n(), first);
+        assert_eq!(format!("{:?}", PvModule::bp3180n()), format!("{first:?}"));
     }
 
     #[test]

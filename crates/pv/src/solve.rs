@@ -34,12 +34,14 @@
 //! iteration path and converges to a ULP-different root, which would break
 //! the bitwise-reproducibility contract (see DESIGN.md §13).
 //!
-//! The memo structure is a fixed-capacity array of 4-way sets with
+//! The memo structure is a fixed-capacity flat array of 4-way sets with
 //! eldest-stamp replacement — no `HashMap` (an iteration-order hazard the
-//! root `clippy.toml` disallows), no unbounded growth, no ambient state.
+//! root `clippy.toml` disallows), no unbounded growth, no ambient state. A
+//! slot whose stamp is 0 is empty; every stored entry has a stamp of at
+//! least 1.
 //!
 //! The operating-point solver drives the memo ~97 times per solve and
-//! ~97% of those lookups hit, so the hit path is kept cheap by three
+//! ~97% of those lookups hit, so the lookup is kept cheap by four
 //! mechanisms that leave the memo's state evolution unchanged — the same
 //! set index, stamp sequence, replacement choice, hit/miss sequence and
 //! returned bits as a full FNV-1a hash and set scan on every call:
@@ -49,15 +51,21 @@
 //!    The cache keeps that state for the last environment it hashed and
 //!    continues it over the 8 voltage bytes; the result is the full-key
 //!    hash, so the set index is the same.
-//! 2. **Last-hit fast path.** Once the bisection interval collapses to
-//!    adjacent floats, the solver re-probes the voltage it just probed.
-//!    The cache remembers `(key, set, way)` of its last hit or store and,
-//!    when the next key is that key and the slot still holds it, ticks the
-//!    stamp and bumps that entry's stamp and the hit count — exactly what
-//!    the scan would do, because a set never holds a key twice (a store
-//!    follows only a miss of the same key).
+//! 2. **Successor links.** Each solve entry records the slot of the lookup
+//!    that followed its last hit or store, and a lookup first tries the
+//!    slot linked from the previous one. It takes that slot only when it
+//!    holds exactly the key: entries live only in their own set and a set
+//!    never holds a key twice (a store follows only a miss of the same
+//!    key), so that is the way the hash and scan would find. A tracker
+//!    re-solving the previous operating point, or a bisection re-probing
+//!    the voltage it just probed, then skips the hash and the scan.
 //! 3. **One hash per miss.** A missed lookup returns its set index and the
 //!    store takes it; both still tick the stamp.
+//! 4. **Resolved coefficients per miss.** The cache keeps the
+//!    [`CellCoeffs`] of the last environment a miss solved under, so a
+//!    miss in the same `(G, T)` skips [`CellCoeffs::resolve`] and the
+//!    `ln` of the cell's `Voc`. The solve is the plain array's code run
+//!    against those coefficients.
 //!
 //! A test-only copy of the old lookup is run against this one on one probe
 //! stream, and the two tables must match entry for entry.
@@ -242,7 +250,7 @@ const WAYS: usize = 4;
 
 /// Sets in the I-V solve memo (capacity = `SOLVE_SETS × WAYS` entries).
 /// Sized to hold the working set of a few simulated minutes of controller
-/// perturbation with room to spare; ~40 B/entry, so ≈160 KiB total.
+/// perturbation with room to spare; 48 B/entry, so 192 KiB total.
 const SOLVE_SETS: usize = 1024;
 
 /// Sets in the per-environment `Voc` memo. A simulated day has 601
@@ -251,18 +259,33 @@ const SOLVE_SETS: usize = 1024;
 /// solve under each `(G, T)` computes its `Voc`.
 const ENV_SETS: usize = 512;
 
-/// One stored I-V solve.
-#[derive(Debug, Clone, Copy)]
+/// One stored I-V solve; a stamp of 0 marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
 struct SolveEntry {
     key: SolveKey,
     /// `to_bits` of the solved current — stored and returned verbatim.
     current_bits: u64,
     /// Replacement stamp (monotonic per cache; eldest way is evicted).
     stamp: u64,
+    /// Slot of the lookup that followed this entry's last hit or store,
+    /// which the next lookup tries first. A store links the entry to
+    /// itself.
+    next: u32,
 }
 
-/// One stored per-environment record.
-#[derive(Debug, Clone, Copy)]
+// The 4-byte link fits in the padding of the 44-byte entry.
+const _: () = assert!(core::mem::size_of::<SolveEntry>() == 48);
+
+impl SolveEntry {
+    /// `true` when the slot is occupied by `key`. The stamp test keeps an
+    /// empty slot from matching the all-zero key of `(+0, +0, +0)`.
+    fn holds(&self, key: SolveKey) -> bool {
+        self.stamp != 0 && self.key == key
+    }
+}
+
+/// One stored per-environment record; a stamp of 0 marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
 struct EnvEntry {
     key: EnvKey,
     /// `to_bits` of the open-circuit voltage.
@@ -299,31 +322,44 @@ fn set_index(hash: u64, sets: usize) -> usize {
     (hash % sets as u64) as usize
 }
 
+/// The slots of set `set` in a flat table of `WAYS`-way sets.
+fn ways(set: usize) -> core::ops::Range<usize> {
+    set * WAYS..(set + 1) * WAYS
+}
+
 /// Mutable interior of an [`ArrayCache`].
 #[derive(Debug)]
 struct CacheState {
-    solves: Vec<[Option<SolveEntry>; WAYS]>,
-    envs: Vec<[Option<EnvEntry>; WAYS]>,
+    /// `SOLVE_SETS` sets of `WAYS` slots, set `s` at [`ways`]`(s)`.
+    solves: Vec<SolveEntry>,
+    /// `ENV_SETS` sets of `WAYS` slots, laid out like `solves`.
+    envs: Vec<EnvEntry>,
     stamp: u64,
     hits: u64,
     misses: u64,
     /// The environment key last hashed and its FNV-1a state, `fnv(&[g, t])`:
     /// both memos' set indices continue from it.
     env_hash: (EnvKey, u64),
-    /// `(key, set, way)` of the last solve hit or store.
-    last_solve: Option<(SolveKey, usize, usize)>,
+    /// Slot of the last solve hit or store: the next lookup tries the slot
+    /// it links to, then links it to the slot that lookup lands on. Slot 0
+    /// before the first, whose link is harmless to follow or write.
+    last: usize,
+    /// The environment of the last missed solve, its resolved coefficients
+    /// and per-cell `Voc`.
+    resolved: Option<(EnvKey, CellCoeffs, Volts)>,
 }
 
 impl CacheState {
     fn new() -> Self {
         Self {
-            solves: vec![[None; WAYS]; SOLVE_SETS],
-            envs: vec![[None; WAYS]; ENV_SETS],
+            solves: vec![SolveEntry::default(); SOLVE_SETS * WAYS],
+            envs: vec![EnvEntry::default(); ENV_SETS * WAYS],
             stamp: 0,
             hits: 0,
             misses: 0,
             env_hash: ((0, 0), fnv(&[0, 0])),
-            last_solve: None,
+            last: 0,
+            resolved: None,
         }
     }
 
@@ -340,33 +376,40 @@ impl CacheState {
         self.env_hash.1
     }
 
+    /// Makes `slot` the successor of the last hit or store, and the new
+    /// last.
+    #[allow(clippy::cast_possible_truncation)] // slots < SOLVE_SETS × WAYS
+    fn link(&mut self, slot: usize) {
+        self.solves[self.last].next = slot as u32;
+        self.last = slot;
+    }
+
     /// Looks up one solve. A hit returns the stored current bits; a miss
     /// returns the key's set index for [`Self::store_solve`].
     fn lookup_solve(&mut self, key: SolveKey) -> Result<u64, usize> {
         let stamp = self.tick();
-        let set = match self.last_solve {
-            Some((last, set, way)) if last == key => {
-                // A repeat of the last hit or store. Keys are unique within
-                // a set (a store follows only a miss), so if the slot still
-                // holds the key it is the way the scan would find.
-                if let Some(entry) = self.solves[set][way].as_mut().filter(|e| e.key == key) {
-                    entry.stamp = stamp;
-                    self.hits += 1;
-                    return Ok(entry.current_bits);
-                }
-                set
-            }
-            _ => set_index(
-                fnv_from(self.hash_env((key.0, key.1)), &[key.2]),
-                SOLVE_SETS,
-            ),
-        };
-        for (way, slot) in self.solves[set].iter_mut().enumerate() {
-            if let Some(entry) = slot.as_mut().filter(|e| e.key == key) {
+        // The linked successor, if it holds the key, is the way the scan
+        // below would find: a key lives only in its own set, once.
+        let predicted = self.solves[self.last].next as usize;
+        let entry = &mut self.solves[predicted];
+        if entry.holds(key) {
+            entry.stamp = stamp;
+            self.hits += 1;
+            self.last = predicted;
+            return Ok(entry.current_bits);
+        }
+        let set = set_index(
+            fnv_from(self.hash_env((key.0, key.1)), &[key.2]),
+            SOLVE_SETS,
+        );
+        for slot in ways(set) {
+            let entry = &mut self.solves[slot];
+            if entry.holds(key) {
                 entry.stamp = stamp;
+                let bits = entry.current_bits;
                 self.hits += 1;
-                self.last_solve = Some((key, set, way));
-                return Ok(entry.current_bits);
+                self.link(slot);
+                return Ok(bits);
             }
         }
         self.misses += 1;
@@ -375,25 +418,44 @@ impl CacheState {
 
     /// Stores a solved current into `set`, the index a missed
     /// [`Self::lookup_solve`] of `key` returned.
+    #[allow(clippy::cast_possible_truncation)] // slots < SOLVE_SETS × WAYS
     fn store_solve(&mut self, set: usize, key: SolveKey, current_bits: u64) {
         let stamp = self.tick();
-        let entry = SolveEntry {
+        let slots = ways(set);
+        let slot = slots.start + eldest_way(self.solves[slots].iter().map(|e| e.stamp));
+        self.solves[slot] = SolveEntry {
             key,
             current_bits,
             stamp,
+            next: slot as u32,
         };
-        let ways = &mut self.solves[set];
-        let way = eldest_way(ways.iter().map(|w| w.as_ref().map(|e| e.stamp)));
-        ways[way] = Some(entry);
-        self.last_solve = Some((key, set, way));
+        self.link(slot);
+    }
+
+    /// A solver for `env` on `module`, reusing the coefficients resolved
+    /// for the last missed environment when `env` is that one.
+    fn solver<'m>(&mut self, module: &'m PvModule, env: CellEnv, key: EnvKey) -> ModuleSolver<'m> {
+        if let Some((resolved, coeffs, voc_cell)) = self.resolved {
+            if resolved == key {
+                return ModuleSolver {
+                    module,
+                    env,
+                    coeffs,
+                    voc_cell,
+                };
+            }
+        }
+        let solver = ModuleSolver::new(module, env);
+        self.resolved = Some((key, solver.coeffs, solver.voc_cell));
+        solver
     }
 
     /// Looks up the stored `Voc` bits of one environment.
     fn lookup_env(&mut self, key: EnvKey) -> Option<u64> {
-        let idx = set_index(self.hash_env(key), ENV_SETS);
+        let set = set_index(self.hash_env(key), ENV_SETS);
         let stamp = self.tick();
-        for entry in self.envs[idx].iter_mut().flatten() {
-            if entry.key == key {
+        for entry in &mut self.envs[ways(set)] {
+            if entry.stamp != 0 && entry.key == key {
                 entry.stamp = stamp;
                 return Some(entry.voc_bits);
             }
@@ -403,32 +465,28 @@ impl CacheState {
 
     /// Stores the `Voc` bits of an environment [`Self::lookup_env`] missed.
     fn store_env(&mut self, key: EnvKey, voc_bits: u64) {
-        let idx = set_index(self.hash_env(key), ENV_SETS);
+        let slots = ways(set_index(self.hash_env(key), ENV_SETS));
         let stamp = self.tick();
-        let set = &mut self.envs[idx];
-        let slot = eldest_way(set.iter().map(|w| w.as_ref().map(|e| e.stamp)));
-        set[slot] = Some(EnvEntry {
+        let slot = slots.start + eldest_way(self.envs[slots].iter().map(|e| e.stamp));
+        self.envs[slot] = EnvEntry {
             key,
             voc_bits,
             stamp,
-        });
+        };
     }
 }
 
-/// Picks the replacement way: the first empty slot, else the eldest stamp.
-/// Purely a function of cache history — no randomness, no ambient state —
-/// so replacement (and therefore every hit/miss sequence) is deterministic.
-fn eldest_way(stamps: impl Iterator<Item = Option<u64>>) -> usize {
+/// Picks the replacement way: the first empty slot (stamp 0), else the
+/// eldest stamp. Purely a function of cache history — no randomness, no
+/// ambient state — so replacement (and therefore every hit/miss sequence)
+/// is deterministic.
+fn eldest_way(stamps: impl Iterator<Item = u64>) -> usize {
     let mut slot = 0;
     let mut eldest = u64::MAX;
     for (i, stamp) in stamps.enumerate() {
-        match stamp {
-            None => return i,
-            Some(s) if s < eldest => {
-                eldest = s;
-                slot = i;
-            }
-            Some(_) => {}
+        if stamp < eldest {
+            eldest = stamp;
+            slot = i;
         }
     }
     slot
@@ -450,6 +508,8 @@ pub struct CacheStats {
 /// [`PvGenerator`]; consequently single-threaded by construction, which
 /// matches how the engine uses it — one cache per day-simulation run, each
 /// run confined to one worker thread of the deterministic `parallel_map`.
+/// Its entries, and the coefficients it keeps for misses, hold only for
+/// the module of the array they were solved on.
 #[derive(Debug)]
 pub struct ArrayCache {
     state: RefCell<CacheState>,
@@ -481,9 +541,9 @@ impl ArrayCache {
 
 /// A [`PvArray`] view that consults an [`ArrayCache`] before solving.
 ///
-/// Every miss delegates to the *plain* [`PvArray`] implementation and
-/// stores the returned bits; every hit replays stored bits verbatim. The
-/// wrapper therefore cannot produce a value the uncached array would not —
+/// Every miss runs the *plain* [`PvArray`] evaluation and stores the
+/// returned bits; every hit replays stored bits verbatim. The wrapper
+/// therefore cannot produce a value the uncached array would not —
 /// bit-transparency is structural, not numerical, and the differential
 /// tests in `crates/pv/tests/cache_transparency.rs` verify it end to end.
 #[derive(Debug)]
@@ -514,15 +574,12 @@ impl<'a> CachedArray<'a> {
 impl PvGenerator for CachedArray<'_> {
     fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
         let key = Self::env_key(env);
-        let cached = self.cache.state.borrow_mut().lookup_env(key);
-        if let Some(bits) = cached {
+        let mut state = self.cache.state.borrow_mut();
+        if let Some(bits) = state.lookup_env(key) {
             return Volts::new(f64::from_bits(bits));
         }
         let voc = self.array.open_circuit_voltage(env);
-        self.cache
-            .state
-            .borrow_mut()
-            .store_env(key, voc.get().to_bits());
+        state.store_env(key, voc.get().to_bits());
         voc
     }
 
@@ -531,19 +588,18 @@ impl PvGenerator for CachedArray<'_> {
             // Error paths are not memoized; delegate for the exact error.
             return self.array.current_at_counted(env, voltage);
         }
-        let (g, t) = Self::env_key(env);
-        let key = (g, t, voltage.get().to_bits());
-        let set = match self.cache.state.borrow_mut().lookup_solve(key) {
+        let env_key = Self::env_key(env);
+        let key = (env_key.0, env_key.1, voltage.get().to_bits());
+        let mut state = self.cache.state.borrow_mut();
+        let set = match state.lookup_solve(key) {
             // A replayed memo entry costs zero solver iterations — exactly
             // what the telemetry histogram should show for a warm cache.
             Ok(bits) => return Ok((Amps::new(f64::from_bits(bits)), 0)),
             Err(set) => set,
         };
-        let (current, iters) = self.array.current_at_counted(env, voltage)?;
-        self.cache
-            .state
-            .borrow_mut()
-            .store_solve(set, key, current.get().to_bits());
+        let solver = state.solver(self.array.module(), env, env_key);
+        let (current, iters) = self.array.current_with(&solver, voltage)?;
+        state.store_solve(set, key, current.get().to_bits());
         Ok((current, iters))
     }
 
@@ -790,14 +846,47 @@ mod tests {
 
     #[test]
     fn eldest_way_prefers_empty_then_oldest() {
-        assert_eq!(eldest_way([None, None].into_iter()), 0);
-        assert_eq!(eldest_way([Some(5), None].into_iter()), 1);
-        assert_eq!(eldest_way([Some(5), Some(2), Some(9)].into_iter()), 1);
+        use super::eldest_way;
+        assert_eq!(eldest_way([0, 0].into_iter()), 0);
+        assert_eq!(eldest_way([5, 0].into_iter()), 1);
+        assert_eq!(eldest_way([5, 2, 9].into_iter()), 1);
     }
 
-    /// The memo as it was before the prefix hash, the last-hit fast path
-    /// and the single hash per miss: a full 24-byte FNV-1a per call and a
-    /// set scan on every lookup.
+    /// The memo's entries and replacement rule as the reference model
+    /// stores them: a slot is `None` when empty.
+    #[derive(Clone, Copy)]
+    struct SolveEntry {
+        key: SolveKey,
+        current_bits: u64,
+        stamp: u64,
+    }
+
+    #[derive(Clone, Copy)]
+    struct EnvEntry {
+        key: EnvKey,
+        voc_bits: u64,
+        stamp: u64,
+    }
+
+    fn eldest_way(stamps: impl Iterator<Item = Option<u64>>) -> usize {
+        let mut slot = 0;
+        let mut eldest = u64::MAX;
+        for (i, stamp) in stamps.enumerate() {
+            match stamp {
+                None => return i,
+                Some(s) if s < eldest => {
+                    eldest = s;
+                    slot = i;
+                }
+                Some(_) => {}
+            }
+        }
+        slot
+    }
+
+    /// The memo as it was before the prefix hash, the fast paths, the
+    /// single hash per miss and the flat layout: a full 24-byte FNV-1a per
+    /// call and a set scan on every lookup.
     struct ReferenceMemo {
         solves: Vec<[Option<SolveEntry>; WAYS]>,
         envs: Vec<[Option<EnvEntry>; WAYS]>,
@@ -935,6 +1024,23 @@ mod tests {
             got.get()
         }
 
+        /// A non-finite probe returns the plain array's error and leaves the
+        /// memo, its stamp and links included, untouched.
+        fn non_finite(&mut self, e: CellEnv) {
+            let snapshot = |cache: &ArrayCache| {
+                let state = cache.state.borrow();
+                (state.stamp, state.hits, state.misses, state.last)
+            };
+            let before = snapshot(self.cache);
+            let nan = Volts::new(f64::NAN);
+            let got = CachedArray::new(self.array, self.cache).current_at(e, nan);
+            let want = self.array.current_at(e, nan);
+            assert!(got.is_err(), "non-finite probe of call {}", self.calls);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(snapshot(self.cache), before);
+            self.calls += 1;
+        }
+
         /// An MPP query passes through to the array and leaves the memo,
         /// its stamp included, untouched.
         fn mpp(&mut self, e: CellEnv) {
@@ -1019,6 +1125,64 @@ mod tests {
             run.solve(sunny, rivals[0]);
         }
 
+        // Successor links: `linked` is the key in the slot the next lookup
+        // tries first, and `key` a probe's memo key.
+        let linked = || {
+            let state = cache.state.borrow();
+            let entry = state.solves[state.solves[state.last].next as usize];
+            (entry.stamp != 0).then_some(entry.key)
+        };
+        let key = |e: CellEnv, v: Volts| {
+            let (g, t) = CachedArray::env_key(e);
+            (g, t, v.get().to_bits())
+        };
+
+        // The same solve twice in a row: a store links its entry to itself.
+        let fresh = Volts::new(27.125);
+        run.solve(sunny, fresh);
+        assert_eq!(linked(), Some(key(sunny, fresh)));
+        run.solve(sunny, fresh);
+        run.solve(sunny, fresh);
+
+        // The linked slot is evicted and refilled by another key of its set
+        // between two linked probes: the next probe must not take it.
+        let anchor = Volts::new(25.5);
+        run.solve(sunny, anchor);
+        run.solve(sunny, victim);
+        run.solve(sunny, anchor);
+        assert_eq!(linked(), Some(key(sunny, victim)));
+        for &v in &rivals {
+            run.solve(sunny, v);
+        }
+        run.solve(sunny, anchor);
+        let refill = linked();
+        assert!(rivals.iter().any(|&v| refill == Some(key(sunny, v))));
+        run.solve(sunny, victim);
+
+        // A non-finite probe between two linked probes leaves the link.
+        run.solve(sunny, anchor);
+        assert_eq!(linked(), Some(key(sunny, victim)));
+        run.non_finite(sunny);
+        assert_eq!(linked(), Some(key(sunny, victim)));
+        run.solve(sunny, victim);
+
+        // An environment switch mid-chain: the linked slot holds the same
+        // voltage under the old environment, and the miss re-resolves the
+        // coefficients of each environment in turn.
+        let chain = [24.1, 24.3, 24.7].map(Volts::new);
+        for v in chain {
+            run.solve(sunny, v);
+        }
+        run.solve(sunny, chain[0]);
+        assert_eq!(linked(), Some(key(sunny, chain[1])));
+        let misses = cache.stats().misses;
+        run.solve(hazy, chain[1]);
+        assert_eq!(cache.stats().misses, misses + 1);
+        run.solve(sunny, chain[2]);
+        run.solve(sunny, Volts::new(24.9));
+        run.solve(hazy, Volts::new(24.9));
+        assert_eq!(cache.stats().misses, misses + 3);
+
         let stats = cache.stats();
         assert_eq!(
             stats,
@@ -1030,19 +1194,31 @@ mod tests {
         assert!(stats.hits > 0 && stats.misses > 0);
         let state = cache.state.borrow();
         assert_eq!(state.stamp, run.memo.stamp);
-        let solves = |sets: &[[Option<SolveEntry>; WAYS]]| -> Vec<Option<(SolveKey, u64, u64)>> {
-            sets.iter()
-                .flatten()
-                .map(|w| w.map(|e| (e.key, e.current_bits, e.stamp)))
-                .collect()
-        };
-        assert!(solves(&state.solves) == solves(&run.memo.solves));
-        let envs = |sets: &[[Option<EnvEntry>; WAYS]]| -> Vec<Option<(EnvKey, u64, u64)>> {
-            sets.iter()
-                .flatten()
-                .map(|w| w.map(|e| (e.key, e.voc_bits, e.stamp)))
-                .collect()
-        };
-        assert!(envs(&state.envs) == envs(&run.memo.envs));
+        let solves: Vec<_> = state
+            .solves
+            .iter()
+            .map(|e| (e.stamp != 0).then_some((e.key, e.current_bits, e.stamp)))
+            .collect();
+        let want: Vec<_> = run
+            .memo
+            .solves
+            .iter()
+            .flatten()
+            .map(|w| w.map(|e| (e.key, e.current_bits, e.stamp)))
+            .collect();
+        assert!(solves == want);
+        let envs: Vec<_> = state
+            .envs
+            .iter()
+            .map(|e| (e.stamp != 0).then_some((e.key, e.voc_bits, e.stamp)))
+            .collect();
+        let want: Vec<_> = run
+            .memo
+            .envs
+            .iter()
+            .flatten()
+            .map(|w| w.map(|e| (e.key, e.voc_bits, e.stamp)))
+            .collect();
+        assert!(envs == want);
     }
 }

@@ -43,9 +43,13 @@ const STALL_LIMIT: u32 = 2;
 const RESTORE_CAP: u32 = 128;
 
 /// Everything one tracking invocation needs to touch.
-pub struct TrackingRig<'a> {
+///
+/// The PV source is a type parameter so that the engine's concrete handle
+/// is dispatched statically through every solve of a track; it defaults to
+/// a trait object.
+pub struct TrackingRig<'a, G: PvGenerator + ?Sized = dyn PvGenerator + 'a> {
     /// The PV source.
-    pub array: &'a dyn PvGenerator,
+    pub array: &'a G,
     /// Atmospheric conditions during this invocation.
     pub env: CellEnv,
     /// The true maximum power point under `env` (the budget oracle), whose
@@ -173,7 +177,7 @@ impl SolarCoreController {
     /// [`solve`](Self::solve), including those inside tracking and armed
     /// health probes, failed ones too. The PV evaluations inside them are
     /// counted by whatever generator the caller passes (the engine's
-    /// [`CountingArray`](crate::CountingArray)).
+    /// [`PvHandle`](crate::PvHandle)).
     pub fn solves(&self) -> u64 {
         self.solves
     }
@@ -181,9 +185,9 @@ impl SolarCoreController {
     /// Solves the electrical operating point and passes the output-side
     /// readings through the I/V sensor — what the controller actually
     /// "sees" when making tuning decisions.
-    fn observe(
+    fn observe<G: PvGenerator + ?Sized>(
         &mut self,
-        array: &dyn PvGenerator,
+        array: &G,
         env: CellEnv,
         converter: &DcDcConverter,
         chip: &MultiCoreChip,
@@ -220,9 +224,9 @@ impl SolarCoreController {
     /// # Errors
     ///
     /// Propagates a failed operating-point solve as [`CoreError::Power`].
-    pub fn health_probe(
+    pub fn health_probe<G: PvGenerator + ?Sized>(
         &mut self,
-        array: &dyn PvGenerator,
+        array: &G,
         env: CellEnv,
         converter: &DcDcConverter,
         chip: &MultiCoreChip,
@@ -247,9 +251,9 @@ impl SolarCoreController {
     ///
     /// Returns [`CoreError::Power`] when the PV generator fails to evaluate
     /// a probe of the solve.
-    pub fn solve(
+    pub fn solve<G: PvGenerator + ?Sized>(
         &mut self,
-        array: &dyn PvGenerator,
+        array: &G,
         env: CellEnv,
         converter: &DcDcConverter,
         chip: &MultiCoreChip,
@@ -280,7 +284,10 @@ impl SolarCoreController {
     /// inconsistencies) and from failed operating-point solves; physically
     /// impossible operating points trip the [`invariants`] sanitizer
     /// instead.
-    pub fn track(&mut self, rig: &mut TrackingRig<'_>) -> Result<TrackReport, CoreError> {
+    pub fn track<G: PvGenerator + ?Sized>(
+        &mut self,
+        rig: &mut TrackingRig<'_, G>,
+    ) -> Result<TrackReport, CoreError> {
         let mut report = TrackReport::default();
 
         // Step 1: restore the nominal operating voltage.
@@ -371,7 +378,10 @@ impl SolarCoreController {
     /// We discriminate perturb-and-observe style: try `−Δk`; if the bus
     /// voltage improves, keep walking `k` down, otherwise undo and shed
     /// load.
-    fn restore_vdd(&mut self, rig: &mut TrackingRig<'_>) -> Result<u32, CoreError> {
+    fn restore_vdd<G: PvGenerator + ?Sized>(
+        &mut self,
+        rig: &mut TrackingRig<'_, G>,
+    ) -> Result<u32, CoreError> {
         let vdd = self.config.nominal_bus_voltage.get();
         let tol = self.config.voltage_tolerance;
         let mut actions = 0;
@@ -419,7 +429,10 @@ impl SolarCoreController {
     }
 
     /// Step 3: increase load until the bus voltage falls back to Vdd.
-    fn match_down_to_vdd(&mut self, rig: &mut TrackingRig<'_>) -> Result<u32, CoreError> {
+    fn match_down_to_vdd<G: PvGenerator + ?Sized>(
+        &mut self,
+        rig: &mut TrackingRig<'_, G>,
+    ) -> Result<u32, CoreError> {
         let vdd = self.config.nominal_bus_voltage.get();
         let tol = self.config.voltage_tolerance;
         let mut actions = 0;
@@ -438,7 +451,10 @@ impl SolarCoreController {
     }
 
     /// Post-margin safety: never leave the bus below nominal.
-    fn lift_sagging_bus(&mut self, rig: &mut TrackingRig<'_>) -> Result<u32, CoreError> {
+    fn lift_sagging_bus<G: PvGenerator + ?Sized>(
+        &mut self,
+        rig: &mut TrackingRig<'_, G>,
+    ) -> Result<u32, CoreError> {
         let vdd = self.config.nominal_bus_voltage.get();
         let tol = self.config.voltage_tolerance;
         let mut actions = 0;
@@ -745,6 +761,59 @@ mod tests {
         let mpp = array.mpp(env).power.get();
         // Coarser steps: looser bound than per-core tracking.
         assert!(report.final_output_power > 0.6 * mpp);
+    }
+
+    /// A track dispatched statically over a concrete memo and one over a
+    /// trait object give the same bits, and drive their memos alike.
+    #[test]
+    fn concrete_and_dyn_generators_track_identically() {
+        let run = |dynamic: bool| {
+            let mut controller = SolarCoreController::default();
+            let (array, mut converter, mut chip, mut tuner) = rig_parts(Mix::hm2());
+            let cache = pv::ArrayCache::new();
+            let cached = pv::CachedArray::new(&array, &cache);
+            let mut reports = Vec::new();
+            for g in [820.0, 410.0, 820.0] {
+                let (env, mpp) = (env(g), array.mpp(env(g)));
+                let report = if dynamic {
+                    let array: &dyn PvGenerator = &cached;
+                    controller.track(&mut TrackingRig {
+                        array,
+                        env,
+                        mpp,
+                        converter: &mut converter,
+                        chip: &mut chip,
+                        tuner: &mut tuner,
+                    })
+                } else {
+                    controller.track(&mut TrackingRig::<pv::CachedArray<'_>> {
+                        array: &cached,
+                        env,
+                        mpp,
+                        converter: &mut converter,
+                        chip: &mut chip,
+                        tuner: &mut tuner,
+                    })
+                };
+                let report = report.unwrap();
+                reports.push([
+                    u64::from(report.rounds),
+                    u64::from(report.actions),
+                    u64::from(report.reversals),
+                    report.final_output_power.to_bits(),
+                    report.final_ratio.to_bits(),
+                ]);
+            }
+            (
+                reports,
+                cache.stats(),
+                controller.solves(),
+                chip.vf_digest(),
+            )
+        };
+        let concrete = run(false);
+        assert_eq!(concrete, run(true));
+        assert!(concrete.1.hits > 0 && concrete.1.misses > 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::error::CoreError;
 use crate::invariants;
 use crate::metrics;
 use crate::policy::Policy;
-use crate::telemetry::{schema, CountingArray, DayInstruments};
+use crate::telemetry::{schema, DayInstruments, PvHandle};
 use crate::tpr;
 
 /// Seed-mixing constant so phase traces differ from weather traces.
@@ -322,31 +322,21 @@ impl DaySimulation {
         let trace = &setup.trace;
         let phases = &setup.phases;
 
-        // All PV solves go through one generator handle; with the solver
-        // cache enabled that handle memoizes exact-key solves (bitwise
-        // transparent — every miss delegates to the plain array). The
-        // minute's budget oracle comes from the setup's MPP column.
-        let cached = pv::CachedArray::new(&self.array, &setup.cache);
-        let array: &dyn PvGenerator = if self.solver_cache {
-            &cached
-        } else {
-            &self.array
-        };
-
-        // When a telemetry stream is attached, observe the PV access path
-        // through a counting wrapper, the one tally of PV work (the
-        // controller counts its own solves). The wrapper is bitwise
-        // transparent: the disabled path and the instrumented path compute
-        // identical results (asserted by the determinism harness).
+        // All PV solves go through one concrete handle. With the solver
+        // cache enabled it memoizes exact-key solves (bitwise transparent:
+        // every miss runs the plain array's code). With a telemetry stream
+        // attached it tallies every evaluation, the one tally of PV work
+        // (the controller counts its own solves); the disabled and the
+        // instrumented path compute identical results (asserted by the
+        // determinism harness). The minute's budget oracle comes from the
+        // setup's MPP column.
         let tel = &self.telemetry;
         let instruments = DayInstruments::new();
-        let counting;
-        let array: &dyn PvGenerator = if tel.is_enabled() {
-            counting = CountingArray::new(array, &instruments);
-            &counting
-        } else {
-            array
-        };
+        let array = PvHandle::new(
+            &self.array,
+            self.solver_cache.then_some(&setup.cache),
+            tel.is_enabled().then_some(&instruments),
+        );
 
         // Chaos seams. An armed fault plan routes the controller's sensing
         // through an injecting wrapper and (like an explicit `degrade`
@@ -503,7 +493,7 @@ impl DaySimulation {
                         let mut probe_clean = false;
                         let mut degraded = false;
                         if let Some(fsm) = fsm.as_mut() {
-                            let fault = controller.health_probe(array, env, &converter, &chip)?;
+                            let fault = controller.health_probe(&array, env, &converter, &chip)?;
                             probe_clean = fault.is_none();
                             if let Some(fault) = fault {
                                 if tel.is_enabled() {
@@ -578,7 +568,7 @@ impl DaySimulation {
                             (chip.total_power().min(fallback), vdd)
                         } else {
                             let forced = force_track;
-                            let op = controller.solve(array, env, &converter, &chip)?;
+                            let op = controller.solve(&array, env, &converter, &chip)?;
                             if force_track
                                 || t % self.config.tracking_interval_minutes as usize == 0
                                 || controller.needs_retrack(&op)
@@ -586,7 +576,7 @@ impl DaySimulation {
                                 let report = {
                                     let _prof_track = prof.scope(schema::PROF_MPPT_TRACK);
                                     controller.track(&mut TrackingRig {
-                                        array,
+                                        array: &array,
                                         env,
                                         mpp: *mpp,
                                         converter: &mut converter,

@@ -77,5 +77,5 @@ pub use degrade::{DegradationFsm, DegradeConfig, FaultDetector, FsmTransition, P
 pub use engine::{DayResult, DaySimulation, MinuteRecord, SimSetup};
 pub use error::CoreError;
 pub use policy::{LoadScheduler, Policy};
-pub use telemetry::{schema, CountingArray, DayInstruments};
+pub use telemetry::{schema, DayInstruments, PvHandle};
 pub use tpr::{tpr_table, TprEntry};

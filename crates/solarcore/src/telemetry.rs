@@ -38,6 +38,7 @@ use pv::error::PvError;
 use pv::generator::PvGenerator;
 use pv::mpp::MppPoint;
 use pv::units::{Amps, Volts};
+use pv::{ArrayCache, CachedArray, PvArray};
 use telemetry::{Counter, Histogram};
 
 /// Schema-stable record and field names. See the [module docs](self) for
@@ -320,43 +321,68 @@ impl DayInstruments {
     }
 }
 
-/// Pass-through [`PvGenerator`] wrapper that feeds [`DayInstruments`]:
-/// every I-V evaluation records its Newton-iteration count (0 for
-/// solver-cache hits); MPP queries are counted. It is the only observer of
-/// PV work: evaluation counts and iteration totals are read off the
-/// `newton_iters` histogram. Every call delegates to the inner generator's
-/// one evaluation method, so wrapping changes what is *observed*, never
+/// The engine's one PV access path for a day: the array, its memo when
+/// the solver cache is on, and the evaluation tally when telemetry is
+/// attached.
+///
+/// A concrete type, so the controller's solves dispatch to it statically.
+/// Each evaluation runs through the memo ([`CachedArray`]) or the plain
+/// array. The tally records its Newton-iteration count (0 for memo hits)
+/// into [`DayInstruments`] and counts MPP queries. It is the only observer
+/// of PV work: evaluation counts and iteration totals are read off the
+/// `newton_iters` histogram. The tally changes what is *observed*, never
 /// what is *computed*.
-pub struct CountingArray<'a> {
-    inner: &'a dyn PvGenerator,
-    instruments: &'a DayInstruments,
+#[derive(Debug)]
+pub struct PvHandle<'a> {
+    array: &'a PvArray,
+    memo: Option<CachedArray<'a>>,
+    tally: Option<&'a DayInstruments>,
 }
 
-impl<'a> CountingArray<'a> {
-    /// Wraps `inner`, tallying into `instruments`.
-    pub fn new(inner: &'a dyn PvGenerator, instruments: &'a DayInstruments) -> Self {
-        Self { inner, instruments }
+impl<'a> PvHandle<'a> {
+    /// A handle on `array`, memoized through `cache` and tallied into
+    /// `instruments` when they are given.
+    pub fn new(
+        array: &'a PvArray,
+        cache: Option<&'a ArrayCache>,
+        instruments: Option<&'a DayInstruments>,
+    ) -> Self {
+        Self {
+            array,
+            memo: cache.map(|cache| CachedArray::new(array, cache)),
+            tally: instruments,
+        }
     }
 }
 
-impl PvGenerator for CountingArray<'_> {
+impl PvGenerator for PvHandle<'_> {
     fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
-        self.inner.open_circuit_voltage(env)
+        match &self.memo {
+            Some(memo) => memo.open_circuit_voltage(env),
+            None => self.array.open_circuit_voltage(env),
+        }
     }
 
     fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
-        let (current, iters) = self.inner.current_at_counted(env, voltage)?;
-        if iters == 0 {
-            self.instruments.note_zero_eval();
-        } else {
-            self.instruments.newton_iters.record(u64::from(iters));
+        let (current, iters) = match &self.memo {
+            Some(memo) => memo.current_at_counted(env, voltage)?,
+            None => self.array.current_at_counted(env, voltage)?,
+        };
+        if let Some(instruments) = self.tally {
+            if iters == 0 {
+                instruments.note_zero_eval();
+            } else {
+                instruments.newton_iters.record(u64::from(iters));
+            }
         }
         Ok((current, iters))
     }
 
     fn mpp(&self, env: CellEnv) -> MppPoint {
-        self.instruments.mpp_queries.incr();
-        self.inner.mpp(env)
+        if let Some(instruments) = self.tally {
+            instruments.mpp_queries.incr();
+        }
+        self.array.mpp(env)
     }
 }
 
@@ -365,13 +391,12 @@ mod tests {
     use super::*;
     use powertrain::{solve_operating_point, DcDcConverter, LoadModel};
     use pv::units::{Celsius, Irradiance, Ohms};
-    use pv::PvArray;
 
     #[test]
-    fn counting_array_is_bit_transparent_and_tallies() {
+    fn pv_handle_is_bit_transparent_and_tallies() {
         let array = PvArray::solarcore_default();
         let instruments = DayInstruments::new();
-        let counting = CountingArray::new(&array, &instruments);
+        let counting = PvHandle::new(&array, None, Some(&instruments));
         let env = CellEnv::new(Irradiance::new(800.0), Celsius::new(30.0));
         let v = Volts::new(33.0);
 
@@ -392,7 +417,7 @@ mod tests {
         // finish evaluation, each costing at least one Newton iteration,
         // and the same bits as the unobserved solve.
         let instruments = DayInstruments::new();
-        let counting = CountingArray::new(&array, &instruments);
+        let counting = PvHandle::new(&array, None, Some(&instruments));
         let dcdc = DcDcConverter::solarcore_default();
         let load = LoadModel::Resistance(Ohms::new(1.2));
         let plain = solve_operating_point(&array, env, &dcdc, &load).unwrap();
@@ -407,6 +432,24 @@ mod tests {
         assert_eq!(instruments.newton_iters.count(), 97);
         assert!(instruments.newton_iters.sum() >= 97);
         assert_eq!(instruments.pv_evals().get(), 97);
+
+        // Through the memo the same solve gives the same bits and still
+        // tallies 97 evaluations, the repeated probes at 0 iterations.
+        let cache = ArrayCache::new();
+        let instruments = DayInstruments::new();
+        let memoized = PvHandle::new(&array, Some(&cache), Some(&instruments));
+        let cached = solve_operating_point(&memoized, env, &dcdc, &load).unwrap();
+        assert_eq!(cached, plain);
+        instruments.fold_zero_evals();
+        assert_eq!(instruments.pv_evals().get(), 97);
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 97);
+        assert!(stats.hits > 0 && stats.misses > 0);
+
+        // Without a tally nothing is counted, and the bits stay.
+        let silent = PvHandle::new(&array, Some(&cache), None);
+        assert_eq!(solve_operating_point(&silent, env, &dcdc, &load), Ok(plain));
+        assert_eq!(cache.stats().hits, stats.hits + 97);
     }
 
     #[test]
