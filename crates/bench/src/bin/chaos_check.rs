@@ -93,7 +93,7 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         return Ok(false);
     }
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let path = write_json(&dir, "chaos_report", &report)?;
+    let path = write_json(&dir, "chaos_report", &report.to_json())?;
     println!("chaos: wrote {}", path.display());
     Ok(true)
 }

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use bench::tdiff::{diff_artifacts, Finding};
 use bench::TextTable;
-use serde_json::Value;
+use bench::output::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
@@ -34,9 +34,9 @@ fn main() -> ExitCode {
     }
 }
 
-fn load(path: &str) -> Result<Value, Box<dyn Error>> {
+fn load(path: &str) -> Result<Json, Box<dyn Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    Ok(serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?)
+    Ok(Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
 fn fmt_value(v: f64) -> String {

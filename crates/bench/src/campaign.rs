@@ -34,7 +34,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use faults::{parse_scenario, FaultPlan};
-use serde_json::Value;
 use solarcore::telemetry::{
     schema, NEWTON_ITER_BOUNDS, RATIO_K_BOUNDS, TPR_MOVE_BOUNDS, TRACK_BOUNDS,
 };
@@ -523,8 +522,8 @@ impl ShardRow {
     /// Reads a row back from parsed checkpoint JSON. Exact by
     /// construction: canonical floats are shortest-roundtrip and digests
     /// travel as hex strings.
-    fn from_json(v: &Value) -> Result<ShardRow, CampaignError> {
-        let field = |k: &str| -> Result<&Value, CampaignError> {
+    fn from_json(v: &Json) -> Result<ShardRow, CampaignError> {
+        let field = |k: &str| -> Result<&Json, CampaignError> {
             v.get(k)
                 .ok_or_else(|| invalid(format!("checkpoint row missing `{k}`")))
         };
@@ -753,15 +752,6 @@ fn static_event(name: &str) -> Option<&'static str> {
     }
 }
 
-/// Campaign counters stay far below 2^53, so the cast is exact; the
-/// round-trip back through the canonical integer rendering recovers the
-/// value bit-for-bit.
-#[allow(clippy::cast_precision_loss)]
-fn json_u64(n: u64) -> Json {
-    debug_assert!(n < (1 << 53));
-    Json::Num(n as f64)
-}
-
 /// Renders a [`MetricFold`] as a canonical-JSON object.
 pub fn fold_to_json(fold: &MetricFold) -> Json {
     let histograms = fold
@@ -772,15 +762,15 @@ pub fn fold_to_json(fold: &MetricFold) -> Json {
                 ("name", Json::str(snap.name)),
                 (
                     "bounds",
-                    Json::Arr(snap.bounds.iter().map(|&b| json_u64(b)).collect()),
+                    Json::Arr(snap.bounds.iter().map(|&b| Json::uint(b)).collect()),
                 ),
                 (
                     "counts",
-                    Json::Arr(snap.counts.iter().map(|&c| json_u64(c)).collect()),
+                    Json::Arr(snap.counts.iter().map(|&c| Json::uint(c)).collect()),
                 ),
-                ("count", json_u64(snap.count)),
-                ("sum", json_u64(snap.sum)),
-                ("max", json_u64(snap.max)),
+                ("count", Json::uint(snap.count)),
+                ("sum", Json::uint(snap.sum)),
+                ("max", Json::uint(snap.max)),
             ])
         })
         .collect();
@@ -790,14 +780,14 @@ pub fn fold_to_json(fold: &MetricFold) -> Json {
         .map(|snap| {
             Json::obj(vec![
                 ("name", Json::str(snap.name)),
-                ("value", json_u64(snap.value)),
+                ("value", Json::uint(snap.value)),
             ])
         })
         .collect();
     let tallies = fold
         .tallies()
         .iter()
-        .map(|&(name, n)| Json::obj(vec![("name", Json::str(name)), ("n", json_u64(n))]))
+        .map(|&(name, n)| Json::obj(vec![("name", Json::str(name)), ("n", Json::uint(n))]))
         .collect();
     Json::obj(vec![
         ("histograms", Json::Arr(histograms)),
@@ -813,26 +803,26 @@ pub fn fold_to_json(fold: &MetricFold) -> Json {
 /// # Errors
 ///
 /// [`CampaignError::Invalid`] on structural or schema mismatches.
-pub fn fold_from_json(v: &Value) -> Result<MetricFold, CampaignError> {
-    let arr = |k: &str| -> Result<&Vec<Value>, CampaignError> {
+pub fn fold_from_json(v: &Json) -> Result<MetricFold, CampaignError> {
+    let arr = |k: &str| -> Result<&Vec<Json>, CampaignError> {
         v.get(k)
-            .and_then(Value::as_array)
+            .and_then(Json::as_array)
             .ok_or_else(|| invalid(format!("checkpoint aggregate missing `{k}` array")))
     };
-    let name_of = |item: &Value| -> Result<String, CampaignError> {
+    let name_of = |item: &Json| -> Result<String, CampaignError> {
         item.get("name")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .map(str::to_owned)
             .ok_or_else(|| invalid("aggregate entry missing `name`"))
     };
-    let u = |item: &Value, k: &str| -> Result<u64, CampaignError> {
+    let u = |item: &Json, k: &str| -> Result<u64, CampaignError> {
         item.get(k)
-            .and_then(Value::as_u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| invalid(format!("aggregate entry `{k}` is not an integer")))
     };
-    let u_list = |item: &Value, k: &str| -> Result<Vec<u64>, CampaignError> {
+    let u_list = |item: &Json, k: &str| -> Result<Vec<u64>, CampaignError> {
         item.get(k)
-            .and_then(Value::as_array)
+            .and_then(Json::as_array)
             .ok_or_else(|| invalid(format!("aggregate entry `{k}` is not an array")))?
             .iter()
             .map(|x| {
@@ -1213,11 +1203,11 @@ fn load_checkpoint(
     spec_digest: u64,
 ) -> Result<(Vec<ShardRow>, MetricFold), Box<dyn Error>> {
     let text = std::fs::read_to_string(path)?;
-    let doc: Value = serde_json::from_str(&text)
-        .map_err(|e| invalid(format!("checkpoint {}: {e}", path.display())))?;
+    let doc =
+        Json::parse(&text).map_err(|e| invalid(format!("checkpoint {}: {e}", path.display())))?;
     let found = doc
         .get("spec_digest")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or_else(|| invalid("checkpoint missing `spec_digest`"))?;
     if parse_hex(found)? != spec_digest {
         return Err(invalid(format!(
@@ -1228,7 +1218,7 @@ fn load_checkpoint(
     }
     let rows = doc
         .get("rows")
-        .and_then(Value::as_array)
+        .and_then(Json::as_array)
         .ok_or_else(|| invalid("checkpoint missing `rows`"))?
         .iter()
         .map(ShardRow::from_json)
@@ -1241,7 +1231,7 @@ fn load_checkpoint(
     // `write_checkpoint` always writes both fields, so a mismatch or a
     // missing aggregate means a truncated or hand-edited file: resuming
     // from it would silently drop the restored rows' telemetry.
-    let completed = doc.get("completed").and_then(Value::as_u64);
+    let completed = doc.get("completed").and_then(Json::as_u64);
     if completed != u64::try_from(rows.len()).ok() {
         return Err(invalid("checkpoint `completed` does not match its rows").into());
     }
@@ -1361,7 +1351,7 @@ checkpoint_every = 1
             energy_available_wh: 200.0,
         };
         let rendered = row.to_json().render();
-        let parsed = ShardRow::from_json(&serde_json::from_str(&rendered).unwrap()).unwrap();
+        let parsed = ShardRow::from_json(&Json::parse(&rendered).unwrap()).unwrap();
         assert_eq!(parsed, row);
         assert_eq!(parsed.utilization.to_bits(), row.utilization.to_bits());
     }
@@ -1381,7 +1371,7 @@ checkpoint_every = 1
         fold.tally(schema::EVENT_MINUTE, 601);
 
         let doc = fold_to_json(&fold).render();
-        let back = fold_from_json(&serde_json::from_str(&doc).unwrap()).unwrap();
+        let back = fold_from_json(&Json::parse(&doc).unwrap()).unwrap();
         assert_eq!(back.histogram_snapshots(), fold.histogram_snapshots());
         assert_eq!(back.counter_snapshots(), fold.counter_snapshots());
         assert_eq!(back.tallies(), fold.tallies());
@@ -1389,7 +1379,7 @@ checkpoint_every = 1
 
     #[test]
     fn fold_json_rejects_unknown_names() {
-        let doc: Value = serde_json::from_str(
+        let doc = Json::parse(
             r#"{"histograms":[{"name":"mystery","bounds":[1],"counts":[0,0],"count":0,"sum":0,"max":0}],"counters":[],"tallies":[]}"#,
         )
         .unwrap();

@@ -20,8 +20,6 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use faults::{parse_scenario, FaultPlan};
-use serde::Serialize;
-use serde_json::Value;
 use solarcore::engine::DayResult;
 use solarcore::{DaySimulation, Policy};
 use solarenv::Season;
@@ -30,6 +28,7 @@ use workloads::Mix;
 
 use crate::campaign::{site_from_code, WaveProgress};
 use crate::determinism::CanonicalHasher;
+use crate::output::Json;
 
 /// The policies the campaign exercises (the two MPPT allocators the paper
 /// headlines; `Fixed-Power` has no sensing loop to harden).
@@ -49,7 +48,7 @@ pub struct ChaosScenario {
 }
 
 /// One `scenario × site × policy` campaign cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosCell {
     /// Scenario name (from the plan, not the file name).
     pub scenario: String,
@@ -78,14 +77,50 @@ pub struct ChaosCell {
     pub false_trips: u64,
 }
 
-/// The campaign report serialized to `results/chaos_report.json`.
-#[derive(Debug, Clone, Serialize)]
+/// The campaign report rendered to `results/chaos_report.json`.
+#[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// One row per campaign cell, in canonical (file, site, policy) order.
     pub rows: Vec<ChaosCell>,
     /// Canonical FNV-1a digest over every row, hex-encoded — pins the
     /// committed artifact byte-for-byte against regeneration drift.
     pub digest: String,
+}
+
+impl ChaosCell {
+    /// The row as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("scenario", Json::str(&self.scenario)),
+            ("site", Json::str(&self.site)),
+            ("season", Json::str(&self.season)),
+            ("policy", Json::str(&self.policy)),
+            ("ptp_clean", Json::Num(self.ptp_clean)),
+            ("ptp_chaos", Json::Num(self.ptp_chaos)),
+            ("ptp_retention", Json::Num(self.ptp_retention)),
+            (
+                "detection_latency_minutes",
+                self.detection_latency_minutes
+                    .map_or(Json::Null, Json::uint),
+            ),
+            ("degrade_enters", Json::uint(self.degrade_enters)),
+            ("fault_rejects", Json::uint(self.fault_rejects)),
+            ("false_trips", Json::uint(self.false_trips)),
+        ])
+    }
+}
+
+impl ChaosReport {
+    /// The report as a JSON document.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "rows",
+                Json::Arr(self.rows.iter().map(ChaosCell::to_json).collect()),
+            ),
+            ("digest", Json::str(&self.digest)),
+        ])
+    }
 }
 
 /// The repo's `scenarios/` directory (relative to this crate).
@@ -153,7 +188,7 @@ struct DetectionTrace {
 fn scan_stream(stream: &str, onset: Option<u32>) -> Result<DetectionTrace, Box<dyn Error>> {
     let mut trace = DetectionTrace::default();
     for (index, line) in stream.lines().enumerate() {
-        let record: Value = serde_json::from_str(line)?;
+        let record = Json::parse(line).map_err(|e| format!("stream line {}: {e}", index + 1))?;
         let name = record["name"].as_str().unwrap_or_default();
         if name != "fault_reject" && name != "degrade_enter" {
             continue;

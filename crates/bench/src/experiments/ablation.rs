@@ -9,17 +9,15 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use powertrain::IvSensor;
 use solarcore::{ControllerConfig, DayResult, DaySimulation, Policy};
 use solarenv::{Season, Site};
 use workloads::Mix;
 
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// Aggregates of one ablation cell (mean of the two weather patterns).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationCell {
     /// Knob value description, e.g. `"margin=2"`.
     pub setting: String,
@@ -34,8 +32,21 @@ pub struct AblationCell {
     pub undervolt_minutes: f64,
 }
 
+impl AblationCell {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("setting", Json::str(&self.setting)),
+            ("utilization", Json::Num(self.utilization)),
+            ("tracking_error", Json::Num(self.tracking_error)),
+            ("normalized_ptp", Json::Num(self.normalized_ptp)),
+            ("undervolt_minutes", Json::Num(self.undervolt_minutes)),
+        ])
+    }
+}
+
 /// One swept knob.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationSweep {
     /// Knob name.
     pub knob: String,
@@ -43,11 +54,34 @@ pub struct AblationSweep {
     pub cells: Vec<AblationCell>,
 }
 
+impl AblationSweep {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("knob", Json::str(&self.knob)),
+            (
+                "cells",
+                Json::Arr(self.cells.iter().map(AblationCell::to_json).collect()),
+            ),
+        ])
+    }
+}
+
 /// The full ablation suite.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ablation {
     /// All sweeps.
     pub sweeps: Vec<AblationSweep>,
+}
+
+impl Ablation {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "sweeps",
+            Json::Arr(self.sweeps.iter().map(AblationSweep::to_json).collect()),
+        )])
+    }
 }
 
 fn scenarios() -> Vec<(Site, Season)> {
@@ -239,7 +273,7 @@ pub fn run(out_dir: &Path) -> Ablation {
         }
         println!("{table}");
     }
-    write_json(out_dir, "ablation", &ablation).expect("results dir is writable");
+    write_json(out_dir, "ablation", &ablation.to_json()).expect("results dir is writable");
     ablation
 }
 

@@ -7,16 +7,14 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use powertrain::{solve_operating_point, DcDcConverter, LoadModel};
 use pv::units::{Celsius, Irradiance};
 use pv::{CellEnv, PvModule};
 
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// One bar of Figure 1.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationPoint {
     /// Irradiance in W/m².
     pub irradiance: f64,
@@ -28,11 +26,33 @@ pub struct UtilizationPoint {
     pub utilization: f64,
 }
 
+impl UtilizationPoint {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("irradiance", Json::Num(self.irradiance)),
+            ("fixed_load_power", Json::Num(self.fixed_load_power)),
+            ("mpp_power", Json::Num(self.mpp_power)),
+            ("utilization", Json::Num(self.utilization)),
+        ])
+    }
+}
+
 /// The computed figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig01 {
     /// The swept irradiance points, brightest first (as in the paper).
     pub points: Vec<UtilizationPoint>,
+}
+
+impl Fig01 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "points",
+            Json::Arr(self.points.iter().map(UtilizationPoint::to_json).collect()),
+        )])
+    }
 }
 
 /// Computes the figure.
@@ -79,7 +99,7 @@ pub fn run(out_dir: &Path) -> Fig01 {
     }
     println!("Figure 1 — fixed-load energy utilization vs irradiance");
     println!("{table}");
-    write_json(out_dir, "fig01_fixed_load", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig01_fixed_load", &fig.to_json()).expect("results dir is writable");
     fig
 }
 

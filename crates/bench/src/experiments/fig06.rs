@@ -3,18 +3,16 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use pv::units::{Celsius, Irradiance};
 use pv::{CellEnv, IvCurve, PvModule};
 
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// Sample density of the exported curves.
 const CURVE_SEGMENTS: usize = 120;
 
 /// One exported characteristic curve with its cardinal points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CharacteristicCurve {
     /// The swept parameter value (irradiance in W/m² or temperature in °C).
     pub parameter: f64,
@@ -32,13 +30,47 @@ pub struct CharacteristicCurve {
     pub points: Vec<(f64, f64)>,
 }
 
+impl CharacteristicCurve {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let points = self.points.iter().map(|&(v, i)| Json::nums(&[v, i]));
+        Json::obj(vec![
+            ("parameter", Json::Num(self.parameter)),
+            ("isc", Json::Num(self.isc)),
+            ("voc", Json::Num(self.voc)),
+            ("vmp", Json::Num(self.vmp)),
+            ("imp", Json::Num(self.imp)),
+            ("pmax", Json::Num(self.pmax)),
+            ("points", Json::Arr(points.collect())),
+        ])
+    }
+}
+
 /// The computed figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CurveFamily {
     /// Which parameter is swept (`"irradiance"` or `"temperature"`).
     pub swept: &'static str,
     /// The family of curves.
     pub curves: Vec<CharacteristicCurve>,
+}
+
+impl CurveFamily {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("swept", Json::str(self.swept)),
+            (
+                "curves",
+                Json::Arr(
+                    self.curves
+                        .iter()
+                        .map(CharacteristicCurve::to_json)
+                        .collect(),
+                ),
+            ),
+        ])
+    }
 }
 
 /// Extracts one labeled curve under `env`.
@@ -105,7 +137,7 @@ pub fn run(out_dir: &Path) -> CurveFamily {
         "G (W/m²)",
         &fig,
     );
-    write_json(out_dir, "fig06_iv_irradiance", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig06_iv_irradiance", &fig.to_json()).expect("results dir is writable");
     fig
 }
 

@@ -36,7 +36,7 @@ pub fn run(out_dir: &Path) -> CurveFamily {
         "T (°C)",
         &fig,
     );
-    write_json(out_dir, "fig07_iv_temperature", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig07_iv_temperature", &fig.to_json()).expect("results dir is writable");
     fig
 }
 

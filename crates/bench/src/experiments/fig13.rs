@@ -6,16 +6,14 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarcore::{DaySimulation, Policy};
 use solarenv::{Season, Site};
 use workloads::Mix;
 
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// One workload's tracked day.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrackedDay {
     /// Mix name.
     pub mix: String,
@@ -27,8 +25,27 @@ pub struct TrackedDay {
     pub ripple_w: f64,
 }
 
+impl TrackedDay {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let series = self.series.iter().map(|&(minute, budget, actual)| {
+            Json::Arr(vec![
+                Json::uint(u64::from(minute)),
+                Json::Num(budget),
+                Json::Num(actual),
+            ])
+        });
+        Json::obj(vec![
+            ("mix", Json::str(&self.mix)),
+            ("series", Json::Arr(series.collect())),
+            ("tracking_error", Json::Num(self.tracking_error)),
+            ("ripple_w", Json::Num(self.ripple_w)),
+        ])
+    }
+}
+
 /// The computed figure: one tracked day per workload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrackingFigure {
     /// Season the traces were generated in.
     pub season: String,
@@ -36,6 +53,20 @@ pub struct TrackingFigure {
     pub site: String,
     /// Per-workload traces (H1, HM2, L1 — as in the paper's panels).
     pub days: Vec<TrackedDay>,
+}
+
+impl TrackingFigure {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("season", Json::str(&self.season)),
+            ("site", Json::str(&self.site)),
+            (
+                "days",
+                Json::Arr(self.days.iter().map(TrackedDay::to_json).collect()),
+            ),
+        ])
+    }
 }
 
 /// Computes the figure for one season at Phoenix.
@@ -105,7 +136,7 @@ pub fn run(season: Season, out_dir: &Path) -> TrackingFigure {
     }
     println!("{table}");
     let name = format!("fig{figure_no}_tracking_{}", fig.season.to_lowercase());
-    write_json(out_dir, &name, &fig).expect("results dir is writable");
+    write_json(out_dir, &name, &fig.to_json()).expect("results dir is writable");
     fig
 }
 

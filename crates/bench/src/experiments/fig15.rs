@@ -7,19 +7,17 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use pv::CellEnv;
 use pv::PvArray;
 use solarenv::{EnvTrace, Season, Site};
 
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// The fixed power budgets the paper sweeps (watts).
 pub const THRESHOLDS_W: [f64; 5] = [25.0, 50.0, 75.0, 100.0, 125.0];
 
 /// Decline classes from the figure's three panels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeclineShape {
     /// Duration stays near 1.0 until high thresholds (panel a).
     Slow,
@@ -30,7 +28,7 @@ pub enum DeclineShape {
 }
 
 /// One site-season curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DurationCurve {
     /// Site code.
     pub site: String,
@@ -45,11 +43,34 @@ pub struct DurationCurve {
     pub shape: DeclineShape,
 }
 
+impl DurationCurve {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("site", Json::str(&self.site)),
+            ("season", Json::str(&self.season)),
+            ("normalized", Json::nums(&self.normalized)),
+            ("raw", Json::nums(&self.raw)),
+            ("shape", Json::str(format!("{:?}", self.shape))),
+        ])
+    }
+}
+
 /// The computed figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig15 {
     /// All 16 site-season curves.
     pub curves: Vec<DurationCurve>,
+}
+
+impl Fig15 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "curves",
+            Json::Arr(self.curves.iter().map(DurationCurve::to_json).collect()),
+        )])
+    }
 }
 
 /// Classifies by the normalized duration at the 75 W midpoint.
@@ -115,7 +136,8 @@ pub fn run(out_dir: &Path) -> Fig15 {
         table.row(row);
     }
     println!("{table}");
-    write_json(out_dir, "fig15_duration_threshold", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig15_duration_threshold", &fig.to_json())
+        .expect("results dir is writable");
     fig
 }
 

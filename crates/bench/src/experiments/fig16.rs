@@ -7,19 +7,17 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use pv::units::Watts;
 use solarcore::{DaySimulation, Policy};
 use solarenv::{Season, Site};
 use workloads::Mix;
 
 use crate::experiments::fig15::THRESHOLDS_W;
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 use crate::parallel::{default_threads, parallel_map};
 
 /// One site-season row of both figures.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FixedBudgetRow {
     /// Site code.
     pub site: String,
@@ -31,8 +29,20 @@ pub struct FixedBudgetRow {
     pub normalized_ptp: Vec<f64>,
 }
 
+impl FixedBudgetRow {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("site", Json::str(&self.site)),
+            ("season", Json::str(&self.season)),
+            ("normalized_energy", Json::nums(&self.normalized_energy)),
+            ("normalized_ptp", Json::nums(&self.normalized_ptp)),
+        ])
+    }
+}
+
 /// The computed figures.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16And17 {
     /// The swept budgets, watts.
     pub budgets: Vec<f64>,
@@ -40,6 +50,23 @@ pub struct Fig16And17 {
     pub mixes: Vec<String>,
     /// One row per site-season.
     pub rows: Vec<FixedBudgetRow>,
+}
+
+impl Fig16And17 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("budgets", Json::nums(&self.budgets)),
+            (
+                "mixes",
+                Json::Arr(self.mixes.iter().map(Json::str).collect()),
+            ),
+            (
+                "rows",
+                Json::Arr(self.rows.iter().map(FixedBudgetRow::to_json).collect()),
+            ),
+        ])
+    }
 }
 
 impl Fig16And17 {
@@ -153,7 +180,7 @@ pub fn run(out_dir: &Path) -> Fig16And17 {
         100.0 * best_ptp,
         100.0 * (1.0 / best_ptp.max(1e-9) - 1.0)
     );
-    write_json(out_dir, "fig16_17_fixed_budget", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig16_17_fixed_budget", &fig.to_json()).expect("results dir is writable");
     fig
 }
 

@@ -3,16 +3,14 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarcore::metrics::mean;
 use solarcore::{BatteryTier, Policy};
 
 use crate::grid::{PolicyGrid, GRID_POLICIES};
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// One site's bars.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SiteUtilization {
     /// Site code.
     pub site: String,
@@ -21,8 +19,18 @@ pub struct SiteUtilization {
     pub by_policy: Vec<(String, f64)>,
 }
 
+impl SiteUtilization {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("site", Json::str(&self.site)),
+            ("by_policy", Json::pairs(&self.by_policy)),
+        ])
+    }
+}
+
 /// The computed figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig18 {
     /// One entry per site.
     pub sites: Vec<SiteUtilization>,
@@ -30,6 +38,20 @@ pub struct Fig18 {
     pub battery_tiers: Vec<(String, f64)>,
     /// Grand mean utilization of MPPT&Opt.
     pub opt_average: f64,
+}
+
+impl Fig18 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "sites",
+                Json::Arr(self.sites.iter().map(SiteUtilization::to_json).collect()),
+            ),
+            ("battery_tiers", Json::pairs(&self.battery_tiers)),
+            ("opt_average", Json::Num(self.opt_average)),
+        ])
+    }
 }
 
 /// Computes the figure from a policy grid.
@@ -102,7 +124,7 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig18 {
         "  MPPT&Opt grand average: {:.1} % (paper: 82 %)",
         100.0 * fig.opt_average
     );
-    write_json(out_dir, "fig18_energy_util", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig18_energy_util", &fig.to_json()).expect("results dir is writable");
     fig
 }
 

@@ -3,16 +3,14 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarcore::metrics::mean;
 use solarcore::Policy;
 
 use crate::grid::PolicyGrid;
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// One bar of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DurationBar {
     /// Site code.
     pub site: String,
@@ -22,11 +20,32 @@ pub struct DurationBar {
     pub solar_fraction: f64,
 }
 
+impl DurationBar {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("site", Json::str(&self.site)),
+            ("season", Json::str(&self.season)),
+            ("solar_fraction", Json::Num(self.solar_fraction)),
+        ])
+    }
+}
+
 /// The computed figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig19 {
     /// One bar per site-season.
     pub bars: Vec<DurationBar>,
+}
+
+impl Fig19 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "bars",
+            Json::Arr(self.bars.iter().map(DurationBar::to_json).collect()),
+        )])
+    }
 }
 
 /// Computes the figure from a policy grid.
@@ -70,7 +89,8 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig19 {
         ]);
     }
     println!("{table}");
-    write_json(out_dir, "fig19_effective_duration", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig19_effective_duration", &fig.to_json())
+        .expect("results dir is writable");
     fig
 }
 

@@ -3,12 +3,10 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarcore::metrics::mean;
 
 use crate::grid::{PolicyGrid, GRID_POLICIES};
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// The duration buckets of the figure's x-axis (fraction of daytime).
 pub const BUCKETS: [(f64, f64, &str); 5] = [
@@ -20,7 +18,7 @@ pub const BUCKETS: [(f64, f64, &str); 5] = [
 ];
 
 /// One bucket of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UtilBucket {
     /// Bucket label (e.g. `"80~90"`).
     pub label: String,
@@ -31,11 +29,35 @@ pub struct UtilBucket {
     pub count: usize,
 }
 
+impl UtilBucket {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let by_policy = self.by_policy.iter().map(|(policy, util)| {
+            Json::Arr(vec![Json::str(policy), util.map_or(Json::Null, Json::Num)])
+        });
+        Json::obj(vec![
+            ("label", Json::str(&self.label)),
+            ("by_policy", Json::Arr(by_policy.collect())),
+            ("count", Json::int(self.count)),
+        ])
+    }
+}
+
 /// The computed figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig20 {
     /// Buckets, longest duration first.
     pub buckets: Vec<UtilBucket>,
+}
+
+impl Fig20 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "buckets",
+            Json::Arr(self.buckets.iter().map(UtilBucket::to_json).collect()),
+        )])
+    }
 }
 
 /// Computes the figure from a policy grid.
@@ -84,7 +106,7 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig20 {
         table.row(row);
     }
     println!("{table}");
-    write_json(out_dir, "fig20_util_vs_duration", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig20_util_vs_duration", &fig.to_json()).expect("results dir is writable");
     fig
 }
 

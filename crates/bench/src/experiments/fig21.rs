@@ -5,13 +5,11 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use crate::grid::{PolicyGrid, GRID_POLICIES};
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// One site-season-mix group of bars.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PtpGroup {
     /// Site code.
     pub site: String,
@@ -25,14 +23,40 @@ pub struct PtpGroup {
     pub battery_upper: f64,
 }
 
+impl PtpGroup {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("site", Json::str(&self.site)),
+            ("season", Json::str(&self.season)),
+            ("mix", Json::str(&self.mix)),
+            ("by_policy", Json::pairs(&self.by_policy)),
+            ("battery_upper", Json::Num(self.battery_upper)),
+        ])
+    }
+}
+
 /// The computed figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig21 {
     /// All bar groups.
     pub groups: Vec<PtpGroup>,
     /// Grand means per policy plus Battery-U (the paper's 0.82 / 1.02 /
     /// 1.13 / 1.14 line).
     pub means: Vec<(String, f64)>,
+}
+
+impl Fig21 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            (
+                "groups",
+                Json::Arr(self.groups.iter().map(PtpGroup::to_json).collect()),
+            ),
+            ("means", Json::pairs(&self.means)),
+        ])
+    }
 }
 
 /// Computes the figure from a policy grid.
@@ -89,7 +113,7 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Fig21 {
     for (label, v) in &fig.means {
         println!("  {label}: {v:.3}");
     }
-    write_json(out_dir, "fig21_ptp_policies", &fig).expect("results dir is writable");
+    write_json(out_dir, "fig21_ptp_policies", &fig.to_json()).expect("results dir is writable");
     fig
 }
 

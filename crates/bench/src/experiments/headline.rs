@@ -10,16 +10,14 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarcore::Policy;
 
 use crate::experiments::fig16::Fig16And17;
 use crate::grid::PolicyGrid;
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// One reproduced claim.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Claim {
     /// What is measured.
     pub name: String,
@@ -29,11 +27,32 @@ pub struct Claim {
     pub measured: f64,
 }
 
+impl Claim {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::str(&self.name)),
+            ("paper", Json::Num(self.paper)),
+            ("measured", Json::Num(self.measured)),
+        ])
+    }
+}
+
 /// The computed claim set.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Headline {
     /// All reproduced claims.
     pub claims: Vec<Claim>,
+}
+
+impl Headline {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "claims",
+            Json::Arr(self.claims.iter().map(Claim::to_json).collect()),
+        )])
+    }
 }
 
 /// Computes the claims from the shared grid and the fixed-budget sweep.
@@ -107,7 +126,7 @@ pub fn run(grid: &PolicyGrid, fixed: &Fig16And17, out_dir: &Path) -> Headline {
         ]);
     }
     println!("{table}");
-    write_json(out_dir, "headline", &headline).expect("results dir is writable");
+    write_json(out_dir, "headline", &headline.to_json()).expect("results dir is writable");
     headline
 }
 

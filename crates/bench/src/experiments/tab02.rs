@@ -2,17 +2,15 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarenv::{stats, Site, SolarPotential};
 
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// Weather realizations averaged per season for the potential estimate.
 const DAYS_PER_SEASON: u32 = 5;
 
 /// One row of Table 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SiteRow {
     /// Site code.
     pub code: String,
@@ -26,11 +24,34 @@ pub struct SiteRow {
     pub target_band: String,
 }
 
+impl SiteRow {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("code", Json::str(&self.code)),
+            ("name", Json::str(&self.name)),
+            ("kwh_per_day", Json::Num(self.kwh_per_day)),
+            ("measured_band", Json::str(&self.measured_band)),
+            ("target_band", Json::str(&self.target_band)),
+        ])
+    }
+}
+
 /// The computed table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tab02 {
     /// One row per site, paper order.
     pub rows: Vec<SiteRow>,
+}
+
+impl Tab02 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "rows",
+            Json::Arr(self.rows.iter().map(SiteRow::to_json).collect()),
+        )])
+    }
 }
 
 /// Computes the table.
@@ -66,7 +87,7 @@ pub fn run(out_dir: &Path) -> Tab02 {
     }
     println!("Table 2 — evaluated geographic locations");
     println!("{table}");
-    write_json(out_dir, "tab02_sites", &tab).expect("results dir is writable");
+    write_json(out_dir, "tab02_sites", &tab.to_json()).expect("results dir is writable");
     tab
 }
 

@@ -2,14 +2,12 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarcore::BatteryTier;
 
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// One column of Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TierRow {
     /// Tier label.
     pub level: String,
@@ -21,11 +19,33 @@ pub struct TierRow {
     pub derating: f64,
 }
 
+impl TierRow {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("level", Json::str(&self.level)),
+            ("mppt_efficiency", Json::Num(self.mppt_efficiency)),
+            ("battery_efficiency", Json::Num(self.battery_efficiency)),
+            ("derating", Json::Num(self.derating)),
+        ])
+    }
+}
+
 /// The computed table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tab03 {
     /// High / Moderate / Low tiers.
     pub rows: Vec<TierRow>,
+}
+
+impl Tab03 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![(
+            "rows",
+            Json::Arr(self.rows.iter().map(TierRow::to_json).collect()),
+        )])
+    }
 }
 
 /// Computes the table.
@@ -60,7 +80,7 @@ pub fn run(out_dir: &Path) -> Tab03 {
     }
     println!("Table 3 — battery-based PV system performance levels");
     println!("{table}");
-    write_json(out_dir, "tab03_battery", &tab).expect("results dir is writable");
+    write_json(out_dir, "tab03_battery", &tab.to_json()).expect("results dir is writable");
     tab
 }
 

@@ -2,21 +2,35 @@
 
 use std::path::Path;
 
-use serde::Serialize;
-
 use solarcore::metrics::geometric_mean;
 use solarcore::Policy;
 
 use crate::grid::PolicyGrid;
-use crate::output::{write_json, TextTable};
+use crate::output::{write_json, Json, TextTable};
 
 /// The computed table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tab07 {
     /// Mix names, in the paper's column order.
     pub mixes: Vec<String>,
     /// Rows: `(site, season, [error per mix])`.
     pub rows: Vec<(String, String, Vec<f64>)>,
+}
+
+impl Tab07 {
+    /// The value as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let rows = self.rows.iter().map(|(site, season, errors)| {
+            Json::Arr(vec![Json::str(site), Json::str(season), Json::nums(errors)])
+        });
+        Json::obj(vec![
+            (
+                "mixes",
+                Json::Arr(self.mixes.iter().map(Json::str).collect()),
+            ),
+            ("rows", Json::Arr(rows.collect())),
+        ])
+    }
 }
 
 /// Computes the table from a policy grid (uses the MPPT&Opt runs; each
@@ -63,7 +77,7 @@ pub fn run(grid: &PolicyGrid, out_dir: &Path) -> Tab07 {
     }
     println!("Table 7 — average relative tracking error (MPPT&Opt)");
     println!("{table}");
-    write_json(out_dir, "tab07_tracking_error", &tab).expect("results dir is writable");
+    write_json(out_dir, "tab07_tracking_error", &tab.to_json()).expect("results dir is writable");
     tab
 }
 

@@ -2,9 +2,9 @@
 //!
 //! One experiment module per table/figure of the paper's evaluation
 //! (Section 6), each with a `run(...)` entry point that computes the
-//! table/series, prints it in the paper's layout, and returns a
-//! serde-serializable result that the `expt_*` binaries write to
-//! `results/*.json`.
+//! table/series, prints it in the paper's layout, and returns a result
+//! whose `to_json` the `expt_*` binaries render to `results/*.json`
+//! through [`output::Json`], the workspace's one JSON codec.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|

@@ -378,7 +378,7 @@ mod tests {
             let _s = prof.scope("run_day");
         }
         let doc = chrome_trace(&prof.take_events()).render();
-        let v: serde_json::Value = serde_json::from_str(&doc).unwrap();
+        let v = Json::parse(&doc).unwrap();
         let events = v["traceEvents"].as_array().unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0]["ph"].as_str(), Some("X"));

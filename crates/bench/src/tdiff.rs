@@ -21,8 +21,9 @@
 
 use std::collections::BTreeMap;
 
-use serde_json::Value;
 use telemetry::quantile_from_buckets;
+
+use crate::output::Json;
 
 /// Relative counter/tally growth tolerated before a difference counts as
 /// a regression (deterministic counters should not move at all; 1% allows
@@ -77,7 +78,7 @@ impl TdiffReport {
 }
 
 /// Detects the artifact kind from its top-level shape.
-fn detect_kind(v: &Value) -> Option<&'static str> {
+fn detect_kind(v: &Json) -> Option<&'static str> {
     if v.get("structural").is_some() {
         Some("profile")
     } else if v.get("aggregate").is_some() {
@@ -94,7 +95,7 @@ fn detect_kind(v: &Value) -> Option<&'static str> {
 /// # Errors
 ///
 /// Unrecognized artifact shapes, or two artifacts of different kinds.
-pub fn diff_artifacts(a: &Value, b: &Value) -> Result<TdiffReport, String> {
+pub fn diff_artifacts(a: &Json, b: &Json) -> Result<TdiffReport, String> {
     let kind_a = detect_kind(a).ok_or_else(|| {
         "unrecognized artifact shape (expected a campaign report, profile report or metric fold)"
             .to_owned()
@@ -111,7 +112,7 @@ pub fn diff_artifacts(a: &Value, b: &Value) -> Result<TdiffReport, String> {
         "campaign" => {
             diff_scalar_int(&mut report, "shards", a.get("shards"), b.get("shards"));
             diff_digest(&mut report, a.get("digest"), b.get("digest"));
-            let empty = Value::Null;
+            let empty = Json::Null;
             diff_fold(
                 &mut report,
                 a.get("aggregate").unwrap_or(&empty),
@@ -149,10 +150,10 @@ fn rel_delta(a: f64, b: f64) -> f64 {
     }
 }
 
-fn diff_scalar_int(report: &mut TdiffReport, name: &str, a: Option<&Value>, b: Option<&Value>) {
+fn diff_scalar_int(report: &mut TdiffReport, name: &str, a: Option<&Json>, b: Option<&Json>) {
     report.compared += 1;
-    let a = a.and_then(Value::as_f64).unwrap_or(f64::NAN);
-    let b = b.and_then(Value::as_f64).unwrap_or(f64::NAN);
+    let a = a.and_then(Json::as_f64).unwrap_or(f64::NAN);
+    let b = b.and_then(Json::as_f64).unwrap_or(f64::NAN);
     #[allow(clippy::float_cmp)] // exact equality is the "no finding" case
     if a != b && !(a.is_nan() && b.is_nan()) {
         report.findings.push(Finding {
@@ -165,10 +166,10 @@ fn diff_scalar_int(report: &mut TdiffReport, name: &str, a: Option<&Value>, b: O
     }
 }
 
-fn diff_digest(report: &mut TdiffReport, a: Option<&Value>, b: Option<&Value>) {
+fn diff_digest(report: &mut TdiffReport, a: Option<&Json>, b: Option<&Json>) {
     report.compared += 1;
-    let a = a.and_then(Value::as_str).unwrap_or("");
-    let b = b.and_then(Value::as_str).unwrap_or("");
+    let a = a.and_then(Json::as_str).unwrap_or("");
+    let b = b.and_then(Json::as_str).unwrap_or("");
     if a != b {
         report.findings.push(Finding {
             metric: "digest".to_owned(),
@@ -181,14 +182,14 @@ fn diff_digest(report: &mut TdiffReport, a: Option<&Value>, b: Option<&Value>) {
 }
 
 /// Indexes a `[{"name": ..., ...}]` array by its `name` field.
-fn by_name(v: Option<&Value>) -> BTreeMap<String, &Value> {
-    v.and_then(Value::as_array)
+fn by_name(v: Option<&Json>) -> BTreeMap<String, &Json> {
+    v.and_then(Json::as_array)
         .map(|items| {
             items
                 .iter()
                 .filter_map(|item| {
                     item.get("name")
-                        .and_then(Value::as_str)
+                        .and_then(Json::as_str)
                         .map(|n| (n.to_owned(), item))
                 })
                 .collect()
@@ -201,8 +202,8 @@ fn diff_named_field(
     report: &mut TdiffReport,
     prefix: &str,
     field: &str,
-    a: &BTreeMap<String, &Value>,
-    b: &BTreeMap<String, &Value>,
+    a: &BTreeMap<String, &Json>,
+    b: &BTreeMap<String, &Json>,
     tolerance: f64,
 ) {
     let names: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
@@ -211,8 +212,8 @@ fn diff_named_field(
         let metric = format!("{prefix}/{name}/{field}");
         match (a.get(name), b.get(name)) {
             (Some(av), Some(bv)) => {
-                let av = av.get(field).and_then(Value::as_f64).unwrap_or(f64::NAN);
-                let bv = bv.get(field).and_then(Value::as_f64).unwrap_or(f64::NAN);
+                let av = av.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
+                let bv = bv.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
                 #[allow(clippy::float_cmp)] // exact equality is the "no finding" case
                 if av != bv && !(av.is_nan() && bv.is_nan()) {
                     let delta = rel_delta(av, bv);
@@ -241,12 +242,12 @@ fn diff_named_field(
 }
 
 /// Extracts `(bounds, counts)` from a serialized histogram entry.
-fn hist_buckets(v: &Value) -> Option<(Vec<u64>, Vec<u64>)> {
+fn hist_buckets(v: &Json) -> Option<(Vec<u64>, Vec<u64>)> {
     let list = |key: &str| -> Option<Vec<u64>> {
         v.get(key)?
             .as_array()?
             .iter()
-            .map(Value::as_u64)
+            .map(Json::as_u64)
             .collect::<Option<Vec<u64>>>()
     };
     Some((list("bounds")?, list("counts")?))
@@ -254,7 +255,7 @@ fn hist_buckets(v: &Value) -> Option<(Vec<u64>, Vec<u64>)> {
 
 /// Compares two serialized folds: counters and tallies by relative delta,
 /// histograms by count/sum and by their p50/p90/p99 quantile profile.
-fn diff_fold(report: &mut TdiffReport, a: &Value, b: &Value) {
+fn diff_fold(report: &mut TdiffReport, a: &Json, b: &Json) {
     let (ca, cb) = (by_name(a.get("counters")), by_name(b.get("counters")));
     diff_named_field(report, "counter", "value", &ca, &cb, COUNTER_REL_TOLERANCE);
     let (ta, tb) = (by_name(a.get("tallies")), by_name(b.get("tallies")));
@@ -304,8 +305,8 @@ fn diff_fold(report: &mut TdiffReport, a: &Value, b: &Value) {
 fn diff_span_trees(
     report: &mut TdiffReport,
     prefix: &str,
-    a: Option<&Value>,
-    b: Option<&Value>,
+    a: Option<&Json>,
+    b: Option<&Json>,
     fields: &[&str],
 ) {
     let (ma, mb) = (by_name(a), by_name(b));
@@ -316,8 +317,8 @@ fn diff_span_trees(
             (Some(av), Some(bv)) => {
                 for field in fields {
                     report.compared += 1;
-                    let fa = av.get(field).and_then(Value::as_f64).unwrap_or(f64::NAN);
-                    let fb = bv.get(field).and_then(Value::as_f64).unwrap_or(f64::NAN);
+                    let fa = av.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
+                    let fb = bv.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
                     #[allow(clippy::float_cmp)] // exact equality is the "no finding" case
                     if fa != fb && !(fa.is_nan() && fb.is_nan()) {
                         report.findings.push(Finding {
@@ -348,16 +349,16 @@ fn diff_span_trees(
 
 /// Recursively compares wall-time trees with the regression threshold
 /// ([`WALL_REGRESSION_RATIO`] over [`WALL_ABS_FLOOR_NS`]).
-fn diff_wall_trees(report: &mut TdiffReport, a: Option<&Value>, b: Option<&Value>) {
-    fn walk(report: &mut TdiffReport, prefix: &str, a: Option<&Value>, b: Option<&Value>) {
+fn diff_wall_trees(report: &mut TdiffReport, a: Option<&Json>, b: Option<&Json>) {
+    fn walk(report: &mut TdiffReport, prefix: &str, a: Option<&Json>, b: Option<&Json>) {
         let (ma, mb) = (by_name(a), by_name(b));
         let names: std::collections::BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
         for name in names {
             let path = format!("{prefix}/{name}");
             if let (Some(av), Some(bv)) = (ma.get(name), mb.get(name)) {
                 report.compared += 1;
-                let fa = av.get("wall_ns").and_then(Value::as_f64).unwrap_or(0.0);
-                let fb = bv.get("wall_ns").and_then(Value::as_f64).unwrap_or(0.0);
+                let fa = av.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0);
+                let fb = bv.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0);
                 let slow = fb > fa * WALL_REGRESSION_RATIO && fb - fa > WALL_ABS_FLOOR_NS;
                 #[allow(clippy::float_cmp)] // exact equality is the "no finding" case
                 if fa != fb {
@@ -386,8 +387,8 @@ fn diff_wall_trees(report: &mut TdiffReport, a: Option<&Value>, b: Option<&Value
 mod tests {
     use super::*;
 
-    fn fold_doc(pv_evals: u64, p99_bucket: u64) -> Value {
-        serde_json::from_str(&format!(
+    fn fold_doc(pv_evals: u64, p99_bucket: u64) -> Json {
+        Json::parse(&format!(
             r#"{{
               "histograms": [
                 {{"name": "newton_iters", "bounds": [1, 2, 4, 8], "counts": [90, 5, 4, 0, 1],
@@ -425,13 +426,13 @@ mod tests {
 
     #[test]
     fn quantile_shift_is_detected_from_buckets() {
-        let a: Value = serde_json::from_str(
+        let a = Json::parse(
             r#"{"histograms": [{"name": "h", "bounds": [1, 2, 4, 8], "counts": [90, 9, 1, 0, 0],
                 "count": 100, "sum": 120, "max": 4}], "counters": [], "tallies": []}"#,
         )
         .unwrap();
         // Same count/sum… but the tail fattened: p99 moves from 2 to 8.
-        let b: Value = serde_json::from_str(
+        let b = Json::parse(
             r#"{"histograms": [{"name": "h", "bounds": [1, 2, 4, 8], "counts": [90, 8, 0, 2, 0],
                 "count": 100, "sum": 120, "max": 8}], "counters": [], "tallies": []}"#,
         )
@@ -446,7 +447,7 @@ mod tests {
     #[test]
     fn missing_metric_is_a_regression() {
         let a = fold_doc(1000, 9);
-        let b: Value = serde_json::from_str(
+        let b = Json::parse(
             r#"{"histograms": [], "counters": [], "tallies": [{"name": "minute", "n": 601}]}"#,
         )
         .unwrap();
@@ -457,18 +458,17 @@ mod tests {
     #[test]
     fn kind_mismatch_and_unknown_shapes_error() {
         let fold = fold_doc(1, 1);
-        let profile: Value =
-            serde_json::from_str(r#"{"structural": {"spans": []}, "machine": {"wall_spans": []}}"#)
-                .unwrap();
+        let profile =
+            Json::parse(r#"{"structural": {"spans": []}, "machine": {"wall_spans": []}}"#).unwrap();
         assert!(diff_artifacts(&fold, &profile).is_err());
-        let junk: Value = serde_json::from_str(r#"{"x": 1}"#).unwrap();
+        let junk = Json::parse(r#"{"x": 1}"#).unwrap();
         assert!(diff_artifacts(&junk, &junk).is_err());
     }
 
     #[test]
     fn profile_wall_regression_thresholds() {
-        let mk = |wall: u64, calls: u64| -> Value {
-            serde_json::from_str(&format!(
+        let mk = |wall: u64, calls: u64| -> Json {
+            Json::parse(&format!(
                 r#"{{
                   "structural": {{"spans": [{{"name": "shard", "calls": {calls},
                      "sim_minutes": 0, "children": []}}]}},

@@ -10,7 +10,6 @@
 //! JSONL floats are shortest-round-trip encoded, so the replayed values
 //! are bit-identical to the simulated ones.
 
-use serde_json::Value;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -18,6 +17,8 @@ use solarcore::{schema, DaySimulation, Policy};
 use solarenv::{Season, Site};
 use telemetry::{JsonlSink, Telemetry};
 use workloads::Mix;
+
+use crate::output::Json;
 
 /// Budget floor below which minutes do not qualify for the tracking-error
 /// aggregate; mirrors the engine's `ERROR_FLOOR_W`.
@@ -102,7 +103,7 @@ fn replay(stream: String, result_tracking_error: f64) -> TraceReport {
     let mut samples = Vec::new();
     let mut summary_tracking_error = f64::NAN;
     for line in stream.lines() {
-        let v: Value = serde_json::from_str(line).expect("stream line is valid JSON");
+        let v = Json::parse(line).expect("stream line is valid JSON");
         let name = v["name"].as_str().unwrap_or_default();
         let is_event = v["t"].as_str() == Some("event");
         if is_event && name == schema::EVENT_MINUTE {
@@ -243,7 +244,7 @@ pub fn render(report: &TraceReport) -> String {
 ///
 /// Panics if the artifact is missing or malformed (harness code).
 pub fn golden_tab07_cell(json: &str) -> f64 {
-    let v: Value = serde_json::from_str(json).expect("tab07 artifact parses");
+    let v = Json::parse(json).expect("tab07 artifact parses");
     let mixes = v["mixes"].as_array().expect("mixes array");
     let idx = mixes
         .iter()

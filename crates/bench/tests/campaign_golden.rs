@@ -16,8 +16,8 @@
 use std::path::{Path, PathBuf};
 
 use bench::campaign::{compose_report, run, run_shard, CampaignSpec, RunOptions};
+use bench::output::Json;
 use bench::parallel::default_threads;
-use serde_json::Value;
 
 /// The pinned campaign digest (also `determinism.digest` in the
 /// artifact). Drift means a simulation-visible behaviour change.
@@ -45,7 +45,7 @@ fn committed_spec() -> CampaignSpec {
     clippy::disallowed_methods,
     reason = "BLESS-only wall-clock scaling measurement, never folded into the digest"
 )]
-fn load_report() -> Value {
+fn load_report() -> Json {
     let path = repo_path("results/campaign_report.json");
     if std::env::var_os("BLESS").is_some() {
         let spec = committed_spec();
@@ -90,7 +90,7 @@ fn load_report() -> Value {
             path.display()
         )
     });
-    serde_json::from_str(&raw).expect("report parses")
+    Json::parse(&raw).expect("report parses")
 }
 
 #[test]

@@ -8,10 +8,12 @@
 //! property is proven the strong way — by *tampering* with a
 //! checkpointed row and observing the tampered value survive resume.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use bench::campaign::{run, CampaignSpec, RunOptions, ShardRow};
+use bench::output::Json;
 use proptest::prelude::*;
 
 /// A four-shard spec with single-shard waves, so every kill point
@@ -139,7 +141,7 @@ fn tampered_checkpoint_rows_survive_resume_verbatim() {
 
     // Tamper: overwrite the first row's ptp with a sentinel value.
     let text = std::fs::read_to_string(&checkpoint).expect("checkpoint exists");
-    let doc: serde_json::Value = serde_json::from_str(&text).expect("checkpoint parses");
+    let doc = Json::parse(&text).expect("checkpoint parses");
     let rows = doc["rows"].as_array().expect("rows present");
     assert!(!rows.is_empty(), "kill_after=2 checkpointed no rows");
     let original = format!("{}", rows[0]["ptp"].as_f64().expect("ptp present"));
@@ -191,28 +193,26 @@ fn incomplete_checkpoints_are_rejected_on_resume() {
     })
     .expect("killed run returns");
     let text = std::fs::read_to_string(&checkpoint).expect("checkpoint exists");
-    let serde_json::Value::Object(entries) =
-        serde_json::from_str(&text).expect("checkpoint parses")
-    else {
+    let Json::Obj(entries) = Json::parse(&text).expect("checkpoint parses") else {
         panic!("checkpoint is not a JSON object");
     };
 
-    let stripped: Vec<_> = entries
+    let stripped: BTreeMap<_, _> = entries
         .iter()
-        .filter(|(k, _)| k != "aggregate")
-        .cloned()
+        .filter(|(k, _)| *k != "aggregate")
+        .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
-    let bumped: Vec<_> = entries
+    let bumped: BTreeMap<_, _> = entries
         .iter()
         .map(|(k, v)| match (k.as_str(), v.as_u64()) {
-            ("completed", Some(n)) => (k.clone(), serde_json::Value::UInt(n + 1)),
+            ("completed", Some(n)) => (k.clone(), Json::uint(n + 1)),
             _ => (k.clone(), v.clone()),
         })
         .collect();
     assert_ne!(bumped, entries, "checkpoint has no `completed` count to bump");
 
     for (edited, expected) in [(stripped, "aggregate"), (bumped, "completed")] {
-        let edited = serde_json::to_string(&serde_json::Value::Object(edited)).expect("renders");
+        let edited = Json::Obj(edited).render();
         std::fs::write(&checkpoint, edited).expect("edited checkpoint written");
         let err = run(&spec, &scenarios, &RunOptions {
             threads: 1,

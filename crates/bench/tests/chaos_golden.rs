@@ -17,8 +17,8 @@
 use std::path::{Path, PathBuf};
 
 use bench::chaos::{load_scenarios, run_campaign, run_cell, scenarios_dir};
+use bench::output::Json;
 use bench::write_json;
-use serde_json::Value;
 use solarcore::Policy;
 
 /// Absolute scalar tolerance — the artifact stores full-precision f64s,
@@ -40,12 +40,12 @@ fn report_path() -> PathBuf {
 }
 
 /// Loads the committed report, regenerating it first under `BLESS=1`.
-fn load_report() -> Value {
+fn load_report() -> Json {
     if std::env::var_os("BLESS").is_some() {
         let scenarios = load_scenarios(&scenarios_dir()).expect("scenarios load");
         let report = run_campaign(&scenarios, None).expect("campaign runs");
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        write_json(&dir, "chaos_report", &report).expect("report written");
+        write_json(&dir, "chaos_report", &report.to_json()).expect("report written");
     }
     let raw = std::fs::read_to_string(report_path()).unwrap_or_else(|e| {
         panic!(
@@ -54,11 +54,11 @@ fn load_report() -> Value {
             report_path().display()
         )
     });
-    serde_json::from_str(&raw).expect("report parses")
+    Json::parse(&raw).expect("report parses")
 }
 
 /// The AZ / MPPT&Opt row for `scenario`, or a panic naming what's absent.
-fn canonical_row<'a>(report: &'a Value, scenario: &str) -> &'a Value {
+fn canonical_row<'a>(report: &'a Json, scenario: &str) -> &'a Json {
     report["rows"]
         .as_array()
         .expect("rows is an array")

@@ -10,23 +10,26 @@
 //! 2. *Snapshot*: headline scalars are pinned to in-test constants so an
 //!    accidental regeneration of `results/` with different numbers fails
 //!    loudly instead of silently rewriting the paper comparison.
+//! 3. *One codec*: every committed `results/*.json` is exactly what
+//!    [`Json::render`] writes, so a second JSON writer cannot come back
+//!    unnoticed.
 
-use serde_json::Value;
+use bench::output::Json;
 use solarcore::{DaySimulation, Policy};
 use solarenv::{Season, Site};
 use workloads::Mix;
 
 const TOLERANCE: f64 = 1e-9;
 
-fn read_results(name: &str) -> Value {
+fn read_results(name: &str) -> Json {
     let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
     let raw = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read committed artifact {path}: {e}"));
-    serde_json::from_str(&raw).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"))
+    Json::parse(&raw).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"))
 }
 
 /// Looks up one committed Table 7 cell: `(site code, season, mix name)`.
-fn tab07_cell(tab: &Value, site: &str, season: &str, mix: &str) -> f64 {
+fn tab07_cell(tab: &Json, site: &str, season: &str, mix: &str) -> f64 {
     let mixes = tab["mixes"].as_array().expect("tab07 has a mixes array");
     let col = mixes
         .iter()
@@ -107,6 +110,27 @@ fn headline_scalars_match_snapshot() {
         assert!(
             (measured - pinned).abs() <= TOLERANCE,
             "headline `{name}` drifted: committed {measured:.15}, pinned {pinned:.15}"
+        );
+    }
+}
+
+#[test]
+fn committed_artifacts_are_canonical_json() {
+    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {dir}: {e}"))
+        .map(|entry| entry.expect("results entry is readable").path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 19, "results/ lost artifacts: {paths:?}");
+    for path in paths {
+        let raw = std::fs::read_to_string(&path).expect("artifact is readable");
+        let doc = Json::parse(&raw).unwrap_or_else(|e| panic!("{}:{e}", path.display()));
+        assert!(
+            doc.render() == raw,
+            "{} is not in canonical form; regenerate it through `bench::output::Json`",
+            path.display()
         );
     }
 }

@@ -7,7 +7,9 @@
 //! here until the contract documents, the sample and this test are updated
 //! together.
 
-use serde_json::Value;
+use std::sync::OnceLock;
+
+use bench::output::Json;
 use solarcore::schema;
 
 const GOLDEN: &str = concat!(
@@ -15,19 +17,43 @@ const GOLDEN: &str = concat!(
     "/../../results/telemetry_golden_co_jan_hm2.jsonl"
 );
 
-fn golden_records() -> Vec<Value> {
-    let stream = std::fs::read_to_string(GOLDEN).expect("committed golden stream exists");
-    stream
+/// The committed golden stream, read once per test binary.
+fn golden_stream() -> &'static str {
+    static STREAM: OnceLock<String> = OnceLock::new();
+    STREAM.get_or_init(|| std::fs::read_to_string(GOLDEN).expect("committed golden stream exists"))
+}
+
+fn golden_records() -> Vec<Json> {
+    golden_stream()
         .lines()
-        .map(|line| serde_json::from_str(line).expect("golden line parses as JSON"))
+        .map(|line| Json::parse(line).expect("golden line parses as JSON"))
         .collect()
 }
 
-fn fields_of(record: &Value) -> Vec<String> {
-    match &record["fields"] {
-        Value::Object(entries) => entries.iter().map(|(k, _)| k.clone()).collect(),
-        other => panic!("fields must be an object, got {other:?}"),
-    }
+/// The keys of a golden record's `fields` object in the order the stream
+/// writes them. A parsed object's keys come back sorted, so the order is
+/// read off the record's line, which its `seq` numbers.
+fn fields_of(record: &Json) -> Vec<String> {
+    let Json::Obj(fields) = &record["fields"] else {
+        panic!("fields must be an object, got {:?}", record["fields"]);
+    };
+    let seq = record["seq"].as_u64().expect("record has a seq");
+    let line = golden_stream()
+        .lines()
+        .nth(usize::try_from(seq).expect("seq fits usize"))
+        .expect("seq numbers a golden line");
+    let body = &line[line.find("\"fields\":").expect("line writes its fields")..];
+    let mut keys: Vec<(usize, &String)> = fields
+        .keys()
+        .map(|k| {
+            (
+                body.find(&format!("\"{k}\":")).expect("key is on the line"),
+                k,
+            )
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, k)| k.clone()).collect()
 }
 
 #[test]
@@ -75,7 +101,7 @@ fn day_start_opens_the_stream_with_run_identity() {
 #[test]
 fn minute_events_carry_the_documented_fields_and_units() {
     let records = golden_records();
-    let minutes: Vec<&Value> = records
+    let minutes: Vec<&Json> = records
         .iter()
         .filter(|r| r["name"].as_str() == Some(schema::EVENT_MINUTE))
         .collect();
@@ -118,7 +144,7 @@ fn minute_events_carry_the_documented_fields_and_units() {
 #[test]
 fn track_spans_describe_the_mppt_loop() {
     let records = golden_records();
-    let spans: Vec<&Value> = records
+    let spans: Vec<&Json> = records
         .iter()
         .filter(|r| r["t"].as_str() == Some("span"))
         .collect();
@@ -140,7 +166,7 @@ fn track_spans_describe_the_mppt_loop() {
 #[test]
 fn histograms_are_internally_consistent() {
     let records = golden_records();
-    let hists: Vec<&Value> = records
+    let hists: Vec<&Json> = records
         .iter()
         .filter(|r| r["t"].as_str() == Some("histogram"))
         .collect();
@@ -164,7 +190,7 @@ fn histograms_are_internally_consistent() {
             bounds.len() + 1,
             "inclusive bounds plus one overflow bucket"
         );
-        let total: u64 = counts.iter().filter_map(Value::as_u64).sum();
+        let total: u64 = counts.iter().filter_map(Json::as_u64).sum();
         assert_eq!(Some(total), h["count"].as_u64(), "bucket counts must sum");
         assert!(h["sum"].as_u64().is_some());
         assert!(h["max"].as_u64().is_some());
@@ -213,7 +239,7 @@ fn counters_and_day_summary_close_the_stream() {
 #[test]
 fn vf_residency_covers_every_core_and_level() {
     let records = golden_records();
-    let residency: Vec<&Value> = records
+    let residency: Vec<&Json> = records
         .iter()
         .filter(|r| r["name"].as_str() == Some(schema::EVENT_VF_RESIDENCY))
         .collect();
@@ -232,7 +258,7 @@ fn vf_residency_covers_every_core_and_level() {
 }
 
 /// The `day_summary` record of a stream.
-fn day_summary(records: &[Value]) -> Value {
+fn day_summary(records: &[Json]) -> Json {
     records
         .iter()
         .rev()
@@ -247,10 +273,10 @@ fn golden_day_solver_and_memo_counters_are_pinned() {
     // to the op-solve probe sequence or to the memo's hit/miss sequence
     // shows here.
     let report = bench::trace_report::run_golden_day();
-    let records: Vec<Value> = report
+    let records: Vec<Json> = report
         .stream
         .lines()
-        .map(|line| serde_json::from_str(line).expect("stream line parses as JSON"))
+        .map(|line| Json::parse(line).expect("stream line parses as JSON"))
         .collect();
     let live = day_summary(&records);
     for (key, pinned) in [
