@@ -114,16 +114,17 @@ impl PolicyGrid {
                 })
                 .collect();
 
-            // The disarmed day's trace and phase seed, exactly as the
-            // policy runs prepared them.
-            let array = PvArray::solarcore_default();
+            // The disarmed day's MPP column and phase seed, exactly as the
+            // policy runs prepared them; both baselines read one column.
             let trace = EnvTrace::generate(site, *season, 0);
+            let envs: Vec<_> = trace.samples().iter().map(|s| s.cell_env()).collect();
+            let mpp = PvArray::solarcore_default().mpp_column(&envs);
             let seed = phase_seed(site, *season, 0);
             let upper = BatterySystem::upper_bound()
-                .simulate_day(&array, &trace, mix, seed)
+                .simulate_day(&mpp, mix, seed)
                 .expect("battery day runs");
             let lower = BatterySystem::lower_bound()
-                .simulate_day(&array, &trace, mix, seed)
+                .simulate_day(&mpp, mix, seed)
                 .expect("battery day runs");
             let battery = BatterySummary {
                 site: site.code().to_string(),

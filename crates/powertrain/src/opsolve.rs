@@ -8,12 +8,20 @@
 //! workspace's one load-line solver: Figure 1's fixed resistor is the
 //! resistive case behind a unity converter.
 //!
-//! The solver does not count its own work. Each probe is one
-//! [`PvGenerator::current_at`] call, so a caller that wants evaluation and
+//! Every solve makes exactly 97 PV evaluations: one per each of the 96
+//! bisection probes and one for the solved point's current. The
+//! solver does not count them itself. A caller that wants evaluation and
 //! iteration counts passes a counting generator (the engine's
-//! `solarcore::PvHandle`) and reads them there. The solver is generic over
-//! the generator, so a concrete one is dispatched statically on every
-//! probe.
+//! `solarcore::PvHandle`) and reads them there; the benchmark's pinned
+//! `pv.evals` rests on this count.
+//!
+//! After about 53 halvings the bracket is two adjacent floats and the
+//! midpoint stops moving: every remaining probe, and the final
+//! evaluation, lands on that one voltage. The solver then makes all of
+//! them in one [`PvGenerator::current_at_repeated`] call. A plain
+//! generator still evaluates each; the memo serves the repeats as one
+//! batched hit. The solver is generic over the generator, so a concrete
+//! one is dispatched statically on every probe.
 
 use pv::cell::CellEnv;
 use pv::error::PvError;
@@ -23,8 +31,10 @@ use pv::units::{Amps, Ohms, Volts, Watts};
 use crate::converter::DcDcConverter;
 use crate::error::PowerError;
 
-/// Bisection iterations for the operating-point solve (~1e-12 V resolution
-/// over a 50 V bracket).
+/// Bisection iterations for the operating-point solve. The resolution
+/// bottoms out at one f64 spacing (3.6e-15 V between 16 and 32 V), which a
+/// 50 V bracket reaches after about 53 halvings; the probes after that
+/// repeat one voltage.
 const BISECT_ITERS: u32 = 96;
 
 /// `true` when the solver sanitizer checks are compiled in: always in debug
@@ -101,8 +111,9 @@ pub fn solve_operating_point<G: PvGenerator + ?Sized>(
                 return Ok(OperatingPoint::default());
             }
             let r_panel = converter.reflected_resistance(*r).get();
-            let v = bisect_voltage_range(generator, env, 0.0, voc.get(), |v, i| v / r_panel - i)?;
-            finish(generator, env, converter, v)
+            let (v, i) =
+                bisect_voltage_range(generator, env, 0.0, voc.get(), |v, i| v / r_panel - i)?;
+            Ok(finish(generator, env, converter, v, i))
         }
         LoadModel::ConstantPower(p) => {
             if p.get() <= 0.0 {
@@ -121,25 +132,43 @@ pub fn solve_operating_point<G: PvGenerator + ?Sized>(
             }
             // On [Vmpp, Voc], P(V) falls monotonically from Pmax to 0, so
             // p_panel − P(V) is increasing there; bisect for its root.
-            let v = bisect_voltage_range(generator, env, mpp.voltage.get(), voc.get(), |v, i| {
-                p_panel - v * i
-            })?;
-            finish(generator, env, converter, v)
+            let (v, i) =
+                bisect_voltage_range(generator, env, mpp.voltage.get(), voc.get(), |v, i| {
+                    p_panel - v * i
+                })?;
+            Ok(finish(generator, env, converter, v, i))
         }
     }
 }
 
 /// Bisects on `[lo, hi]` for the root of `f(V, I_pv(V))`, where `f` is
-/// increasing in `V` along the PV curve.
+/// increasing in `V` along the PV curve. Returns the root voltage and the
+/// PV current there, after [`BISECT_ITERS`] probes and one evaluation at
+/// the root.
+///
+/// Once the midpoint equals `lo` or `hi` it stays put: whichever side the
+/// probe moves, the next midpoint is the same float, and so is the root.
+/// The remaining probes and the root's evaluation are then made in one
+/// [`PvGenerator::current_at_repeated`] call at that voltage.
 fn bisect_voltage_range<G: PvGenerator + ?Sized>(
     generator: &G,
     env: CellEnv,
     mut lo: f64,
     mut hi: f64,
     f: impl Fn(f64, f64) -> f64,
-) -> Result<Volts, PvError> {
-    for _ in 0..BISECT_ITERS {
+) -> Result<(Volts, Amps), PvError> {
+    for iter in 0..BISECT_ITERS {
         let mid = 0.5 * (lo + hi);
+        #[expect(
+            clippy::float_cmp,
+            reason = "the fixed point is an exact float equality"
+        )]
+        let converged = mid == lo || mid == hi;
+        if converged {
+            let v = Volts::new(mid);
+            let i = generator.current_at_repeated(env, v, BISECT_ITERS - iter + 1)?;
+            return Ok((v, i));
+        }
         let i = generator.current_at(env, Volts::new(mid))?.get();
         if f(mid, i) < 0.0 {
             lo = mid;
@@ -147,7 +176,8 @@ fn bisect_voltage_range<G: PvGenerator + ?Sized>(
             hi = mid;
         }
     }
-    Ok(Volts::new(0.5 * (lo + hi)))
+    let v = Volts::new(0.5 * (lo + hi));
+    Ok((v, generator.current_at(env, v)?))
 }
 
 fn finish<G: PvGenerator + ?Sized>(
@@ -155,8 +185,9 @@ fn finish<G: PvGenerator + ?Sized>(
     env: CellEnv,
     converter: &DcDcConverter,
     panel_voltage: Volts,
-) -> Result<OperatingPoint, PowerError> {
-    let panel_current = generator.current_at(env, panel_voltage)?.max(Amps::ZERO);
+    current: Amps,
+) -> OperatingPoint {
+    let panel_current = current.max(Amps::ZERO);
     let op = OperatingPoint {
         panel_voltage,
         panel_current,
@@ -164,7 +195,7 @@ fn finish<G: PvGenerator + ?Sized>(
         output_current: converter.output_current(panel_current),
     };
     assert_point_sane(generator, env, converter, &op);
-    Ok(op)
+    op
 }
 
 /// Solver-side physics sanitizer: a solved point must lie on the panel's
@@ -383,6 +414,98 @@ mod tests {
         // Loads whose probes all stay below the failing voltages still solve.
         let heavy = LoadModel::Resistance(Ohms::new(0.3));
         assert!(solve_operating_point(&failing, env, &dcdc, &heavy).is_ok());
+    }
+
+    /// Forwards to a generator through `current_at_counted` alone, so the
+    /// solver's repeated evaluations run the trait's default one call at a
+    /// time; counts those calls.
+    struct Unbatched<'g, G: ?Sized> {
+        inner: &'g G,
+        evals: core::cell::Cell<u64>,
+    }
+
+    impl<'g, G: PvGenerator + ?Sized> Unbatched<'g, G> {
+        fn new(inner: &'g G) -> Self {
+            Self {
+                inner,
+                evals: core::cell::Cell::new(0),
+            }
+        }
+    }
+
+    impl<G: PvGenerator + ?Sized> PvGenerator for Unbatched<'_, G> {
+        fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
+            self.inner.open_circuit_voltage(env)
+        }
+
+        fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
+            self.evals.set(self.evals.get() + 1);
+            self.inner.current_at_counted(env, voltage)
+        }
+
+        fn mpp(&self, env: CellEnv) -> MppPoint {
+            self.inner.mpp(env)
+        }
+    }
+
+    /// Resistive and constant-power loads that bisect under `env`.
+    fn grid_loads(array: &PvArray, dcdc: &DcDcConverter, env: CellEnv) -> Vec<LoadModel> {
+        let p_mpp = array.mpp(env).power.get() * dcdc.efficiency();
+        let mut loads: Vec<LoadModel> = [0.3, 0.9, 1.2, 2.5, 6.0]
+            .map(|r| LoadModel::Resistance(Ohms::new(r)))
+            .into();
+        loads.extend(
+            [0.2, 0.7, 0.99].map(|share| LoadModel::ConstantPower(Watts::new(share * p_mpp))),
+        );
+        loads
+    }
+
+    /// Every resistive and constant-power solve makes `BISECT_ITERS + 1`
+    /// evaluations, and the memo serves them with the same bits and leaves
+    /// the same counters whether its repeats come batched or one by one.
+    /// The benchmark's pinned `pv.evals` rests on this count.
+    #[test]
+    fn every_solve_makes_bisect_iters_plus_one_evaluations() {
+        let (array, dcdc, _) = rig();
+        let counting = Unbatched::new(&array);
+        let (batched_cache, single_cache) = (pv::ArrayCache::new(), pv::ArrayCache::new());
+        let batched = pv::CachedArray::new(&array, &batched_cache);
+        let single_memo = pv::CachedArray::new(&array, &single_cache);
+        let single = Unbatched::new(&single_memo);
+        let mut solves = 0;
+        for g in [40.0, 250.0, 620.0, 1000.0, 1150.0] {
+            for t in [-5.0, 25.0, 48.0, 70.0] {
+                let env = CellEnv::new(pv::units::Irradiance::new(g), Celsius::new(t));
+                for load in grid_loads(&array, &dcdc, env) {
+                    let before = counting.evals.get();
+                    let plain = solve_operating_point(&array, env, &dcdc, &load).unwrap();
+                    let counted = solve_operating_point(&counting, env, &dcdc, &load).unwrap();
+                    assert_eq!(counting.evals.get() - before, u64::from(BISECT_ITERS) + 1);
+                    let before = single.evals.get();
+                    let one_by_one = solve_operating_point(&single, env, &dcdc, &load).unwrap();
+                    assert_eq!(single.evals.get() - before, u64::from(BISECT_ITERS) + 1);
+                    let memoized = solve_operating_point(&batched, env, &dcdc, &load).unwrap();
+                    for op in [counted, one_by_one, memoized] {
+                        assert_eq!(
+                            op.panel_voltage.get().to_bits(),
+                            plain.panel_voltage.get().to_bits(),
+                            "{load:?} at G = {g}, T = {t}"
+                        );
+                        assert_eq!(
+                            op.panel_current.get().to_bits(),
+                            plain.panel_current.get().to_bits()
+                        );
+                    }
+                    assert_eq!(batched_cache.stats(), single_cache.stats());
+                    solves += 1;
+                }
+            }
+        }
+        let stats = batched_cache.stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            solves * (u64::from(BISECT_ITERS) + 1)
+        );
     }
 
     #[test]

@@ -17,6 +17,12 @@ use crate::units::{Amps, Volts, Watts};
 /// Pass-through wrappers (the memo, the telemetry counter) observe each
 /// evaluation by wrapping that one method.
 ///
+/// [`current_at_repeated`](Self::current_at_repeated) makes several
+/// evaluations at one voltage in one call. Its default makes each of them
+/// through [`current_at`](Self::current_at). A memo may override it to
+/// serve the repeats in O(1), provided it leaves the state and counts that
+/// the single calls would leave.
+///
 /// The trait is object-safe so power-delivery code can hold a
 /// `Box<dyn PvGenerator>`.
 pub trait PvGenerator {
@@ -46,6 +52,34 @@ pub trait PvGenerator {
     /// Same contract as [`Self::current_at_counted`].
     fn current_at(&self, env: CellEnv, voltage: Volts) -> Result<Amps, PvError> {
         Ok(self.current_at_counted(env, voltage)?.0)
+    }
+
+    /// `times` evaluations at terminal voltage `voltage`, as `times` calls
+    /// of [`Self::current_at`] make them, returning the last call's
+    /// current. At least one evaluation is made, so `times = 0` counts as
+    /// one. The operating-point bisection serves its converged tail, where
+    /// every remaining probe lands on one voltage, through this call.
+    ///
+    /// The default makes every evaluation. An override may serve the
+    /// repeats more cheaply, but the state it leaves behind and everything
+    /// it counts must be those of the `times` single calls, and it must
+    /// return the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::current_at_counted`]; the first failing
+    /// evaluation ends the run.
+    fn current_at_repeated(
+        &self,
+        env: CellEnv,
+        voltage: Volts,
+        times: u32,
+    ) -> Result<Amps, PvError> {
+        let mut current = self.current_at(env, voltage)?;
+        for _ in 1..times {
+            current = self.current_at(env, voltage)?;
+        }
+        Ok(current)
     }
 
     /// Output power at terminal voltage `voltage`.

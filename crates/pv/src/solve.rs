@@ -40,8 +40,8 @@
 //! slot whose stamp is 0 is empty; every stored entry has a stamp of at
 //! least 1.
 //!
-//! The operating-point solver drives the memo ~97 times per solve and
-//! ~97% of those lookups hit, so the lookup is kept cheap by four
+//! The operating-point solver drives the memo 97 times per solve and
+//! ~97% of those lookups hit, so the lookup is kept cheap by five
 //! mechanisms that leave the memo's state evolution unchanged — the same
 //! set index, stamp sequence, replacement choice, hit/miss sequence and
 //! returned bits as a full FNV-1a hash and set scan on every call:
@@ -66,9 +66,18 @@
 //!    miss in the same `(G, T)` skips [`CellCoeffs::resolve`] and the
 //!    `ln` of the cell's `Voc`. The solve is the plain array's code run
 //!    against those coefficients.
+//! 5. **Batched repeats.** Once a bisection's bracket is two adjacent
+//!    floats, its remaining probes and final evaluation (44 of 97 on
+//!    average) all ask for one voltage, in one
+//!    [`PvGenerator::current_at_repeated`] call. The second of those
+//!    lookups always hits and leaves the slot linked to itself, so every
+//!    later one would take the link: the cache applies them at once, as
+//!    one stamp advance, one restamp and one hit-count bump.
 //!
 //! A test-only copy of the old lookup is run against this one on one probe
-//! stream, and the two tables must match entry for entry.
+//! stream, and the two tables must match entry for entry; after each
+//! batched repeat the cache must also match, link for link, a copy that
+//! took the lookups one by one.
 
 use core::cell::RefCell;
 
@@ -328,7 +337,7 @@ fn ways(set: usize) -> core::ops::Range<usize> {
 }
 
 /// Mutable interior of an [`ArrayCache`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CacheState {
     /// `SOLVE_SETS` sets of `WAYS` slots, set `s` at [`ways`]`(s)`.
     solves: Vec<SolveEntry>,
@@ -414,6 +423,17 @@ impl CacheState {
         }
         self.misses += 1;
         Err(set)
+    }
+
+    /// Applies `n` more lookups of the key in slot `last` after a hit has
+    /// linked that slot to itself: each would take the linked slot, so
+    /// together they tick the stamp `n` times, restamp the slot with the
+    /// last tick and count `n` hits.
+    fn repeat_last_hit(&mut self, n: u64) {
+        debug_assert_eq!(self.solves[self.last].next as usize, self.last);
+        self.stamp = self.stamp.wrapping_add(n);
+        self.solves[self.last].stamp = self.stamp;
+        self.hits += n;
     }
 
     /// Stores a solved current into `set`, the index a missed
@@ -601,6 +621,27 @@ impl PvGenerator for CachedArray<'_> {
         let (current, iters) = self.array.current_with(&solver, voltage)?;
         state.store_solve(set, key, current.get().to_bits());
         Ok((current, iters))
+    }
+
+    /// The first lookup misses or hits. The second always hits and leaves
+    /// the entry's slot linked to itself, so the remaining `times - 2`
+    /// lookups would each take the link, and they are applied at once.
+    fn current_at_repeated(
+        &self,
+        env: CellEnv,
+        voltage: Volts,
+        times: u32,
+    ) -> Result<Amps, PvError> {
+        let current = self.current_at(env, voltage)?;
+        if times < 2 {
+            return Ok(current);
+        }
+        let current = self.current_at(env, voltage)?;
+        self.cache
+            .state
+            .borrow_mut()
+            .repeat_last_hit(u64::from(times - 2));
+        Ok(current)
     }
 
     /// Not memoized: the engine reads each minute's MPP from the setup's
@@ -984,6 +1025,38 @@ mod tests {
         (false, bits)
     }
 
+    /// Everything a cache holds: each slot with its link, the counters,
+    /// the last slot, the hoisted hash and the resolved coefficients.
+    #[expect(clippy::type_complexity, reason = "a one-off snapshot compared whole")]
+    fn state_of(
+        cache: &ArrayCache,
+    ) -> (
+        Vec<(SolveKey, u64, u64, u32)>,
+        Vec<(EnvKey, u64, u64)>,
+        [u64; 3],
+        usize,
+        (EnvKey, u64),
+        Option<(EnvKey, CellCoeffs, Volts)>,
+    ) {
+        let state = cache.state.borrow();
+        (
+            state
+                .solves
+                .iter()
+                .map(|e| (e.key, e.current_bits, e.stamp, e.next))
+                .collect(),
+            state
+                .envs
+                .iter()
+                .map(|e| (e.key, e.voc_bits, e.stamp))
+                .collect(),
+            [state.stamp, state.hits, state.misses],
+            state.last,
+            state.env_hash,
+            state.resolved,
+        )
+    }
+
     /// Drives the cache and the reference memo with one probe stream and
     /// checks them call by call.
     struct Differential<'a> {
@@ -1022,6 +1095,43 @@ mod tests {
             assert_eq!(got.get().to_bits(), want, "Voc of call {}", self.calls);
             self.calls += 1;
             got.get()
+        }
+
+        /// `times` evaluations at one voltage through the batched call.
+        /// The cache must end exactly where `times` single lookups from the
+        /// same state end: entries, stamps, links and counters. The
+        /// reference memo takes the `times` single lookups.
+        fn repeated(&mut self, e: CellEnv, v: Volts, times: u32) -> f64 {
+            let singles = ArrayCache {
+                state: RefCell::new(self.cache.state.borrow().clone()),
+            };
+            let mut want = None;
+            for _ in 0..times {
+                let single = CachedArray::new(self.array, &singles).current_at(e, v);
+                want = Some(single.unwrap().get().to_bits());
+                let (_, bits) = reference_solve(&mut self.memo, self.array, e, v);
+                assert_eq!(want, Some(bits), "bits of call {}", self.calls);
+            }
+            let got = CachedArray::new(self.array, self.cache)
+                .current_at_repeated(e, v, times)
+                .unwrap()
+                .get();
+            assert_eq!(Some(got.to_bits()), want, "bits of call {}", self.calls);
+            assert!(
+                state_of(self.cache) == state_of(&singles),
+                "{times} repeats of call {} left another state",
+                self.calls
+            );
+            assert_eq!(
+                self.cache.stats(),
+                CacheStats {
+                    hits: self.memo.hits,
+                    misses: self.memo.misses,
+                }
+            );
+            assert_eq!(self.cache.state.borrow().stamp, self.memo.stamp);
+            self.calls += 1;
+            got
         }
 
         /// A non-finite probe returns the plain array's error and leaves the
@@ -1182,6 +1292,34 @@ mod tests {
         run.solve(sunny, Volts::new(24.9));
         run.solve(hazy, Volts::new(24.9));
         assert_eq!(cache.stats().misses, misses + 3);
+
+        // Batched repeats, the first lookup of each a miss, a hit through
+        // the scan and a hit through the link.
+        for (round, times) in [1, 2, 3, 44].into_iter().enumerate() {
+            let base = 28.0 + f64::from(u8::try_from(round).unwrap());
+            let [a, b, c] = [0.125, 0.25, 0.375].map(|d| Volts::new(base + d));
+            let before = cache.stats();
+            run.repeated(sunny, a, times);
+            assert_eq!(cache.stats().misses, before.misses + 1);
+
+            run.solve(sunny, b);
+            run.solve(sunny, c);
+            assert_eq!(linked(), Some(key(sunny, c)));
+            let before = cache.stats();
+            run.repeated(sunny, a, times);
+            assert_eq!(cache.stats().misses, before.misses);
+
+            // `b` was followed by `c`, so after `b` the link leads to `c`.
+            run.solve(sunny, b);
+            assert_eq!(linked(), Some(key(sunny, c)));
+            let before = cache.stats();
+            run.repeated(sunny, c, times);
+            assert_eq!(cache.stats().misses, before.misses);
+        }
+        // A repeat in another environment, after the batch, still resolves
+        // its own coefficients on the miss.
+        run.repeated(hazy, Volts::new(28.125), 5);
+        run.solve(sunny, Volts::new(28.125));
 
         let stats = cache.stats();
         assert_eq!(

@@ -8,9 +8,8 @@
 //! drained exactly the stored solar energy.
 
 use archsim::MultiCoreChip;
-use pv::generator::PvGenerator;
+use pv::mpp::MppPoint;
 use pv::units::WattHours;
-use solarenv::EnvTrace;
 use workloads::{Mix, PhaseTrace};
 
 use crate::error::CoreError;
@@ -94,8 +93,12 @@ impl BatterySystem {
     }
 
     /// Simulates one day: the battery banks `derating × ideal MPP energy`
-    /// over the trace; the chip runs at full speed on that stored energy
+    /// over the day; the chip runs at full speed on that stored energy
     /// until it is gone, accumulating instructions.
+    ///
+    /// `mpp` is the day's MPP column, one point per trace minute in order:
+    /// [`pv::PvArray::mpp_column`] of the trace's cell environments, which
+    /// one caller can compute once for several systems.
     ///
     /// # Errors
     ///
@@ -103,20 +106,15 @@ impl BatterySystem {
     /// an internal phase-trace/chip size mismatch.
     pub fn simulate_day(
         &self,
-        array: &dyn PvGenerator,
-        trace: &EnvTrace,
+        mpp: &[MppPoint],
         mix: &Mix,
         phase_seed: u64,
     ) -> Result<BatteryDayResult, CoreError> {
-        let minutes = trace.samples().len();
+        let minutes = mpp.len();
         let phases = PhaseTrace::for_mix(mix, phase_seed, minutes);
 
         // Harvest: optimal MPPT into the battery, derated.
-        let ideal_wh: f64 = trace
-            .samples()
-            .iter()
-            .map(|s| array.mpp(s.cell_env()).power.get() / 60.0)
-            .sum();
+        let ideal_wh: f64 = mpp.iter().map(|p| p.power.get() / 60.0).sum();
         let stored_wh = ideal_wh * self.derating;
 
         // Drain: full speed until the stored energy is gone.
@@ -184,7 +182,14 @@ impl BatteryDayResult {
 mod tests {
     use super::*;
     use pv::PvArray;
-    use solarenv::{Season, Site};
+    use solarenv::{EnvTrace, Season, Site};
+
+    /// The MPP column of one generated day.
+    fn day_mpp(site: &Site, season: Season, day: u32) -> Vec<MppPoint> {
+        let trace = EnvTrace::generate(site, season, day);
+        let envs: Vec<_> = trace.samples().iter().map(|s| s.cell_env()).collect();
+        PvArray::solarcore_default().mpp_column(&envs)
+    }
 
     #[test]
     fn table3_derating_factors() {
@@ -201,26 +206,42 @@ mod tests {
 
     #[test]
     fn sunny_day_simulation_is_consistent() {
-        let array = PvArray::solarcore_default();
-        let trace = EnvTrace::generate(&Site::phoenix_az(), Season::Apr, 0);
+        let mpp = day_mpp(&Site::phoenix_az(), Season::Apr, 0);
         let result = BatterySystem::upper_bound()
-            .simulate_day(&array, &trace, &Mix::h1(), 42)
+            .simulate_day(&mpp, &Mix::h1(), 42)
             .unwrap();
         assert!((result.utilization() - 0.92).abs() < 1e-9);
         assert!(result.instructions > 0.0);
         assert!(result.powered_minutes > 0.0);
-        assert!(result.powered_minutes <= trace.samples().len() as f64);
+        assert!(result.powered_minutes <= mpp.len() as f64);
+    }
+
+    /// The harvest summed from the column has the bits of a per-minute MPP
+    /// search summed in trace order.
+    #[test]
+    fn harvest_from_the_column_matches_a_per_minute_search() {
+        use pv::generator::PvGenerator;
+        let array = PvArray::solarcore_default();
+        let trace = EnvTrace::generate(&Site::golden_co(), Season::Oct, 2);
+        let searched: f64 = trace
+            .samples()
+            .iter()
+            .map(|s| array.mpp(s.cell_env()).power.get() / 60.0)
+            .sum();
+        let result = BatterySystem::lower_bound()
+            .simulate_day(&day_mpp(&Site::golden_co(), Season::Oct, 2), &Mix::l1(), 3)
+            .unwrap();
+        assert_eq!(result.ideal.get().to_bits(), searched.to_bits());
     }
 
     #[test]
     fn upper_bound_beats_lower_bound() {
-        let array = PvArray::solarcore_default();
-        let trace = EnvTrace::generate(&Site::golden_co(), Season::Jul, 1);
+        let mpp = day_mpp(&Site::golden_co(), Season::Jul, 1);
         let hi = BatterySystem::upper_bound()
-            .simulate_day(&array, &trace, &Mix::hm2(), 7)
+            .simulate_day(&mpp, &Mix::hm2(), 7)
             .unwrap();
         let lo = BatterySystem::lower_bound()
-            .simulate_day(&array, &trace, &Mix::hm2(), 7)
+            .simulate_day(&mpp, &Mix::hm2(), 7)
             .unwrap();
         assert!(hi.instructions > lo.instructions);
         assert!(hi.stored > lo.stored);
@@ -231,11 +252,10 @@ mod tests {
 
     #[test]
     fn low_epi_mix_runs_longer_on_the_same_energy() {
-        let array = PvArray::solarcore_default();
-        let trace = EnvTrace::generate(&Site::oak_ridge_tn(), Season::Jan, 0);
+        let mpp = day_mpp(&Site::oak_ridge_tn(), Season::Jan, 0);
         let sys = BatterySystem::tier(BatteryTier::Typical);
-        let h1 = sys.simulate_day(&array, &trace, &Mix::h1(), 1).unwrap();
-        let l1 = sys.simulate_day(&array, &trace, &Mix::l1(), 1).unwrap();
+        let h1 = sys.simulate_day(&mpp, &Mix::h1(), 1).unwrap();
+        let l1 = sys.simulate_day(&mpp, &Mix::l1(), 1).unwrap();
         assert!(l1.powered_minutes >= h1.powered_minutes);
     }
 }

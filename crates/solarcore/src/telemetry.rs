@@ -296,11 +296,11 @@ impl DayInstruments {
         }
     }
 
-    /// Tallies one zero-iteration evaluation. A single counter bump, so
+    /// Tallies `n` zero-iteration evaluations. A single counter bump, so
     /// the memo-hit path (~97% of a cached day's evaluations) does not pay
-    /// for a full histogram record.
-    pub fn note_zero_eval(&self) {
-        self.zero_evals.set(self.zero_evals.get().saturating_add(1));
+    /// for a full histogram record, and a batch of hits costs one bump.
+    pub fn note_zero_evals(&self, n: u64) {
+        self.zero_evals.set(self.zero_evals.get().saturating_add(n));
     }
 
     /// Folds the batched zero-iteration evaluations into `newton_iters`.
@@ -332,6 +332,11 @@ impl DayInstruments {
 /// of PV work: evaluation counts and iteration totals are read off the
 /// `newton_iters` histogram. The tally changes what is *observed*, never
 /// what is *computed*.
+///
+/// A run of repeated evaluations at one voltage goes to the memo as one
+/// batch: the first is tallied with its own iteration count, and the rest,
+/// which are memo hits, as zero-iteration evaluations. Without the memo
+/// every repeat is a full solve and is tallied as one.
 #[derive(Debug)]
 pub struct PvHandle<'a> {
     array: &'a PvArray,
@@ -370,12 +375,36 @@ impl PvGenerator for PvHandle<'_> {
         };
         if let Some(instruments) = self.tally {
             if iters == 0 {
-                instruments.note_zero_eval();
+                instruments.note_zero_evals(1);
             } else {
                 instruments.newton_iters.record(u64::from(iters));
             }
         }
         Ok((current, iters))
+    }
+
+    fn current_at_repeated(
+        &self,
+        env: CellEnv,
+        voltage: Volts,
+        times: u32,
+    ) -> Result<Amps, PvError> {
+        let mut current = self.current_at(env, voltage)?;
+        match &self.memo {
+            // After the first evaluation every repeat is a memo hit.
+            Some(memo) if times > 1 => {
+                current = memo.current_at_repeated(env, voltage, times - 1)?;
+                if let Some(instruments) = self.tally {
+                    instruments.note_zero_evals(u64::from(times - 1));
+                }
+            }
+            _ => {
+                for _ in 1..times {
+                    current = self.current_at(env, voltage)?;
+                }
+            }
+        }
+        Ok(current)
     }
 
     fn mpp(&self, env: CellEnv) -> MppPoint {
@@ -390,7 +419,7 @@ impl PvGenerator for PvHandle<'_> {
 mod tests {
     use super::*;
     use powertrain::{solve_operating_point, DcDcConverter, LoadModel};
-    use pv::units::{Celsius, Irradiance, Ohms};
+    use pv::units::{Celsius, Irradiance, Ohms, Watts};
 
     #[test]
     fn pv_handle_is_bit_transparent_and_tallies() {
@@ -452,12 +481,83 @@ mod tests {
         assert_eq!(cache.stats().hits, stats.hits + 97);
     }
 
+    /// Forwards to a handle through `current_at_counted` alone, so the
+    /// solver's repeated evaluations reach it one call at a time.
+    struct Unbatched<'h>(&'h PvHandle<'h>);
+
+    impl PvGenerator for Unbatched<'_> {
+        fn open_circuit_voltage(&self, env: CellEnv) -> Volts {
+            self.0.open_circuit_voltage(env)
+        }
+
+        fn current_at_counted(&self, env: CellEnv, voltage: Volts) -> Result<(Amps, u32), PvError> {
+            self.0.current_at_counted(env, voltage)
+        }
+
+        fn mpp(&self, env: CellEnv) -> MppPoint {
+            self.0.mpp(env)
+        }
+    }
+
+    /// With the memo on and off, solves whose repeats reach the handle in
+    /// one batch give the bits, the `newton_iters` count and sum and the
+    /// memo counters of solves whose repeats arrive one by one: 97
+    /// evaluations per solve either way.
+    #[test]
+    fn batched_repeats_tally_like_single_evaluations() {
+        let array = PvArray::solarcore_default();
+        let dcdc = DcDcConverter::solarcore_default();
+        for memo in [false, true] {
+            let caches = [ArrayCache::new(), ArrayCache::new()];
+            let tallies = [DayInstruments::new(), DayInstruments::new()];
+            let handles = [0, 1]
+                .map(|k| PvHandle::new(&array, memo.then_some(&caches[k]), Some(&tallies[k])));
+            let single = Unbatched(&handles[1]);
+            let mut solves = 0;
+            for (g, t) in [(120.0, 4.0), (540.0, 22.0), (910.0, 37.0), (1080.0, 55.0)] {
+                let env = CellEnv::new(Irradiance::new(g), Celsius::new(t));
+                let p_mpp = array.mpp(env).power.get() * dcdc.efficiency();
+                let loads = [0.4, 1.2, 3.0]
+                    .map(|r| LoadModel::Resistance(Ohms::new(r)))
+                    .into_iter()
+                    .chain(
+                        [0.3, 0.95]
+                            .map(|share| LoadModel::ConstantPower(Watts::new(share * p_mpp))),
+                    );
+                for load in loads {
+                    let batched = solve_operating_point(&handles[0], env, &dcdc, &load).unwrap();
+                    let one_by_one = solve_operating_point(&single, env, &dcdc, &load).unwrap();
+                    assert_eq!(
+                        batched.panel_voltage.get().to_bits(),
+                        one_by_one.panel_voltage.get().to_bits()
+                    );
+                    assert_eq!(
+                        batched.panel_current.get().to_bits(),
+                        one_by_one.panel_current.get().to_bits()
+                    );
+                    solves += 1;
+                }
+            }
+            for tally in &tallies {
+                tally.fold_zero_evals();
+            }
+            let [batched, one_by_one] = &tallies;
+            assert_eq!(batched.newton_iters.count(), 97 * solves, "memo {memo}");
+            assert_eq!(
+                batched.newton_iters.count(),
+                one_by_one.newton_iters.count()
+            );
+            assert_eq!(batched.newton_iters.sum(), one_by_one.newton_iters.sum());
+            assert_eq!(batched.pv_evals().get(), one_by_one.pv_evals().get());
+            assert_eq!(caches[0].stats(), caches[1].stats());
+        }
+    }
+
     #[test]
     fn zero_eval_batching_folds_to_individual_records() {
         let batched = DayInstruments::new();
-        batched.note_zero_eval();
-        batched.note_zero_eval();
-        batched.note_zero_eval();
+        batched.note_zero_evals(1);
+        batched.note_zero_evals(2);
         batched.newton_iters.record(2);
         batched.fold_zero_evals();
 

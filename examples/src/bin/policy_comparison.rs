@@ -40,11 +40,12 @@ fn main() -> Result<ExitCode, CoreError> {
     );
 
     // Battery baselines (Table 3 bounds) on the same trace and phases.
-    let array = PvArray::solarcore_default();
     let trace = EnvTrace::generate(&site, season, 0);
+    let envs: Vec<_> = trace.samples().iter().map(|s| s.cell_env()).collect();
+    let mpp = PvArray::solarcore_default().mpp_column(&envs);
     let seed = phase_seed(&site, season, 0);
-    let lower = BatterySystem::lower_bound().simulate_day(&array, &trace, &mix, seed)?;
-    let upper = BatterySystem::upper_bound().simulate_day(&array, &trace, &mix, seed)?;
+    let lower = BatterySystem::lower_bound().simulate_day(&mpp, &mix, seed)?;
+    let upper = BatterySystem::upper_bound().simulate_day(&mpp, &mix, seed)?;
 
     let policies = [
         Policy::FixedPower(Watts::new(75.0)),

@@ -157,10 +157,11 @@ proptest! {
     fn battery_harvest_scales_with_derating(d1 in 0.3..0.9_f64) {
         use solarcore::BatterySystem;
         use solarenv::{EnvTrace, Season, Site};
-        let array = PvArray::solarcore_default();
         let trace = EnvTrace::generate(&Site::golden_co(), Season::Apr, 0);
-        let a = BatterySystem::with_derating(d1).simulate_day(&array, &trace, &Mix::l1(), 1).unwrap();
-        let b = BatterySystem::with_derating(d1 / 2.0).simulate_day(&array, &trace, &Mix::l1(), 1).unwrap();
+        let envs: Vec<_> = trace.samples().iter().map(|s| s.cell_env()).collect();
+        let mpp = PvArray::solarcore_default().mpp_column(&envs);
+        let a = BatterySystem::with_derating(d1).simulate_day(&mpp, &Mix::l1(), 1).unwrap();
+        let b = BatterySystem::with_derating(d1 / 2.0).simulate_day(&mpp, &Mix::l1(), 1).unwrap();
         prop_assert!((a.stored.get() / b.stored.get() - 2.0).abs() < 1e-9);
         prop_assert!(a.instructions >= b.instructions);
     }

@@ -46,7 +46,7 @@ use std::process::{Command, ExitCode};
 /// The `cargo xtask ci` gates, in order: the cheap static gates first so
 /// they fail fast, then the build and the tests. Each entry is either a
 /// `cargo` command line or an `xtask` command dispatched in-process.
-const CI_GATES: [&[&str]; 7] = [
+const CI_GATES: [&[&str]; 8] = [
     &["xtask", "docs"],
     &[
         "cargo",
@@ -74,6 +74,29 @@ const CI_GATES: [&[&str]; 7] = [
         "-q",
         "--manifest-path",
         "perfbench/Cargo.toml",
+    ],
+    // The self-test runs shrunken workloads, so it never meets the
+    // full-size pins. The traced seed-0 `year_fleet` run checks them all:
+    // the campaign digest at 1 thread and at nproc, the profiled day
+    // hashes and the pinned evaluation, MPP-query and tracking counts.
+    // It exits non-zero when any of them moves.
+    &[
+        "cargo",
+        "run",
+        "--release",
+        "--offline",
+        "-q",
+        "--manifest-path",
+        "perfbench/Cargo.toml",
+        "--",
+        "--workload",
+        "year_fleet",
+        "--seed",
+        "0",
+        "--seconds",
+        "1",
+        "--trace",
+        "1",
     ],
     // The committed campaign report diffed against itself must report
     // zero findings: the comparison engine parses the real artifact.
@@ -132,7 +155,9 @@ fn print_usage() {
         "  profile   run the year-scale campaign profiled and write results/profile_report.json"
     );
     eprintln!("  tdiff     schema-aware diff of two telemetry/profile/campaign artifacts");
-    eprintln!("  ci        docs, clippy, doc, build, test, perfbench test, tdiff self-check");
+    eprintln!(
+        "  ci        docs, clippy, doc, build, test, perfbench test, traced year_fleet, tdiff"
+    );
 }
 
 /// Locates the workspace root (the directory holding the top Cargo.toml).
