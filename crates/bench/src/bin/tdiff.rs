@@ -1,10 +1,9 @@
 //! Artifact diff CLI (`cargo xtask tdiff <a> <b>`).
 //!
 //! Loads two JSON artifacts, detects their kind from shape (campaign
-//! report, profile report, or raw metric fold), and compares them
-//! schema-aware via [`bench::tdiff::diff_artifacts`]: counters by
-//! relative delta, histograms by their p50/p90/p99 quantile profile,
-//! span trees structurally and by wall time with thresholds.
+//! report or raw metric fold), and compares them schema-aware via
+//! [`bench::tdiff::diff_artifacts`]: counters by relative delta,
+//! histograms by their p50/p90/p99 quantile profile.
 //!
 //! Prints every finding as a table and exits non-zero when any finding
 //! crossed a regression threshold — so CI can gate on

@@ -39,13 +39,12 @@ use solarcore::telemetry::{
 };
 use solarcore::{DaySimulation, Policy};
 use solarenv::{DayRange, Month, Season, Site};
-use telemetry::{CounterSnapshot, HistogramSnapshot, MetricFold, ProfTree, Profiler, Stopwatch, Telemetry};
+use telemetry::{CounterSnapshot, HistogramSnapshot, MetricFold, Stopwatch, Telemetry};
 use workloads::Mix;
 
 use crate::determinism::{day_hash, CanonicalHasher};
 use crate::output::Json;
 use crate::parallel::parallel_map;
-use crate::profile::{CampaignProfile, WaveWall};
 
 /// A campaign configuration error, with the 1-based line number for
 /// parse-time failures.
@@ -567,19 +566,16 @@ fn parse_hex(s: &str) -> Result<u64, CampaignError> {
 }
 
 /// A shard result: the deterministic row and metric fold, plus — when
-/// profiling was requested — the frozen span tree and the shard's total
-/// wall time in nanoseconds.
-pub type ProfiledShard = (ShardRow, MetricFold, Option<(ProfTree, u64)>);
+/// profiling was requested — the shard's wall time in nanoseconds.
+pub type ProfiledShard = (ShardRow, MetricFold, Option<u64>);
 
 /// Runs one shard: `days` consecutive day simulations of its month
 /// ([`DayRange`]), threading one warm PV solver memo, with day-end
 /// telemetry folded into a [`MetricFold`].
 ///
-/// When `profile` is true, the whole shard runs under a per-thread
-/// [`Profiler`] inside one [`schema::PROF_SHARD`] span, and the result
-/// carries the frozen span tree plus the shard's total wall time in
-/// nanoseconds. The profiler never touches telemetry, the fold, or the
-/// digest — rows are bit-identical either way
+/// When `profile` is true, the result carries the shard's wall time in
+/// nanoseconds, read off a [`Stopwatch`]. The reading never touches
+/// telemetry, the fold, or the digest — rows are bit-identical either way
 /// (`bench/tests/profile.rs` checks it).
 ///
 /// # Errors
@@ -636,11 +632,6 @@ pub(crate) fn run_cell(cell: &Cell<'_>, profile: bool) -> Result<ProfiledShard, 
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let prof = if profile {
-        Profiler::enabled()
-    } else {
-        Profiler::disabled()
-    };
     let watch = Stopwatch::new();
     let fold = Rc::new(RefCell::new(MetricFold::new()));
     let mut cache = pv::ArrayCache::new();
@@ -652,34 +643,30 @@ pub(crate) fn run_cell(cell: &Cell<'_>, profile: bool) -> Result<ProfiledShard, 
     let mut energy_drawn_wh = 0.0;
     let mut energy_available_wh = 0.0;
 
-    {
-        let _shard_span = prof.scope(schema::PROF_SHARD);
-        for &day in cell.days {
-            let mut builder = DaySimulation::builder()
-                .site(cell.site.clone())
-                .season(cell.season)
-                .day(day)
-                .mix(cell.mix.clone())
-                .policy(cell.policy)
-                .telemetry(Telemetry::attached(fold.clone()))
-                .profiler(prof.clone());
-            if let Some(plan) = cell.plan {
-                builder = builder.fault_plan(plan.clone());
-            }
-            let sim = builder.build().map_err(|e| e.to_string())?;
-            let setup = sim.prepare_with_cache(cache);
-            let result = sim.run_prepared(&setup).map_err(|e| e.to_string())?;
-            cache = setup.into_cache();
-
-            h.u64(u64::from(day));
-            h.u64(day_hash(&result));
-            ptp += result.solar_instructions();
-            utilization += result.utilization();
-            effective_fraction += result.effective_fraction();
-            tracking_error += result.mean_tracking_error();
-            energy_drawn_wh += result.energy_drawn().get();
-            energy_available_wh += result.energy_available().get();
+    for &day in cell.days {
+        let mut builder = DaySimulation::builder()
+            .site(cell.site.clone())
+            .season(cell.season)
+            .day(day)
+            .mix(cell.mix.clone())
+            .policy(cell.policy)
+            .telemetry(Telemetry::attached(fold.clone()));
+        if let Some(plan) = cell.plan {
+            builder = builder.fault_plan(plan.clone());
         }
+        let sim = builder.build().map_err(|e| e.to_string())?;
+        let setup = sim.prepare_with_cache(cache);
+        let result = sim.run_prepared(&setup).map_err(|e| e.to_string())?;
+        cache = setup.into_cache();
+
+        h.u64(u64::from(day));
+        h.u64(day_hash(&result));
+        ptp += result.solar_instructions();
+        utilization += result.utilization();
+        effective_fraction += result.effective_fraction();
+        tracking_error += result.mean_tracking_error();
+        energy_drawn_wh += result.energy_drawn().get();
+        energy_available_wh += result.energy_available().get();
     }
 
     // Every simulation (and its Telemetry handle) is dropped, so this is
@@ -706,8 +693,7 @@ pub(crate) fn run_cell(cell: &Cell<'_>, profile: bool) -> Result<ProfiledShard, 
         energy_drawn_wh,
         energy_available_wh,
     };
-    let prof_out = profile.then(|| (prof.tree(), watch.elapsed_ns()));
-    Ok((row, fold, prof_out))
+    Ok((row, fold, profile.then(|| watch.elapsed_ns())))
 }
 
 // ---- aggregate (de)serialization --------------------------------------
@@ -891,8 +877,8 @@ pub struct RunOptions {
     /// shards have completed, *without* checkpointing the in-flight wave —
     /// exactly what `kill -9` mid-wave loses.
     pub kill_after: Option<usize>,
-    /// Collect a wall-clock [`CampaignProfile`] (merged span tree, per-wave
-    /// pool analysis). Profiling never touches rows, aggregate, or digest —
+    /// Collect a wall-clock [`CampaignProfile`] (per-shard and per-wave
+    /// walls). Profiling never touches rows, aggregate, or digest —
     /// `bench/tests/profile.rs` checks that the report bytes are identical.
     pub profile: bool,
     /// Invoked after every completed wave with cumulative progress and an
@@ -951,10 +937,10 @@ impl CampaignOutcome {
         rows_digest(&self.rows)
     }
 
-    /// The deterministic report document: identity, rows, aggregate,
-    /// digest. Byte-identical across thread counts and kill/resume
-    /// schedules; the campaign CLI appends its (non-deterministic) scaling
-    /// measurements *outside* this document.
+    /// The report document — identity, rows, aggregate, digest — and,
+    /// rendered, the committed `results/campaign_report.json` byte for
+    /// byte. Byte-identical across thread counts and kill/resume
+    /// schedules; no wall-clock reading enters it.
     pub fn report_json(&self) -> Json {
         Json::obj(vec![
             ("campaign", Json::str(&self.name)),
@@ -967,59 +953,46 @@ impl CampaignOutcome {
     }
 }
 
-/// Assembles the committed `results/campaign_report.json` document: the
-/// deterministic report of `serial` plus a `determinism` section recording
-/// the kill/resume agreement and a `scaling` section with the measured
-/// shard throughput per thread count (the one machine-dependent part; the
-/// golden test pins the digest, never the timings).
-///
-/// ```no_run
-/// use bench::campaign::{compose_report, run, CampaignSpec, RunOptions};
-/// use std::path::Path;
-///
-/// let spec = CampaignSpec::parse("[campaign]\nname = \"demo\"\n")?;
-/// let outcome = run(&spec, Path::new("scenarios"), &RunOptions::default())?;
-/// let report = compose_report(&outcome, &outcome, &[(1, 2.5)], outcome.rows.len());
-/// std::fs::write("results/campaign_report.json", report.render())?;
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn compose_report(
-    serial: &CampaignOutcome,
-    resumed: &CampaignOutcome,
-    timings: &[(usize, f64)],
-    shards: usize,
-) -> Json {
-    let Json::Obj(mut doc) = serial.report_json() else {
-        // report_json always builds an object; fall back to it unchanged.
-        return serial.report_json();
-    };
-    doc.insert(
-        "determinism".to_owned(),
-        Json::obj(vec![
-            ("digest", Json::hex(serial.digest())),
-            ("resumed_digest", Json::hex(resumed.digest())),
-            (
-                "byte_identical",
-                Json::Bool(serial.report_json().render() == resumed.report_json().render()),
-            ),
-        ]),
-    );
-    #[allow(clippy::cast_precision_loss)] // shard counts are tiny
-    let scaling = timings
-        .iter()
-        .map(|&(threads, seconds)| {
-            Json::obj(vec![
-                ("threads", Json::int(threads)),
-                ("seconds", Json::Num(seconds)),
-                (
-                    "shards_per_second",
-                    Json::Num(if seconds > 0.0 { shards as f64 / seconds } else { 0.0 }),
-                ),
-            ])
-        })
-        .collect();
-    doc.insert("scaling".to_owned(), Json::Arr(scaling));
-    Json::Obj(doc)
+/// Wall-clock measurements of one campaign wave (a `checkpoint_every`
+/// batch of shards dispatched to the worker pool together).
+#[derive(Debug, Clone, Copy)]
+pub struct WaveWall {
+    /// Shards the wave executed.
+    pub shards: usize,
+    /// Wall time of the whole wave (dispatch to last join), nanoseconds.
+    pub wall_ns: u64,
+    /// Sum of the wave's per-shard wall times, nanoseconds.
+    pub sum_shard_ns: u64,
+}
+
+/// Wall-clock profile of one campaign invocation: per-shard and per-wave
+/// timings. Collected only when [`RunOptions::profile`] is set; lives
+/// **outside** the report document ([`CampaignOutcome::report_json`]
+/// never reads it).
+#[derive(Debug, Clone, Default)]
+pub struct CampaignProfile {
+    /// `(shard index, wall ns)` for every shard this invocation executed.
+    pub shard_walls: Vec<(usize, u64)>,
+    /// Per-wave wall measurements, in execution order.
+    pub waves: Vec<WaveWall>,
+    /// Worker threads the pool ran with.
+    pub threads: usize,
+}
+
+impl CampaignProfile {
+    /// Worker-pool utilization: shard work performed over pool capacity
+    /// (`Σ shard walls / (threads × Σ wave walls)`). 1.0 = every worker
+    /// busy for every wave; low values mean stragglers serialized waves.
+    #[allow(clippy::cast_precision_loss)]
+    pub fn pool_utilization(&self) -> f64 {
+        let wall: u64 = self.waves.iter().map(|w| w.wall_ns).sum();
+        let capacity = (self.threads.max(1) as u64).saturating_mul(wall);
+        if capacity == 0 {
+            return 0.0;
+        }
+        let work: u64 = self.waves.iter().map(|w| w.sum_shard_ns).sum();
+        work as f64 / capacity as f64
+    }
 }
 
 /// Canonical FNV-1a digest over report rows, field by field.
@@ -1104,15 +1077,12 @@ pub fn run(
         let results = parallel_map(wave, threads, |shard| run_shard(shard, days, profiling));
         let wave_ns = wave_watch.elapsed_ns();
         let mut sum_shard_ns = 0u64;
-        let mut max_shard_ns = 0u64;
         for result in results {
-            let (row, fold, shard_prof) = result?;
+            let (row, fold, shard_ns) = result?;
             aggregate.merge(&fold)?;
-            if let (Some(p), Some((tree, wall_ns))) = (profile.as_mut(), shard_prof) {
+            if let (Some(p), Some(wall_ns)) = (profile.as_mut(), shard_ns) {
                 sum_shard_ns = sum_shard_ns.saturating_add(wall_ns);
-                max_shard_ns = max_shard_ns.max(wall_ns);
                 p.shard_walls.push((row.index, wall_ns));
-                p.tree.merge(&tree);
             }
             executed.push(row.index);
             rows.push(row);
@@ -1122,7 +1092,6 @@ pub fn run(
                 shards: wave_len,
                 wall_ns: wave_ns,
                 sum_shard_ns,
-                max_shard_ns,
             });
         }
         done = wave_end;
@@ -1384,5 +1353,20 @@ checkpoint_every = 1
         )
         .unwrap();
         assert!(fold_from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn pool_analysis_arithmetic() {
+        let profile = CampaignProfile {
+            shard_walls: vec![(0, 100), (1, 300), (2, 200), (3, 200)],
+            waves: vec![
+                WaveWall { shards: 2, wall_ns: 300, sum_shard_ns: 400 },
+                WaveWall { shards: 2, wall_ns: 200, sum_shard_ns: 400 },
+            ],
+            threads: 2,
+        };
+        assert!((profile.pool_utilization() - 0.8).abs() < 1e-12);
+        let empty = CampaignProfile::default();
+        assert_eq!(empty.pool_utilization(), 0.0);
     }
 }

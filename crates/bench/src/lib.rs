@@ -52,7 +52,6 @@ pub mod experiments;
 pub mod grid;
 pub mod output;
 pub mod parallel;
-pub mod profile;
 pub mod tdiff;
 pub mod trace_report;
 

@@ -3,19 +3,19 @@
 //! Diffs two committed artifacts **schema-aware** instead of textually:
 //! counters compare by relative delta, histograms by their quantile
 //! profile ([`telemetry::quantile_from_buckets`] over the artifact's own
-//! bucket edges), span trees structurally (calls, sim minutes) and by
-//! wall time with a regression threshold. Three artifact kinds are
-//! recognized by shape:
+//! bucket edges). Two artifact kinds are recognized by shape:
 //!
 //! | kind | detected by | examples |
 //! |---|---|---|
 //! | `campaign` | top-level `aggregate` | `results/campaign_report.json` |
-//! | `profile` | top-level `structural` | `results/profile_report.json` |
 //! | `fold` | top-level `histograms` | a serialized [`MetricFold`](telemetry::MetricFold) |
+//!
+//! Artifacts hold no wall time, so nothing here compares it; perfbench
+//! measures time (DESIGN.md §19).
 //!
 //! A **finding** is any observed difference; a finding is a **regression**
 //! when it crosses the thresholds below in the worsening direction (more
-//! work, slower, fatter distribution tail). Diffing an artifact against
+//! work, fatter distribution tail). Diffing an artifact against
 //! itself yields zero findings — `cargo xtask ci` runs exactly that
 //! self-check against the committed campaign report.
 
@@ -34,19 +34,10 @@ pub const COUNTER_REL_TOLERANCE: f64 = 0.01;
 /// tolerated before the distribution counts as regressed.
 pub const QUANTILE_SHIFT_TOLERANCE: f64 = 0.10;
 
-/// Wall-time growth ratio beyond which a span counts as regressed
-/// (25% slower), with [`WALL_ABS_FLOOR_NS`] guarding tiny spans.
-pub const WALL_REGRESSION_RATIO: f64 = 1.25;
-
-/// Spans faster than this on both sides never regress — sub-millisecond
-/// walls are scheduler noise.
-pub const WALL_ABS_FLOOR_NS: f64 = 1_000_000.0;
-
 /// One observed difference between the two artifacts.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// What differed, as a path (`counter/pv_evals`, `hist/newton_iters/p99`,
-    /// `span/shard/run_day/calls`, `wall/shard`).
+    /// What differed, as a path (`counter/pv_evals`, `hist/newton_iters/p99`).
     pub metric: String,
     /// The value in artifact `a` (NaN when absent).
     pub a: f64,
@@ -62,7 +53,7 @@ pub struct Finding {
 /// The result of one artifact comparison.
 #[derive(Debug, Default)]
 pub struct TdiffReport {
-    /// Detected artifact kind (`campaign`, `profile`, `fold`).
+    /// Detected artifact kind (`campaign`, `fold`).
     pub kind: String,
     /// Number of individual metric comparisons performed.
     pub compared: usize,
@@ -79,9 +70,7 @@ impl TdiffReport {
 
 /// Detects the artifact kind from its top-level shape.
 fn detect_kind(v: &Json) -> Option<&'static str> {
-    if v.get("structural").is_some() {
-        Some("profile")
-    } else if v.get("aggregate").is_some() {
+    if v.get("aggregate").is_some() {
         Some("campaign")
     } else if v.get("histograms").is_some() {
         Some("fold")
@@ -97,8 +86,7 @@ fn detect_kind(v: &Json) -> Option<&'static str> {
 /// Unrecognized artifact shapes, or two artifacts of different kinds.
 pub fn diff_artifacts(a: &Json, b: &Json) -> Result<TdiffReport, String> {
     let kind_a = detect_kind(a).ok_or_else(|| {
-        "unrecognized artifact shape (expected a campaign report, profile report or metric fold)"
-            .to_owned()
+        "unrecognized artifact shape (expected a campaign report or metric fold)".to_owned()
     })?;
     let kind_b = detect_kind(b).ok_or_else(|| "unrecognized artifact shape in `b`".to_owned())?;
     if kind_a != kind_b {
@@ -108,32 +96,17 @@ pub fn diff_artifacts(a: &Json, b: &Json) -> Result<TdiffReport, String> {
         kind: kind_a.to_owned(),
         ..TdiffReport::default()
     };
-    match kind_a {
-        "campaign" => {
-            diff_scalar_int(&mut report, "shards", a.get("shards"), b.get("shards"));
-            diff_digest(&mut report, a.get("digest"), b.get("digest"));
-            let empty = Json::Null;
-            diff_fold(
-                &mut report,
-                a.get("aggregate").unwrap_or(&empty),
-                b.get("aggregate").unwrap_or(&empty),
-            );
-        }
-        "profile" => {
-            diff_span_trees(
-                &mut report,
-                "span",
-                a.get("structural").and_then(|v| v.get("spans")),
-                b.get("structural").and_then(|v| v.get("spans")),
-                &["calls", "sim_minutes"],
-            );
-            diff_wall_trees(
-                &mut report,
-                a.get("machine").and_then(|v| v.get("wall_spans")),
-                b.get("machine").and_then(|v| v.get("wall_spans")),
-            );
-        }
-        _ => diff_fold(&mut report, a, b),
+    if kind_a == "campaign" {
+        diff_scalar_int(&mut report, "shards", a.get("shards"), b.get("shards"));
+        diff_digest(&mut report, a.get("digest"), b.get("digest"));
+        let empty = Json::Null;
+        diff_fold(
+            &mut report,
+            a.get("aggregate").unwrap_or(&empty),
+            b.get("aggregate").unwrap_or(&empty),
+        );
+    } else {
+        diff_fold(&mut report, a, b);
     }
     Ok(report)
 }
@@ -299,90 +272,6 @@ fn diff_fold(report: &mut TdiffReport, a: &Json, b: &Json) {
     }
 }
 
-/// Recursively compares two span-tree arrays on the given integer fields
-/// (structural comparison — any difference is a finding, but call-shape
-/// drift is not a wall-time regression).
-fn diff_span_trees(
-    report: &mut TdiffReport,
-    prefix: &str,
-    a: Option<&Json>,
-    b: Option<&Json>,
-    fields: &[&str],
-) {
-    let (ma, mb) = (by_name(a), by_name(b));
-    let names: std::collections::BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
-    for name in names {
-        let path = format!("{prefix}/{name}");
-        match (ma.get(name), mb.get(name)) {
-            (Some(av), Some(bv)) => {
-                for field in fields {
-                    report.compared += 1;
-                    let fa = av.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
-                    let fb = bv.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
-                    #[allow(clippy::float_cmp)] // exact equality is the "no finding" case
-                    if fa != fb && !(fa.is_nan() && fb.is_nan()) {
-                        report.findings.push(Finding {
-                            metric: format!("{path}/{field}"),
-                            a: fa,
-                            b: fb,
-                            regression: false,
-                            note: "structural drift (call shape changed)".to_owned(),
-                        });
-                    }
-                }
-                diff_span_trees(report, &path, av.get("children"), bv.get("children"), fields);
-            }
-            (Some(_), None) | (None, Some(_)) => {
-                let missing = if ma.contains_key(name) { "b" } else { "a" };
-                report.findings.push(Finding {
-                    metric: path,
-                    a: f64::NAN,
-                    b: f64::NAN,
-                    regression: true,
-                    note: format!("span missing from `{missing}`"),
-                });
-            }
-            (None, None) => {}
-        }
-    }
-}
-
-/// Recursively compares wall-time trees with the regression threshold
-/// ([`WALL_REGRESSION_RATIO`] over [`WALL_ABS_FLOOR_NS`]).
-fn diff_wall_trees(report: &mut TdiffReport, a: Option<&Json>, b: Option<&Json>) {
-    fn walk(report: &mut TdiffReport, prefix: &str, a: Option<&Json>, b: Option<&Json>) {
-        let (ma, mb) = (by_name(a), by_name(b));
-        let names: std::collections::BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
-        for name in names {
-            let path = format!("{prefix}/{name}");
-            if let (Some(av), Some(bv)) = (ma.get(name), mb.get(name)) {
-                report.compared += 1;
-                let fa = av.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0);
-                let fb = bv.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0);
-                let slow = fb > fa * WALL_REGRESSION_RATIO && fb - fa > WALL_ABS_FLOOR_NS;
-                #[allow(clippy::float_cmp)] // exact equality is the "no finding" case
-                if fa != fb {
-                    report.findings.push(Finding {
-                        metric: path.clone(),
-                        a: fa,
-                        b: fb,
-                        regression: slow,
-                        note: format!(
-                            "wall {:+.1}% (regression beyond +{:.0}% and {} ms)",
-                            rel_delta(fa, fb) * 100.0,
-                            (WALL_REGRESSION_RATIO - 1.0) * 100.0,
-                            WALL_ABS_FLOOR_NS / 1e6,
-                        ),
-                    });
-                }
-                walk(report, &path, av.get("children"), bv.get("children"));
-            }
-            // Missing spans were already flagged by the structural pass.
-        }
-    }
-    walk(report, "wall", a, b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,39 +347,9 @@ mod tests {
     #[test]
     fn kind_mismatch_and_unknown_shapes_error() {
         let fold = fold_doc(1, 1);
-        let profile =
-            Json::parse(r#"{"structural": {"spans": []}, "machine": {"wall_spans": []}}"#).unwrap();
-        assert!(diff_artifacts(&fold, &profile).is_err());
+        let campaign = Json::parse(r#"{"aggregate": {}}"#).unwrap();
+        assert!(diff_artifacts(&fold, &campaign).is_err());
         let junk = Json::parse(r#"{"x": 1}"#).unwrap();
         assert!(diff_artifacts(&junk, &junk).is_err());
-    }
-
-    #[test]
-    fn profile_wall_regression_thresholds() {
-        let mk = |wall: u64, calls: u64| -> Json {
-            Json::parse(&format!(
-                r#"{{
-                  "structural": {{"spans": [{{"name": "shard", "calls": {calls},
-                     "sim_minutes": 0, "children": []}}]}},
-                  "machine": {{"wall_spans": [{{"name": "shard", "wall_ns": {wall},
-                     "self_ns": {wall}, "children": []}}]}}
-                }}"#
-            ))
-            .unwrap()
-        };
-        let base = mk(100_000_000, 4);
-        let clean = diff_artifacts(&base, &base).unwrap();
-        assert_eq!(clean.findings.len(), 0);
-        // +10% wall: finding, below the ratio threshold.
-        let mild = diff_artifacts(&base, &mk(110_000_000, 4)).unwrap();
-        assert_eq!(mild.regressions(), 0);
-        assert_eq!(mild.findings.len(), 1);
-        // +50% wall: regression.
-        let slow = diff_artifacts(&base, &mk(150_000_000, 4)).unwrap();
-        assert_eq!(slow.regressions(), 1);
-        // Call-shape drift is a finding but not a wall regression.
-        let drift = diff_artifacts(&base, &mk(100_000_000, 5)).unwrap();
-        assert_eq!(drift.regressions(), 0);
-        assert!(drift.findings.iter().any(|f| f.metric == "span/shard/calls"));
     }
 }

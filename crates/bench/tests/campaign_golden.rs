@@ -4,23 +4,25 @@
 //! The year-fleet campaign digest is the repo's broadest determinism
 //! anchor: it folds 96 shards × every minute-level record of each
 //! simulated day, so any engine, controller, weather or policy change
-//! moves it. These tests pin the digest and shard count, verify the
-//! committed `determinism` section recorded kill/resume byte-identity,
-//! and recompute one shard from scratch to prove the artifact still
-//! matches the code.
+//! moves it. These tests pin the digest and shard count, and regenerate
+//! the whole report to prove the committed bytes are exactly what the
+//! code computes.
 //!
-//! After an *intentional* behaviour change, regenerate with either
-//! `BLESS=1 cargo test -p bench --test campaign_golden` or the full
-//! `cargo xtask campaign`, then review the diff like any golden update.
+//! After an *intentional* behaviour change, regenerate with
+//! `BLESS=1 cargo test -p bench --test campaign_golden`, then review the
+//! diff like any golden update. Blessing runs the campaign at 1 thread,
+//! at N threads and killed mid-campaign then resumed, and writes the
+//! report only when all three agree byte for byte.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use bench::campaign::{compose_report, run, run_shard, CampaignSpec, RunOptions};
+use bench::campaign::{run, CampaignOutcome, CampaignSpec, RunOptions};
 use bench::output::Json;
 use bench::parallel::default_threads;
 
-/// The pinned campaign digest (also `determinism.digest` in the
-/// artifact). Drift means a simulation-visible behaviour change.
+/// The pinned campaign digest. Drift means a simulation-visible
+/// behaviour change.
 const PINNED_DIGEST: &str = "0058c774acafe8e7";
 
 /// Shards in the committed year-fleet campaign: 4 sites × 12 months ×
@@ -38,59 +40,79 @@ fn committed_spec() -> CampaignSpec {
     CampaignSpec::parse(&text).expect("committed spec parses")
 }
 
-/// Loads the committed report, regenerating it first under `BLESS=1`
-/// (a serial run, a wide run, and a kill/resume cycle — the same three
-/// schedules `cargo xtask campaign` performs).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "BLESS-only wall-clock scaling measurement, never folded into the digest"
-)]
-fn load_report() -> Json {
+fn run_committed(opts: &RunOptions) -> CampaignOutcome {
+    run(&committed_spec(), &repo_path("scenarios"), opts).expect("campaign runs")
+}
+
+/// The committed report's text, regenerated first under `BLESS=1` — once
+/// per test binary, so sibling tests never read a half-written file.
+fn committed_text() -> String {
+    static BLESSED: OnceLock<()> = OnceLock::new();
     let path = repo_path("results/campaign_report.json");
     if std::env::var_os("BLESS").is_some() {
-        let spec = committed_spec();
-        let scenarios = repo_path("scenarios");
-        let time = |opts: &RunOptions| {
-            let start = std::time::Instant::now();
-            let outcome = run(&spec, &scenarios, opts).expect("campaign runs");
-            (outcome, start.elapsed().as_secs_f64())
-        };
-        let (serial, serial_s) = time(&RunOptions::default());
-        let threads = default_threads().max(2);
-        let (wide, wide_s) = time(&RunOptions {
-            threads,
-            ..RunOptions::default()
-        });
-        assert_eq!(serial.digest(), wide.digest(), "bless run is nondeterministic");
-        let checkpoint = std::env::temp_dir()
-            .join(format!("solarcore_campaign_bless_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&checkpoint);
-        run(&spec, &scenarios, &RunOptions {
-            threads,
-            checkpoint: Some(checkpoint.clone()),
-            kill_after: Some(serial.rows.len() / 2),
-            ..RunOptions::default()
-        })
-        .expect("killed run returns");
-        let resumed = run(&spec, &scenarios, &RunOptions {
-            threads,
-            checkpoint: Some(checkpoint.clone()),
-            kill_after: None,
-            ..RunOptions::default()
-        })
-        .expect("resume runs");
-        let _ = std::fs::remove_file(&checkpoint);
-        let shards = serial.rows.len();
-        let report = compose_report(&serial, &resumed, &[(1, serial_s), (threads, wide_s)], shards);
-        std::fs::write(&path, report.render()).expect("report written");
+        BLESSED.get_or_init(|| bless(&path));
     }
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "missing {}: {e}; run with BLESS=1 (or `cargo xtask campaign`) to create it",
+            "missing {}: {e}; run with BLESS=1 to create it",
             path.display()
         )
+    })
+}
+
+fn load_report() -> Json {
+    Json::parse(&committed_text()).expect("report parses")
+}
+
+/// Runs the committed campaign three ways — at 1 thread, at N threads,
+/// and killed at half then resumed from its checkpoint — asserts that all
+/// three render the same report bytes and that the resume honoured the
+/// checkpoint frontier, and only then writes the report to `path`.
+fn bless(path: &Path) {
+    let serial = run_committed(&RunOptions {
+        threads: 1,
+        ..RunOptions::default()
     });
-    Json::parse(&raw).expect("report parses")
+    // Floor N at 2 so the wide run schedules concurrently even on one core.
+    let threads = default_threads().max(2);
+    let wide = run_committed(&RunOptions {
+        threads,
+        ..RunOptions::default()
+    });
+    let checkpoint = std::env::temp_dir()
+        .join(format!("solarcore_campaign_bless_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&checkpoint);
+    let killed = run_committed(&RunOptions {
+        threads,
+        checkpoint: Some(checkpoint.clone()),
+        kill_after: Some(serial.rows.len() / 2),
+        ..RunOptions::default()
+    });
+    let resumed = run_committed(&RunOptions {
+        threads,
+        checkpoint: Some(checkpoint.clone()),
+        ..RunOptions::default()
+    });
+    let _ = std::fs::remove_file(&checkpoint);
+
+    let report = serial.report_json().render();
+    for (label, outcome) in [("N-thread", &wide), ("kill+resume", &resumed)] {
+        assert!(
+            outcome.report_json().render() == report,
+            "{label} report differs from the 1-thread bytes"
+        );
+    }
+    assert!(!killed.complete, "the kill switch did not abort the run");
+    assert!(
+        resumed.executed.iter().all(|&i| i >= killed.checkpointed),
+        "resume re-executed a shard before the checkpoint frontier ({})",
+        killed.checkpointed
+    );
+    assert_eq!(
+        resumed.resumed_from, killed.checkpointed,
+        "resume restored a different row count than the checkpoint held"
+    );
+    std::fs::write(path, report).expect("report written");
 }
 
 #[test]
@@ -120,54 +142,27 @@ fn artifact_is_bound_to_the_committed_spec() {
     );
 }
 
+/// One run of the committed spec renders the committed report byte for
+/// byte — every row, the aggregate and the digest, with no carve-out.
 #[test]
-fn determinism_section_recorded_resume_agreement() {
-    let report = load_report();
-    let det = &report["determinism"];
-    assert_eq!(
-        det["byte_identical"].as_bool(),
-        Some(true),
-        "the committed artifact records a kill/resume byte divergence"
-    );
-    assert_eq!(det["digest"].as_str(), report["digest"].as_str());
-    assert_eq!(det["resumed_digest"].as_str(), report["digest"].as_str());
-}
-
-#[test]
-fn scaling_section_is_well_formed() {
-    let report = load_report();
-    let scaling = report["scaling"].as_array().expect("scaling is an array");
-    assert!(scaling.len() >= 2, "scaling must cover 1 and N threads");
-    assert_eq!(scaling[0]["threads"].as_u64(), Some(1));
-    for entry in scaling {
-        assert!(entry["seconds"].as_f64().is_some_and(|s| s > 0.0));
-        assert!(entry["shards_per_second"].as_f64().is_some_and(|r| r > 0.0));
+fn committed_report_regenerates_byte_for_byte() {
+    let committed = committed_text();
+    let fresh = run_committed(&RunOptions::default()).report_json().render();
+    if let Some((line, (want, got))) = committed
+        .lines()
+        .zip(fresh.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!(
+            "results/campaign_report.json line {} differs from a fresh run:\n\
+             committed: {want}\n\
+             computed:  {got}",
+            line + 1
+        );
     }
-}
-
-/// Recomputes the first shard (AZ / Jan / HM2 / MPPT&Opt / none) from
-/// scratch and checks its digest and scalars against the committed row —
-/// proving the artifact still matches the code, not just itself.
-#[test]
-fn recomputed_shard_matches_committed_artifact() {
-    let spec = committed_spec();
-    let shards = spec.shards(&repo_path("scenarios")).expect("shards enumerate");
-    let (fresh, _fold, _) =
-        run_shard(&shards[0], spec.days_per_month, false).expect("shard runs");
-
-    let report = load_report();
-    let row = &report["rows"].as_array().expect("rows is an array")[0];
-    assert_eq!(row["site"].as_str(), Some(fresh.site.as_str()));
-    assert_eq!(row["month"].as_str(), Some(fresh.month.as_str()));
-    assert_eq!(
-        row["digest"].as_str(),
-        Some(format!("{:016x}", fresh.digest).as_str()),
-        "recomputed shard digest diverges from the committed artifact"
-    );
-    let committed_ptp = row["ptp"].as_f64().expect("ptp is a number");
-    assert_eq!(
-        committed_ptp.to_bits(),
-        fresh.ptp.to_bits(),
-        "recomputed PTP diverges bit-wise from the committed artifact"
+    assert!(
+        fresh == committed,
+        "results/campaign_report.json differs from a fresh run in length or line endings"
     );
 }

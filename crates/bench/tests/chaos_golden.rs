@@ -15,6 +15,7 @@
 //! diff like any golden update.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use bench::chaos::{load_scenarios, run_campaign, run_cell, scenarios_dir};
 use bench::output::Json;
@@ -39,13 +40,17 @@ fn report_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/chaos_report.json")
 }
 
-/// Loads the committed report, regenerating it first under `BLESS=1`.
+/// Loads the committed report, regenerating it first under `BLESS=1` —
+/// once per test binary, so sibling tests never read a half-written file.
 fn load_report() -> Json {
+    static BLESSED: OnceLock<()> = OnceLock::new();
     if std::env::var_os("BLESS").is_some() {
-        let scenarios = load_scenarios(&scenarios_dir()).expect("scenarios load");
-        let report = run_campaign(&scenarios, None).expect("campaign runs");
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        write_json(&dir, "chaos_report", &report.to_json()).expect("report written");
+        BLESSED.get_or_init(|| {
+            let scenarios = load_scenarios(&scenarios_dir()).expect("scenarios load");
+            let report = run_campaign(&scenarios, None).expect("campaign runs");
+            let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+            write_json(&dir, "chaos_report", &report.to_json()).expect("report written");
+        });
     }
     let raw = std::fs::read_to_string(report_path()).unwrap_or_else(|e| {
         panic!(

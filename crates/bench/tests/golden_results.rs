@@ -1,6 +1,6 @@
 //! Golden regression layer over the committed `results/` artifacts.
 //!
-//! Two guards:
+//! Four guards:
 //!
 //! 1. *Reproduction*: selected Table 7 tracking-error cells are recomputed
 //!    from scratch through the (now cached) engine and compared
@@ -13,6 +13,9 @@
 //! 3. *One codec*: every committed `results/*.json` is exactly what
 //!    [`Json::render`] writes, so a second JSON writer cannot come back
 //!    unnoticed.
+//! 4. *No wall time*: `results/` holds only what the code determines, so
+//!    no committed artifact carries a wall-clock key; perfbench is the
+//!    one place time is measured.
 
 use bench::output::Json;
 use solarcore::{DaySimulation, Policy};
@@ -123,7 +126,7 @@ fn committed_artifacts_are_canonical_json() {
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     paths.sort();
-    assert!(paths.len() >= 19, "results/ lost artifacts: {paths:?}");
+    assert!(paths.len() >= 18, "results/ lost artifacts: {paths:?}");
     for path in paths {
         let raw = std::fs::read_to_string(&path).expect("artifact is readable");
         let doc = Json::parse(&raw).unwrap_or_else(|e| panic!("{}:{e}", path.display()));
@@ -132,5 +135,32 @@ fn committed_artifacts_are_canonical_json() {
             "{} is not in canonical form; regenerate it through `bench::output::Json`",
             path.display()
         );
+        if let Some(key) = wall_clock_key(&doc) {
+            panic!(
+                "{} carries the wall-clock key `{key}`; results/ holds only what the code determines",
+                path.display()
+            );
+        }
+    }
+}
+
+/// The first object key anywhere in `doc` that names a wall-clock
+/// measurement.
+fn wall_clock_key(doc: &Json) -> Option<&str> {
+    match doc {
+        Json::Obj(map) => map.iter().find_map(|(key, value)| {
+            let wall = matches!(
+                key.as_str(),
+                "scaling" | "machine" | "seconds" | "shards_per_second"
+            ) || key.ends_with("_ns")
+                || key.starts_with("wall");
+            if wall {
+                Some(key.as_str())
+            } else {
+                wall_clock_key(value)
+            }
+        }),
+        Json::Arr(items) => items.iter().find_map(wall_clock_key),
+        _ => None,
     }
 }

@@ -316,7 +316,6 @@ impl DaySimulation {
         // Wall-clock profiling of the day (fenced: measurements never
         // touch simulated state; a disabled handle costs one branch).
         let prof = &self.profiler;
-        prof.set_minute(setup.trace.samples().first().map_or(0, |s| s.minute_of_day));
         let _prof_day = prof.scope(schema::PROF_RUN_DAY);
 
         let trace = &setup.trace;
@@ -395,7 +394,6 @@ impl DaySimulation {
         let mut records = Vec::with_capacity(trace.samples().len());
         for (t, (sample, mpp)) in trace.samples().iter().zip(&setup.mpp).enumerate() {
             tel.set_minute(sample.minute_of_day);
-            prof.set_minute(sample.minute_of_day);
             let minute = sample.minute_of_day;
             if let Some(plan) = plan {
                 controller.set_sensor_minute(minute);

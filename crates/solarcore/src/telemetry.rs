@@ -137,10 +137,6 @@ pub mod schema {
     /// Wall-clock profiler span: one MPPT tracking invocation.
     pub const PROF_MPPT_TRACK: &str = "mppt_track";
 
-    /// Wall-clock profiler span: one campaign shard (opened by
-    /// `bench::campaign`, nested above [`PROF_RUN_DAY`]).
-    pub const PROF_SHARD: &str = "shard";
-
     /// Counter of PV generator MPP oracle queries.
     pub const COUNTER_MPP_QUERIES: &str = "mpp_queries";
 

@@ -24,8 +24,8 @@
 //!   sole waiver is the module-level `#![expect]` in `prof.rs`);
 //! * a hierarchical wall-clock [`Profiler`] ([`prof`]): scoped [`ProfSpan`]
 //!   guards aggregate into a per-thread span tree ([`ProfTree`]) whose
-//!   *structure* (shape, call counts, sim-minute attribution) is
-//!   deterministic while wall times stay quarantined as machine-dependent.
+//!   *structure* (shape, call counts) is deterministic while wall times
+//!   stay quarantined as machine-dependent.
 //!
 //! The concrete schema emitted by the simulation engine (record names,
 //! field names, units) is documented in `solarcore::telemetry::schema` and

@@ -5,11 +5,10 @@
 //! module is the one sanctioned home of ambient time (`std::time::Instant`,
 //! disallowed by the root `clippy.toml` everywhere else and waived by the
 //! module-level `#![expect]` below).
-//! The fence is directional: the profiler *reads* the sim clock (via
-//! [`Profiler::set_minute`]) to attribute wall time to simulated time, but
-//! nothing ever flows back — no simulated value, no record, no digest input
-//! depends on a measurement taken here. `bench/tests/determinism.rs` proves
-//! the pinned day hash is bit-identical with profiling armed.
+//! The fence is one-way: nothing flows back — no simulated value, no
+//! record, no digest input depends on a measurement taken here.
+//! `bench/tests/determinism.rs` proves the pinned day hash is
+//! bit-identical with profiling armed.
 //!
 //! # Model
 //!
@@ -19,11 +18,9 @@
 //! returns a [`ProfSpan`] guard; dropping the guard pops the frame and
 //! folds the measured interval into the tree node for that call path.
 //! Handles are `!Send`, so every thread profiles into its own tree with no
-//! locks anywhere — aggregation across threads happens after the fact by
-//! [`ProfTree::merge`], which is associative and keyed on span names, so
-//! the merged *structure* (shape, call counts, sim-minute attribution) is
-//! identical at any thread count; only the wall-clock numbers are
-//! machine-dependent.
+//! locks anywhere. The tree's *structure* (shape, call counts) is a pure
+//! function of the simulated execution path; only the wall-clock numbers
+//! are machine-dependent.
 //!
 //! ```
 //! use telemetry::prof::Profiler;
@@ -49,7 +46,7 @@
     reason = "the profiler is the one sanctioned home of ambient time; nothing it measures flows into a record, a digest or a simulated value"
 )]
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -61,32 +58,23 @@ struct RawNode {
     children: Vec<usize>,
     calls: u64,
     wall_ns: u64,
-    sim_minutes: u64,
 }
 
-/// A captured span interval for the Chrome trace-event export. Only
-/// recorded when the profiler was built with [`Profiler::with_trace_log`].
+/// One captured span interval. Only recorded when the profiler was built
+/// with [`Profiler::with_trace_log`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Span name (a `schema::PROF_*` constant at real call sites).
     pub name: &'static str,
-    /// Nanoseconds from the profiler's epoch to span entry.
-    pub start_ns: u64,
     /// Measured span duration, nanoseconds.
     pub dur_ns: u64,
-    /// Simulation minute-of-day when the span opened.
-    pub minute: u32,
-    /// Stack depth at entry (0 = a root span).
-    pub depth: u32,
 }
 
 /// Shared state behind an enabled [`Profiler`] handle.
 struct ProfInner {
-    epoch: Instant,
     nodes: RefCell<Vec<RawNode>>,
     /// Arena indices of the currently-open spans, outermost first.
     stack: RefCell<Vec<usize>>,
-    minute: Cell<u32>,
     /// Trace-event log and its capacity (`0` disables capture).
     events: RefCell<Vec<TraceEvent>>,
     events_cap: usize,
@@ -128,14 +116,12 @@ impl Profiler {
     }
 
     /// An armed handle that additionally captures up to `cap` raw span
-    /// intervals for the Chrome trace-event export. `0` disables capture.
+    /// intervals ([`Self::take_events`]). `0` disables capture.
     pub fn with_trace_log(cap: usize) -> Profiler {
         Profiler {
             inner: Some(Rc::new(ProfInner {
-                epoch: Instant::now(),
                 nodes: RefCell::new(Vec::new()),
                 stack: RefCell::new(Vec::new()),
-                minute: Cell::new(0),
                 events: RefCell::new(Vec::new()),
                 events_cap: cap,
             })),
@@ -145,20 +131,6 @@ impl Profiler {
     /// `true` when scopes actually measure.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Advances the simulation clock used for sim-time attribution.
-    /// Call sites feed this the same minute-of-day they feed
-    /// [`Telemetry::set_minute`](crate::Telemetry::set_minute).
-    pub fn set_minute(&self, minute: u32) {
-        if let Some(inner) = &self.inner {
-            inner.minute.set(minute);
-        }
-    }
-
-    /// The last simulation minute fed to [`Self::set_minute`].
-    pub fn minute(&self) -> u32 {
-        self.inner.as_ref().map_or(0, |i| i.minute.get())
     }
 
     /// Enters a named scope, returning the guard that measures it. The
@@ -175,7 +147,6 @@ impl Profiler {
                 inner: Rc::clone(inner),
                 node,
                 start: Instant::now(),
-                start_minute: inner.minute.get(),
             }),
         }
     }
@@ -271,40 +242,27 @@ impl ProfInner {
     /// Closes the span for `node`: folds the measurement into the tree and
     /// pops the stack (defensively, in case guards were dropped out of
     /// order).
-    fn exit(&self, node: usize, wall_ns: u64, start_minute: u32, start: Instant) {
+    fn exit(&self, node: usize, wall_ns: u64) {
         if let Ok(mut nodes) = self.nodes.try_borrow_mut() {
             if let Some(raw) = nodes.get_mut(node) {
                 raw.calls += 1;
                 raw.wall_ns = raw.wall_ns.saturating_add(wall_ns);
-                raw.sim_minutes = raw
-                    .sim_minutes
-                    .saturating_add(u64::from(self.minute.get().saturating_sub(start_minute)));
             }
         }
-        let depth = match self.stack.try_borrow_mut() {
-            Ok(mut stack) => {
-                let depth = stack.len().saturating_sub(1);
-                if stack.last() == Some(&node) {
-                    stack.pop();
-                } else if let Some(pos) = stack.iter().rposition(|&i| i == node) {
-                    stack.remove(pos);
-                }
-                depth
+        if let Ok(mut stack) = self.stack.try_borrow_mut() {
+            if stack.last() == Some(&node) {
+                stack.pop();
+            } else if let Some(pos) = stack.iter().rposition(|&i| i == node) {
+                stack.remove(pos);
             }
-            Err(_) => 0,
-        };
+        }
         if self.events_cap > 0 {
             if let Ok(mut events) = self.events.try_borrow_mut() {
                 if events.len() < self.events_cap {
-                    if let Some(raw_name) = self.name_of(node) {
-                        let start_ns = saturating_ns(start.duration_since(self.epoch));
+                    if let Some(name) = self.name_of(node) {
                         events.push(TraceEvent {
-                            name: raw_name,
-                            start_ns,
+                            name,
                             dur_ns: wall_ns,
-                            minute: start_minute,
-                            #[allow(clippy::cast_possible_truncation)] // stack depth is tiny
-                            depth: depth as u32,
                         });
                     }
                 }
@@ -323,7 +281,6 @@ fn push_node(nodes: &mut Vec<RawNode>, name: &'static str) -> usize {
         children: Vec::new(),
         calls: 0,
         wall_ns: 0,
-        sim_minutes: 0,
     });
     nodes.len() - 1
 }
@@ -341,7 +298,6 @@ fn freeze(nodes: &[RawNode], i: usize) -> ProfNode {
         name: raw.name.to_owned(),
         calls: raw.calls,
         wall_ns: raw.wall_ns,
-        sim_minutes: raw.sim_minutes,
         children,
     }
 }
@@ -351,7 +307,6 @@ struct SpanCtx {
     inner: Rc<ProfInner>,
     node: usize,
     start: Instant,
-    start_minute: u32,
 }
 
 /// RAII guard for one profiled scope; the measured interval ends when the
@@ -373,7 +328,7 @@ impl Drop for ProfSpan {
     fn drop(&mut self) {
         if let Some(ctx) = self.ctx.take() {
             let wall_ns = saturating_ns(ctx.start.elapsed());
-            ctx.inner.exit(ctx.node, wall_ns, ctx.start_minute, ctx.start);
+            ctx.inner.exit(ctx.node, wall_ns);
         }
     }
 }
@@ -381,9 +336,9 @@ impl Drop for ProfSpan {
 /// One aggregated node of a frozen span tree: a span name plus everything
 /// measured under that call path.
 ///
-/// `calls` and `sim_minutes` (and the tree shape itself) are deterministic
-/// — pure functions of the simulated execution path; `wall_ns` is the one
-/// machine-dependent field, which exporters quarantine accordingly.
+/// `calls` (and the tree shape itself) are deterministic — pure functions
+/// of the simulated execution path; `wall_ns` is the one machine-dependent
+/// field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfNode {
     /// Span name.
@@ -392,37 +347,8 @@ pub struct ProfNode {
     pub calls: u64,
     /// Total wall time (machine-dependent), nanoseconds.
     pub wall_ns: u64,
-    /// Simulation minutes elapsed while spans at this path were open.
-    pub sim_minutes: u64,
     /// Child nodes, sorted by name.
     pub children: Vec<ProfNode>,
-}
-
-impl ProfNode {
-    /// Wall time spent in this node itself, excluding children
-    /// (saturating: concurrent child overlap cannot go negative).
-    pub fn self_ns(&self) -> u64 {
-        let children: u64 = self.children.iter().map(|c| c.wall_ns).sum();
-        self.wall_ns.saturating_sub(children)
-    }
-
-    fn merge_from(&mut self, other: &ProfNode) {
-        self.calls += other.calls;
-        self.wall_ns = self.wall_ns.saturating_add(other.wall_ns);
-        self.sim_minutes = self.sim_minutes.saturating_add(other.sim_minutes);
-        merge_children(&mut self.children, &other.children);
-    }
-}
-
-/// Merges `theirs` into `ours`, both sorted by name; the result stays
-/// sorted.
-fn merge_children(ours: &mut Vec<ProfNode>, theirs: &[ProfNode]) {
-    for node in theirs {
-        match ours.binary_search_by(|probe| probe.name.as_str().cmp(node.name.as_str())) {
-            Ok(i) => ours[i].merge_from(node),
-            Err(i) => ours.insert(i, node.clone()),
-        }
-    }
 }
 
 /// A frozen, thread-independent span tree (the `Send` product of a
@@ -434,18 +360,6 @@ pub struct ProfTree {
 }
 
 impl ProfTree {
-    /// Folds another tree into this one, node by matching call path.
-    /// Associative and commutative up to the canonical name ordering, so
-    /// shard trees merged in any grouping produce the same structure.
-    pub fn merge(&mut self, other: &ProfTree) {
-        merge_children(&mut self.roots, &other.roots);
-    }
-
-    /// Total wall time across the top-level spans, nanoseconds.
-    pub fn total_wall_ns(&self) -> u64 {
-        self.roots.iter().map(|r| r.wall_ns).sum()
-    }
-
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
         fn count(node: &ProfNode) -> usize {
@@ -492,8 +406,6 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let prof = Profiler::disabled();
         assert!(!prof.is_enabled());
-        prof.set_minute(300);
-        assert_eq!(prof.minute(), 0);
         let _span = prof.scope("day");
         assert!(prof.tree().roots.is_empty());
         assert!(prof.take_events().is_empty());
@@ -524,20 +436,6 @@ mod tests {
         assert_eq!(day.children[0].calls, 3);
         assert_eq!(day.children[1].calls, 2);
         assert!(day.wall_ns >= day.children.iter().map(|c| c.wall_ns).sum::<u64>());
-        assert_eq!(day.self_ns(), day.wall_ns - day.children[0].wall_ns - day.children[1].wall_ns);
-    }
-
-    #[test]
-    fn sim_minute_attribution_tracks_set_minute() {
-        let prof = Profiler::enabled();
-        prof.set_minute(100);
-        {
-            let _day = prof.scope("day");
-            prof.set_minute(160);
-        }
-        assert_eq!(prof.minute(), 160);
-        let tree = prof.tree();
-        assert_eq!(tree.roots[0].sim_minutes, 60);
     }
 
     #[test]
@@ -554,66 +452,29 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_insensitive() {
-        let build = |calls: u64| {
-            let prof = Profiler::enabled();
-            for _ in 0..calls {
-                let _s = prof.scope("shard");
-                let _t = prof.scope("day");
-            }
-            prof.tree()
-        };
-        let a = build(2);
-        let b = build(5);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.roots[0].calls, 7);
-        assert_eq!(ab.roots[0].children[0].calls, 7);
-        // Structure and deterministic fields agree in both merge orders.
-        fn strip(node: &ProfNode) -> (String, u64, u64, Vec<(String, u64, u64)>) {
-            (
-                node.name.clone(),
-                node.calls,
-                node.sim_minutes,
-                node.children
-                    .iter()
-                    .map(|c| (c.name.clone(), c.calls, c.sim_minutes))
-                    .collect(),
-            )
-        }
-        assert_eq!(strip(&ab.roots[0]), strip(&ba.roots[0]));
-        assert_eq!(ab.node_count(), 2);
-    }
-
-    #[test]
     fn trace_log_captures_bounded_events() {
         let prof = Profiler::with_trace_log(3);
-        prof.set_minute(420);
         for _ in 0..5 {
             let _s = prof.scope("step");
         }
         let events = prof.take_events();
         assert_eq!(events.len(), 3, "capacity bounds the log");
-        assert!(events.iter().all(|e| e.name == "step" && e.minute == 420 && e.depth == 0));
+        assert!(events.iter().all(|e| e.name == "step"));
         assert!(prof.take_events().is_empty(), "take drains");
     }
 
     #[test]
-    fn nested_trace_events_record_depth() {
+    fn nested_trace_events_come_back_in_completion_order() {
         let prof = Profiler::with_trace_log(8);
         {
             let _outer = prof.scope("outer");
             let _inner = prof.scope("inner");
         }
         let events = prof.take_events();
-        // Inner completes first.
+        // Inner completes first, inside the outer interval.
         assert_eq!(events[0].name, "inner");
-        assert_eq!(events[0].depth, 1);
         assert_eq!(events[1].name, "outer");
-        assert_eq!(events[1].depth, 0);
-        assert!(events[1].start_ns <= events[0].start_ns);
+        assert!(events[1].dur_ns >= events[0].dur_ns);
     }
 
     #[test]

@@ -10,18 +10,10 @@
 //!   scenario under `scenarios/`, enforcing the soundness gates (control
 //!   rows bit-transparent, zero false degradation trips) and rewriting
 //!   `results/chaos_report.json`.
-//! * `campaign` — runs the year-scale sharded campaign engine on the
-//!   committed `campaigns/year_fleet.toml` spec, proves the report is
-//!   byte-identical across thread counts and across a kill/resume cycle,
-//!   and rewrites `results/campaign_report.json`.
-//! * `profile` — runs the year-scale campaign under the hierarchical
-//!   wall-clock profiler and writes `results/profile_report.json`
-//!   (deterministic structural section + machine-dependent wall section)
-//!   plus flamegraph/Chrome-trace renders under `target/`.
-//! * `tdiff` — schema-aware diff of two telemetry/profile/campaign
-//!   artifacts: counters by relative delta, histograms by quantile
-//!   profile, span trees structurally and by wall-time thresholds;
-//!   non-zero exit on any regression.
+//! * `tdiff` — schema-aware diff of two campaign reports or metric
+//!   folds: counters by relative delta, histograms by quantile profile;
+//!   non-zero exit on any regression. The committed campaign report is
+//!   regenerated by `BLESS=1 cargo test -p bench --test campaign_golden`.
 //! * `docs` — documentation cross-reference pass: every `§N` pointer,
 //!   DESIGN.md's own included, resolves to a DESIGN.md heading, every
 //!   committed `results/*.json` is catalogued in EXPERIMENTS.md, and the
@@ -118,8 +110,6 @@ fn dispatch(args: &[&str]) -> ExitCode {
     match args.first().copied() {
         Some("trace") => bench_bin("trace_report", &[], "golden-day cross-check failed"),
         Some("chaos") => bench_bin("chaos_check", &[], "campaign gate failed"),
-        Some("campaign") => bench_bin("campaign", &[], "determinism/resume gate failed"),
-        Some("profile") => bench_bin("profile_report", &[], "transparency gate failed"),
         Some("tdiff") => match args.get(1..3) {
             Some(pair) => bench_bin("tdiff", pair, "regressions found"),
             None => {
@@ -142,19 +132,11 @@ fn dispatch(args: &[&str]) -> ExitCode {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: cargo xtask <docs | trace | chaos | campaign | profile | tdiff <a> <b> | ci>"
-    );
+    eprintln!("usage: cargo xtask <docs | trace | chaos | tdiff <a> <b> | ci>");
     eprintln!("  docs      check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
     eprintln!("  trace     run the golden telemetry day and render its timeline");
     eprintln!("  chaos     run the fault-injection campaign and write results/chaos_report.json");
-    eprintln!(
-        "  campaign  run the year-scale sharded campaign and write results/campaign_report.json"
-    );
-    eprintln!(
-        "  profile   run the year-scale campaign profiled and write results/profile_report.json"
-    );
-    eprintln!("  tdiff     schema-aware diff of two telemetry/profile/campaign artifacts");
+    eprintln!("  tdiff     schema-aware diff of two campaign reports or metric folds");
     eprintln!(
         "  ci        docs, clippy, doc, build, test, perfbench test, traced year_fleet, tdiff"
     );
