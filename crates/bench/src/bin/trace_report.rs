@@ -1,15 +1,14 @@
 //! `cargo xtask trace`: golden-day telemetry report.
 //!
 //! Runs the Golden CO / Jan / HM2 / MPPT&Opt day with a JSONL sink
-//! attached, writes the stream to
-//! `results/telemetry_golden_co_jan_hm2.jsonl`, renders the per-period
-//! tracking timeline, and cross-checks the stream's recomputed
-//! tracking-error aggregate against the committed Table 7 artifact
-//! (`results/tab07_tracking_error.json`) to within 1e-9. Exit status is
-//! non-zero on any divergence, so CI can gate on it.
+//! attached, renders the per-period tracking timeline, and cross-checks
+//! the stream's recomputed tracking-error aggregate against the committed
+//! Table 7 artifact (`results/tab07_tracking_error.json`) to within 1e-9.
+//! Exit status is non-zero on any divergence, so CI can gate on it. The
+//! committed stream, `results/telemetry_golden_co_jan_hm2.jsonl`, is
+//! written only by `BLESS=1 cargo test -p bench --test telemetry_schema`.
 
 use std::fs;
-use std::path::Path;
 use std::process::ExitCode;
 
 use bench::trace_report::{golden_tab07_cell, render, run_golden_day, GOLDEN_TOLERANCE};
@@ -17,19 +16,6 @@ use bench::trace_report::{golden_tab07_cell, render, run_golden_day, GOLDEN_TOLE
 fn main() -> ExitCode {
     let report = run_golden_day();
     print!("{}", render(&report));
-
-    let out_path = Path::new("results/telemetry_golden_co_jan_hm2.jsonl");
-    if let Some(parent) = out_path.parent() {
-        if let Err(err) = fs::create_dir_all(parent) {
-            eprintln!("trace: cannot create {}: {err}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(err) = fs::write(out_path, &report.stream) {
-        eprintln!("trace: cannot write {}: {err}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", out_path.display());
 
     let mut ok = true;
 

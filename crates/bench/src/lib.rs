@@ -52,6 +52,7 @@ pub mod experiments;
 pub mod grid;
 pub mod output;
 pub mod parallel;
+pub mod pins;
 pub mod tdiff;
 pub mod trace_report;
 

@@ -4,7 +4,7 @@
 //! The year-fleet campaign digest is the repo's broadest determinism
 //! anchor: it folds 96 shards × every minute-level record of each
 //! simulated day, so any engine, controller, weather or policy change
-//! moves it. These tests pin the digest and shard count, and regenerate
+//! moves it. These tests pin the digest, and regenerate
 //! the whole report to prove the committed bytes are exactly what the
 //! code computes.
 //!
@@ -20,14 +20,7 @@ use std::sync::OnceLock;
 use bench::campaign::{run, CampaignOutcome, CampaignSpec, RunOptions};
 use bench::output::Json;
 use bench::parallel::default_threads;
-
-/// The pinned campaign digest. Drift means a simulation-visible
-/// behaviour change.
-const PINNED_DIGEST: &str = "0058c774acafe8e7";
-
-/// Shards in the committed year-fleet campaign: 4 sites × 12 months ×
-/// 1 mix × 2 policies × 1 scenario.
-const PINNED_SHARDS: usize = 96;
+use bench::pins::{assert_pins, assert_regenerates, Pins};
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
@@ -115,19 +108,16 @@ fn bless(path: &Path) {
     std::fs::write(path, report).expect("report written");
 }
 
+/// The digest folds the shard count and every row, so drift means a
+/// simulation-visible behaviour change.
 #[test]
 fn artifact_digest_and_shape_are_pinned() {
     let report = load_report();
-    assert_eq!(
-        report["digest"].as_str(),
-        Some(PINNED_DIGEST),
-        "campaign digest drifted — regenerate deliberately and re-pin"
-    );
-    assert_eq!(
-        report["rows"].as_array().map(Vec::len),
-        Some(PINNED_SHARDS),
-        "campaign shard count changed"
-    );
+    let digest = report["digest"].as_str().expect("report has a digest");
+    let digest = u64::from_str_radix(digest, 16).expect("digest is hex");
+    assert_pins([Pins::committed()
+        .unwrap()
+        .check_digest("campaign_digest", digest)]);
     assert_eq!(report["campaign"].as_str(), Some("year_fleet"));
 }
 
@@ -146,23 +136,6 @@ fn artifact_is_bound_to_the_committed_spec() {
 /// byte — every row, the aggregate and the digest, with no carve-out.
 #[test]
 fn committed_report_regenerates_byte_for_byte() {
-    let committed = committed_text();
     let fresh = run_committed(&RunOptions::default()).report_json().render();
-    if let Some((line, (want, got))) = committed
-        .lines()
-        .zip(fresh.lines())
-        .enumerate()
-        .find(|(_, (want, got))| want != got)
-    {
-        panic!(
-            "results/campaign_report.json line {} differs from a fresh run:\n\
-             committed: {want}\n\
-             computed:  {got}",
-            line + 1
-        );
-    }
-    assert!(
-        fresh == committed,
-        "results/campaign_report.json differs from a fresh run in length or line endings"
-    );
+    assert_regenerates("results/campaign_report.json", &committed_text(), &fresh);
 }

@@ -11,6 +11,7 @@ use bench::campaign::ShardRow;
 use bench::determinism::{day_hash, grid_hash};
 use bench::grid::{GridConfig, PolicyGrid};
 use bench::output::Json;
+use bench::pins::{assert_pins, Pins};
 use faults::FaultPlan;
 use solarcore::engine::DaySimulationBuilder;
 use solarcore::{DaySimulation, Policy};
@@ -62,14 +63,12 @@ fn grid_is_bit_identical_across_threads_and_input_order() {
     );
 }
 
-/// Day hash of the canonical AZ/Jul/day 0/HM2/MPPT&Opt run. Any engine
-/// change that moves this moved *every* disarmed simulation.
-const PINNED_DAY_HASH: u64 = 0x1fa5_23b6_19a8_188b;
-
-/// The canonical day, plain: a fresh run of it must hash to the pin, and
-/// so must every instrumented variant, because telemetry, the fault seams
-/// and the profiler are bitwise transparent. Two traced runs must also
-/// emit the same non-empty JSONL, byte for byte.
+/// The canonical AZ/Jul/day 0/HM2/MPPT&Opt day, plain: a fresh run of it
+/// must hash to the `day_hash` pin, and so must every instrumented variant,
+/// because telemetry, the fault seams and the profiler are bitwise
+/// transparent. Any engine change that moves the pin moved *every*
+/// disarmed simulation. Two traced runs must also emit the same non-empty
+/// JSONL, byte for byte.
 #[test]
 fn repeated_day_simulation_hashes_identically() {
     let canonical = || {
@@ -89,13 +88,14 @@ fn repeated_day_simulation_hashes_identically() {
                 .expect("day runs"),
         )
     };
-    let pinned = |what: &str, h: u64| {
+    let plain = hash(canonical());
+    assert_pins([Pins::committed().unwrap().check_digest("day_hash", plain)]);
+    let same_as_plain = |what: &str, h: u64| {
         assert_eq!(
-            h, PINNED_DAY_HASH,
-            "{what} day hash {h:#018x} drifted from the pin {PINNED_DAY_HASH:#018x}"
+            h, plain,
+            "{what} day hash {h:#018x} differs from the plain day's {plain:#018x}"
         );
     };
-    pinned("plain", hash(canonical()));
 
     let traced = || {
         let sink = Rc::new(RefCell::new(JsonlSink::new()));
@@ -105,20 +105,20 @@ fn repeated_day_simulation_hashes_identically() {
     };
     let (first, stream) = traced();
     let (second, again) = traced();
-    pinned("traced", first);
-    pinned("second traced", second);
+    same_as_plain("traced", first);
+    same_as_plain("second traced", second);
     assert!(!stream.is_empty(), "traced run emitted an empty stream");
     // `assert!`, not `assert_eq!`: a diverging pair would dump both
     // multi-thousand-line streams.
     assert!(stream == again, "traced runs emit diverging JSONL streams");
 
-    pinned(
+    same_as_plain(
         "armed-empty",
         hash(canonical().fault_plan(FaultPlan::empty("control"))),
     );
 
     let prof = Profiler::enabled();
-    pinned("profiled", hash(canonical().profiler(prof.clone())));
+    same_as_plain("profiled", hash(canonical().profiler(prof.clone())));
     assert!(
         prof.tree().node_count() > 0,
         "armed profiler recorded no spans"
@@ -163,13 +163,12 @@ fn solver_cache_does_not_change_day_hash() {
 
 /// The Fixed-Power days of the Fig. 16/17 sweep at one anchor cell (AZ,
 /// January, day 0; mixes H1, M2, HM2 and L1 at 25–125 W), folded in that
-/// order and pinned. Fixed-Power never tracks or op-solves, so this is the
-/// only tier-1 check on the bits of the TPR budget fill and of the chip's
-/// per-core power queries; `paper_claims` compares such days only within
-/// tolerances.
+/// order and pinned as `fixed_power_digest`. Fixed-Power never tracks or
+/// op-solves, so this is the only tier-1 check on the bits of the TPR
+/// budget fill and of the chip's per-core power queries; `paper_claims`
+/// compares such days only within tolerances.
 #[test]
 fn fixed_power_days_match_their_pinned_digest() {
-    const PINNED: u64 = 0xeac9_746e_5f37_b539;
     let mut fold = bench::determinism::CanonicalHasher::default();
     for budget_w in [25.0, 50.0, 75.0, 100.0, 125.0] {
         for mix in [Mix::h1(), Mix::m2(), Mix::hm2(), Mix::l1()] {
@@ -186,10 +185,7 @@ fn fixed_power_days_match_their_pinned_digest() {
             fold.u64(day_hash(&result));
         }
     }
-    assert_eq!(
-        fold.finish(),
-        PINNED,
-        "Fixed-Power digest {:#018x} moved",
-        fold.finish()
-    );
+    assert_pins([Pins::committed()
+        .unwrap()
+        .check_digest("fixed_power_digest", fold.finish())]);
 }

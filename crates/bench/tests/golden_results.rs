@@ -7,7 +7,7 @@
 //!    against the committed JSON within `1e-9`. The solver cache claims
 //!    bitwise transparency, so a pre-cache artifact must still reproduce
 //!    exactly; any drift here means the fast path changed the physics.
-//! 2. *Snapshot*: headline scalars are pinned to in-test constants so an
+//! 2. *Snapshot*: headline scalars are pinned in `results/pins.json` so an
 //!    accidental regeneration of `results/` with different numbers fails
 //!    loudly instead of silently rewriting the paper comparison.
 //! 3. *One codec*: every committed `results/*.json` is exactly what
@@ -18,6 +18,7 @@
 //!    one place time is measured.
 
 use bench::output::Json;
+use bench::pins::{assert_pins, Pins};
 use solarcore::{DaySimulation, Policy};
 use solarenv::{Season, Site};
 use workloads::Mix;
@@ -97,24 +98,31 @@ fn headline_scalars_match_snapshot() {
         assert!(claim["measured"].as_f64().is_some_and(f64::is_finite));
     }
 
-    // Pinned snapshot of the scalars the README/paper comparison cites.
+    // The scalars the README/paper comparison cites, by claim and pin.
+    let pins = Pins::committed().unwrap();
     let snapshot = [
-        ("average green energy utilization", 0.82310309210724),
-        ("MPPT&Opt gain over best fixed budget (%)", 37.5191395769332),
-        ("performance vs Battery-U (ratio)", 0.9572940822042878),
+        (
+            "average green energy utilization",
+            "headline.green_energy_utilization",
+        ),
+        (
+            "MPPT&Opt gain over best fixed budget (%)",
+            "headline.mppt_opt_gain_over_fixed_pct",
+        ),
+        (
+            "performance vs Battery-U (ratio)",
+            "headline.battery_u_performance_ratio",
+        ),
     ];
-    for (name, pinned) in snapshot {
+    assert_pins(snapshot.map(|(name, key)| {
         let measured = claims
             .iter()
             .find(|c| c["name"].as_str() == Some(name))
             .unwrap_or_else(|| panic!("headline claim `{name}` missing"))["measured"]
             .as_f64()
             .expect("measured is a number");
-        assert!(
-            (measured - pinned).abs() <= TOLERANCE,
-            "headline `{name}` drifted: committed {measured:.15}, pinned {pinned:.15}"
-        );
-    }
+        pins.check_scalar(key, measured, TOLERANCE)
+    }));
 }
 
 #[test]
@@ -126,7 +134,7 @@ fn committed_artifacts_are_canonical_json() {
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     paths.sort();
-    assert!(paths.len() >= 18, "results/ lost artifacts: {paths:?}");
+    assert!(paths.len() >= 19, "results/ lost artifacts: {paths:?}");
     for path in paths {
         let raw = std::fs::read_to_string(&path).expect("artifact is readable");
         let doc = Json::parse(&raw).unwrap_or_else(|e| panic!("{}:{e}", path.display()));

@@ -5,11 +5,17 @@
 //! envelope, the per-record field sets, their JSON types and their unit
 //! conventions — so any schema-breaking change to the emitting code fails
 //! here until the contract documents, the sample and this test are updated
-//! together.
+//! together. A fresh golden day must also emit the committed stream byte
+//! for byte.
+//!
+//! After an *intentional* change, regenerate the stream with
+//! `BLESS=1 cargo test -p bench --test telemetry_schema`, its only writer,
+//! then review the diff like any golden update.
 
 use std::sync::OnceLock;
 
 use bench::output::Json;
+use bench::pins::{assert_pins, assert_regenerates, Pins};
 use solarcore::schema;
 
 const GOLDEN: &str = concat!(
@@ -17,10 +23,17 @@ const GOLDEN: &str = concat!(
     "/../../results/telemetry_golden_co_jan_hm2.jsonl"
 );
 
-/// The committed golden stream, read once per test binary.
+/// The committed golden stream, read once per test binary — and under
+/// `BLESS=1` rewritten from a fresh golden day first.
 fn golden_stream() -> &'static str {
     static STREAM: OnceLock<String> = OnceLock::new();
-    STREAM.get_or_init(|| std::fs::read_to_string(GOLDEN).expect("committed golden stream exists"))
+    STREAM.get_or_init(|| {
+        if std::env::var_os("BLESS").is_some() {
+            let fresh = bench::trace_report::run_golden_day().stream;
+            std::fs::write(GOLDEN, fresh).expect("golden stream written");
+        }
+        std::fs::read_to_string(GOLDEN).expect("committed golden stream exists")
+    })
 }
 
 fn golden_records() -> Vec<Json> {
@@ -257,40 +270,36 @@ fn vf_residency_covers_every_core_and_level() {
     }
 }
 
-/// The `day_summary` record of a stream.
-fn day_summary(records: &[Json]) -> Json {
-    records
-        .iter()
-        .rev()
-        .find(|r| r["name"].as_str() == Some(schema::EVENT_DAY_SUMMARY))
-        .expect("stream has a day_summary")["fields"]
-        .clone()
-}
-
 #[test]
 fn golden_day_solver_and_memo_counters_are_pinned() {
     // Work counts are deterministic, so they are pinned exactly: any change
     // to the op-solve probe sequence or to the memo's hit/miss sequence
-    // shows here.
+    // shows here, as does any other change to the committed stream.
+    let committed = golden_stream();
     let report = bench::trace_report::run_golden_day();
-    let records: Vec<Json> = report
-        .stream
-        .lines()
-        .map(|line| Json::parse(line).expect("stream line parses as JSON"))
-        .collect();
-    let live = day_summary(&records);
-    for (key, pinned) in [
-        (schema::SOLVES, 18_097),
-        (schema::PV_EVALS, 1_755_409),
-        (schema::CACHE_HITS, 1_694_787),
-        (schema::CACHE_MISSES, 60_622),
-        (schema::NEWTON_ITERS_TOTAL, 213_218),
-    ] {
-        assert_eq!(live[key].as_u64(), Some(pinned), "{key}");
-    }
-    assert_eq!(
-        live,
-        day_summary(&golden_records()),
-        "the committed golden stream is stale"
+    let last = Json::parse(report.stream.lines().last().expect("nonempty stream"))
+        .expect("stream line parses as JSON");
+    assert_eq!(last["name"].as_str(), Some(schema::EVENT_DAY_SUMMARY));
+    let summary = &last["fields"];
+    let pins = Pins::committed().unwrap();
+    assert_pins(
+        [
+            schema::SOLVES,
+            schema::PV_EVALS,
+            schema::CACHE_HITS,
+            schema::CACHE_MISSES,
+            schema::NEWTON_ITERS_TOTAL,
+        ]
+        .map(|key| {
+            let count = summary[key]
+                .as_u64()
+                .unwrap_or_else(|| panic!("day_summary has no {key}"));
+            pins.check_count(&format!("golden_day.{key}"), count)
+        }),
+    );
+    assert_regenerates(
+        "results/telemetry_golden_co_jan_hm2.jsonl",
+        committed,
+        &report.stream,
     );
 }
