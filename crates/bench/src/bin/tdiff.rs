@@ -6,9 +6,9 @@
 //! histograms by their p50/p90/p99 quantile profile.
 //!
 //! Prints every finding as a table and exits non-zero when any finding
-//! crossed a regression threshold — so CI can gate on
-//! `tdiff results/campaign_report.json results/campaign_report.json`
-//! style self-checks and on before/after comparisons.
+//! crossed a regression threshold, so a before/after comparison can gate
+//! a re-bless. The tier-1 suite checks that the committed campaign report
+//! diffs clean against itself (`campaign_golden.rs`).
 
 use std::error::Error;
 use std::process::ExitCode;

@@ -3,8 +3,8 @@
 //!
 //! The paper's evaluation spans four representative days; the ROADMAP's
 //! north star asks for sweeps "as fast as the hardware allows" over far
-//! longer horizons. This module runs them: a [`CampaignSpec`] (hand-rolled
-//! TOML-ish text, same grammar family as `scenarios/*.toml`) enumerates
+//! longer horizons. This module runs them: a [`CampaignSpec`] (TOML-ish
+//! text, read by the same reader as `scenarios/*.toml`) enumerates
 //! `site × month × workload-mix × policy × fault-scenario` **shards**, each
 //! shard simulating a run of consecutive days ([`solarenv::DayRange`])
 //! that share one warm PV solver memo
@@ -33,7 +33,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use faults::{parse_scenario, FaultPlan};
+use faults::{parse_scenario, read_spec, Block, FaultPlan, Field, SpecError};
 use solarcore::telemetry::{
     schema, NEWTON_ITER_BOUNDS, RATIO_K_BOUNDS, TPR_MOVE_BOUNDS, TRACK_BOUNDS,
 };
@@ -46,19 +46,19 @@ use crate::determinism::{day_hash, CanonicalHasher};
 use crate::output::Json;
 use crate::parallel::parallel_map;
 
-/// A campaign configuration error, with the 1-based line number for
-/// parse-time failures.
+/// A campaign error: a spec that fails to parse, at its line, or a
+/// scenario file or checkpoint that cannot be used.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignError {
-    /// The spec text failed to parse.
+    /// The spec text failed to parse, or named something unknown.
     Parse {
         /// 1-based line number of the offending line.
         line: usize,
         /// What went wrong.
         reason: String,
     },
-    /// The spec parsed but named something invalid (unknown site, mix,
-    /// policy, …) or a checkpoint was unusable.
+    /// A scenario file could not be read or parsed, a name edited into a
+    /// parsed spec is unknown, or a checkpoint was unusable.
     Invalid {
         /// What went wrong.
         reason: String,
@@ -78,11 +78,13 @@ impl fmt::Display for CampaignError {
 
 impl Error for CampaignError {}
 
-fn perr<T>(line: usize, reason: impl Into<String>) -> Result<T, CampaignError> {
-    Err(CampaignError::Parse {
-        line,
-        reason: reason.into(),
-    })
+impl From<SpecError> for CampaignError {
+    fn from(e: SpecError) -> Self {
+        CampaignError::Parse {
+            line: e.line,
+            reason: e.reason,
+        }
+    }
 }
 
 fn invalid(reason: impl Into<String>) -> CampaignError {
@@ -94,9 +96,10 @@ fn invalid(reason: impl Into<String>) -> CampaignError {
 /// A parsed campaign specification.
 ///
 /// The text format is one `[campaign]` block of `key = value` lines —
-/// double-quoted strings or bare integers, `#` comments, exactly the
-/// `scenarios/*.toml` grammar. List-valued keys are comma-separated
-/// inside one string; `months` additionally accepts inclusive ranges.
+/// double-quoted strings or bare integers, `#` comments — read by the
+/// same reader as `scenarios/*.toml` ([`faults::read_spec`]). List-valued
+/// keys are comma-separated inside one string, with no item listed twice;
+/// `months` additionally accepts inclusive ranges.
 ///
 /// ```
 /// use bench::campaign::CampaignSpec;
@@ -129,7 +132,7 @@ pub struct CampaignSpec {
     /// Workload mix names.
     pub mixes: Vec<String>,
     /// Policy labels (`"MPPT&IC"`, `"MPPT&RR"`, `"MPPT&Opt"`,
-    /// `"MPPT&Chip"`; `"Fixed-Power"` is rejected — it needs a budget the
+    /// `"MPPT&Chip"`; `"Fixed-Power"` is unknown — it needs a budget the
     /// spec grammar does not carry).
     pub policies: Vec<String>,
     /// Fault scenarios: `"none"` (disarmed) or `scenarios/` file names.
@@ -139,87 +142,57 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Parses and validates a spec.
+    /// Parses a spec, resolving every site, month, mix and policy it names.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Parse`] with a line number for malformed text,
-    /// [`CampaignError::Invalid`] for unknown sites/mixes/policies or
-    /// out-of-range numbers.
+    /// [`CampaignError::Parse`] at the offending line for malformed text,
+    /// an unknown key, name or header, a repeated list item and an
+    /// out-of-range number.
     pub fn parse(text: &str) -> Result<CampaignSpec, CampaignError> {
-        let mut entries: Vec<(usize, String, String)> = Vec::new();
-        let mut in_campaign = false;
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[campaign]" {
-                if in_campaign {
-                    return perr(line_no, "[campaign] must appear once");
-                }
-                in_campaign = true;
-                continue;
-            }
-            if line.starts_with('[') {
-                return perr(line_no, "unknown block header (expected [campaign])");
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return perr(line_no, "expected `key = value`");
-            };
-            if !in_campaign {
-                return perr(line_no, "key before the [campaign] header");
-            }
-            let key = key.trim();
-            if let Some((first, ..)) = entries.iter().find(|(_, k, _)| k == key) {
-                return perr(
-                    line_no,
-                    format!("duplicate key `{key}` (first set on line {first})"),
-                );
-            }
-            entries.push((line_no, key.to_owned(), value.trim().to_owned()));
-        }
-
-        let mut name = None;
-        let mut sites = vec!["AZ".to_owned(), "CO".to_owned(), "NC".to_owned(), "TN".to_owned()];
-        let mut months = Month::ALL.to_vec();
-        let mut days_per_month = 1u32;
-        let mut mixes = vec!["HM2".to_owned()];
-        let mut policies = vec!["MPPT&Opt".to_owned()];
-        let mut scenarios = vec!["none".to_owned()];
-        let mut checkpoint_every = 8usize;
-        for (line_no, key, value) in &entries {
-            match key.as_str() {
-                "name" => name = Some(string_value(*line_no, value)?),
-                "sites" => sites = list_value(*line_no, value)?,
-                "months" => months = months_value(*line_no, value)?,
-                "days_per_month" => {
-                    days_per_month = narrow(*line_no, int_value(*line_no, value)?)?;
-                    if days_per_month > DayRange::MAX_DAYS {
-                        return perr(
-                            *line_no,
-                            format!(
-                                "days_per_month {days_per_month} exceeds the {} realizations a month holds",
-                                DayRange::MAX_DAYS
-                            ),
-                        );
-                    }
-                }
-                "mixes" => mixes = list_value(*line_no, value)?,
-                "policies" => policies = list_value(*line_no, value)?,
-                "scenarios" => scenarios = list_value(*line_no, value)?,
-                "checkpoint_every" => {
-                    checkpoint_every = narrow(*line_no, int_value(*line_no, value)?)?;
-                }
-                _ => return perr(*line_no, format!("unknown [campaign] key `{key}`")),
-            }
-        }
-        let Some(name) = name else {
-            return perr(1, "[campaign] block must set `name`");
+        let (mut block, _) = read_spec(text, "[campaign]", None)?;
+        let name = block.required("name")?.string()?.to_owned();
+        let sites = names(
+            &mut block,
+            "sites",
+            &["AZ", "CO", "NC", "TN"],
+            "site code",
+            Site::from_code,
+        )?;
+        let months = match block.get("months") {
+            Some(field) => months(field)?,
+            None => Month::ALL.to_vec(),
         };
-
-        let spec = CampaignSpec {
+        let days_per_month = match block.get("days_per_month") {
+            Some(field) => match field.int()? {
+                days @ 1..=DayRange::MAX_DAYS => days,
+                days => {
+                    let max = DayRange::MAX_DAYS;
+                    let reason = format!("days_per_month {days} is outside 1..={max}");
+                    return Err(field.error(reason).into());
+                }
+            },
+            None => 1,
+        };
+        let mixes = names(&mut block, "mixes", &["HM2"], "mix", Mix::by_name)?;
+        let policies = names(
+            &mut block,
+            "policies",
+            &["MPPT&Opt"],
+            "campaign policy",
+            policy_from_label,
+        )?;
+        // `shards()` loads the scenario files, so any name passes here.
+        let scenarios = names(&mut block, "scenarios", &["none"], "scenario", |_| Some(()))?;
+        let checkpoint_every = match block.get("checkpoint_every") {
+            Some(field) => match field.int()? {
+                0 => return Err(field.error("checkpoint_every must be at least 1").into()),
+                n => n,
+            },
+            None => 8,
+        };
+        block.finish("[campaign]")?;
+        Ok(CampaignSpec {
             name,
             sites,
             months,
@@ -228,43 +201,7 @@ impl CampaignSpec {
             policies,
             scenarios,
             checkpoint_every,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    fn validate(&self) -> Result<(), CampaignError> {
-        if self.days_per_month == 0 {
-            return Err(invalid("days_per_month must be at least 1"));
-        }
-        if self.checkpoint_every == 0 {
-            return Err(invalid("checkpoint_every must be at least 1"));
-        }
-        for field in [
-            ("sites", &self.sites),
-            ("mixes", &self.mixes),
-            ("policies", &self.policies),
-            ("scenarios", &self.scenarios),
-        ] {
-            if field.1.is_empty() {
-                return Err(invalid(format!("`{}` must not be empty", field.0)));
-            }
-        }
-        if self.months.is_empty() {
-            return Err(invalid("`months` must not be empty"));
-        }
-        for code in &self.sites {
-            site_from_code(code)?;
-        }
-        for mix in &self.mixes {
-            if Mix::by_name(mix).is_none() {
-                return Err(invalid(format!("unknown mix `{mix}`")));
-            }
-        }
-        for policy in &self.policies {
-            policy_from_label(policy)?;
-        }
-        Ok(())
+        })
     }
 
     /// Canonical FNV-1a digest over every shard-defining spec field
@@ -306,7 +243,10 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// [`CampaignError::Invalid`] when a scenario file is missing or fails
-    /// to parse.
+    /// to parse, or a name edited into the spec after [`parse`] is
+    /// unknown.
+    ///
+    /// [`parse`]: CampaignSpec::parse
     pub fn shards(&self, scenarios_dir: &Path) -> Result<Vec<Shard>, CampaignError> {
         let mut plans: Vec<Option<FaultPlan>> = Vec::with_capacity(self.scenarios.len());
         for scenario in &self.scenarios {
@@ -321,20 +261,22 @@ impl CampaignSpec {
                 plans.push(Some(plan));
             }
         }
+        // Each name resolves once, not once per shard.
+        let sites = resolve(&self.sites, "site code", Site::from_code)?;
+        let mixes = resolve(&self.mixes, "mix", Mix::by_name)?;
+        let policies = resolve(&self.policies, "campaign policy", policy_from_label)?;
         let mut shards = Vec::new();
-        for site in &self.sites {
+        for site in &sites {
             for &month in &self.months {
-                for mix in &self.mixes {
-                    for policy in &self.policies {
+                for mix in &mixes {
+                    for &policy in &policies {
                         for (scenario, plan) in self.scenarios.iter().zip(&plans) {
                             shards.push(Shard {
                                 index: shards.len(),
-                                site: site_from_code(site)?,
+                                site: site.clone(),
                                 month,
-                                mix: Mix::by_name(mix).ok_or_else(|| {
-                                    invalid(format!("unknown mix `{mix}`"))
-                                })?,
-                                policy: policy_from_label(policy)?,
+                                mix: mix.clone(),
+                                policy,
                                 scenario: scenario.clone(),
                                 plan: plan.clone(),
                             });
@@ -368,97 +310,69 @@ pub struct Shard {
     pub plan: Option<FaultPlan>,
 }
 
-/// Maps a site code to its [`Site`] (shared with the chaos campaign).
-pub(crate) fn site_from_code(code: &str) -> Result<Site, CampaignError> {
-    match code {
-        "AZ" => Ok(Site::phoenix_az()),
-        "CO" => Ok(Site::golden_co()),
-        "NC" => Ok(Site::elizabeth_city_nc()),
-        "TN" => Ok(Site::oak_ridge_tn()),
-        other => Err(invalid(format!("unknown site code `{other}`"))),
-    }
+/// Resolves every name in `names`. `parse` has checked them all, but the
+/// spec's fields are public, so a name edited in afterwards is checked
+/// here.
+fn resolve<T>(
+    names: &[String],
+    what: &str,
+    lookup: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, CampaignError> {
+    names
+        .iter()
+        .map(|n| lookup(n).ok_or_else(|| invalid(format!("unknown {what} `{n}`"))))
+        .collect()
 }
 
-/// Maps a policy label to its [`Policy`].
-fn policy_from_label(label: &str) -> Result<Policy, CampaignError> {
+/// Maps a campaign policy label to its [`Policy`]. `Fixed-Power` is not
+/// one: it needs a budget the spec grammar does not carry.
+fn policy_from_label(label: &str) -> Option<Policy> {
     match label {
-        "MPPT&IC" => Ok(Policy::MpptIc),
-        "MPPT&RR" => Ok(Policy::MpptRr),
-        "MPPT&Opt" => Ok(Policy::MpptOpt),
-        "MPPT&Chip" => Ok(Policy::MpptChipWide),
-        other => Err(invalid(format!(
-            "unknown policy label `{other}` (Fixed-Power is not campaignable: it carries a budget)"
-        ))),
+        "MPPT&IC" => Some(Policy::MpptIc),
+        "MPPT&RR" => Some(Policy::MpptRr),
+        "MPPT&Opt" => Some(Policy::MpptOpt),
+        "MPPT&Chip" => Some(Policy::MpptChipWide),
+        _ => None,
     }
 }
 
-// ---- spec lexing helpers (the `faults` parser idiom) -------------------
-
-/// Strips a trailing `#` comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
+/// Reads the list `key` (or `default` when it is unset), rejecting at
+/// the key's line an item that `lookup` does not resolve.
+fn names<T>(
+    block: &mut Block<'_>,
+    key: &str,
+    default: &[&str],
+    what: &str,
+    lookup: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<String>, SpecError> {
+    let Some(field) = block.get(key) else {
+        return Ok(default.iter().map(|&d| d.to_owned()).collect());
+    };
+    field
+        .list()?
+        .into_iter()
+        .map(|item| match lookup(item) {
+            Some(_) => Ok(item.to_owned()),
+            None => Err(field.error(format!("unknown {what} `{item}`"))),
+        })
+        .collect()
 }
 
-fn string_value(line: usize, raw: &str) -> Result<String, CampaignError> {
-    let raw = raw.trim();
-    if raw.len() >= 2 && raw.starts_with('"') && raw.ends_with('"') {
-        Ok(raw[1..raw.len() - 1].to_owned())
-    } else {
-        perr(line, "expected a double-quoted string")
-    }
-}
-
-fn list_value(line: usize, raw: &str) -> Result<Vec<String>, CampaignError> {
-    let items: Vec<String> = string_value(line, raw)?
-        .split(',')
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if items.is_empty() {
-        return perr(line, "expected a non-empty comma-separated list");
-    }
-    Ok(items)
-}
-
-fn months_value(line: usize, raw: &str) -> Result<Vec<Month>, CampaignError> {
+/// Reads `months`: single months and inclusive ranges, in order of
+/// appearance, with no month listed twice.
+fn months(field: Field<'_>) -> Result<Vec<Month>, SpecError> {
     let mut months = Vec::new();
-    for part in list_value(line, raw)? {
-        let Some(range) = Month::parse_range(&part) else {
-            return perr(line, format!("bad month or range `{part}`"));
-        };
+    for part in field.list()? {
+        let range = Month::parse_range(part)
+            .ok_or_else(|| field.error(format!("bad month or range `{part}`")))?;
         for m in range {
-            if !months.contains(&m) {
-                months.push(m);
+            if months.contains(&m) {
+                return Err(field.error(format!("month `{m}` listed twice")));
             }
+            months.push(m);
         }
     }
     Ok(months)
-}
-
-fn int_value(line: usize, raw: &str) -> Result<u64, CampaignError> {
-    raw.trim()
-        .parse::<u64>()
-        .map_err(|_| CampaignError::Parse {
-            line,
-            reason: format!("expected a non-negative integer, got `{}`", raw.trim()),
-        })
-}
-
-/// Narrows a parsed integer into the field's width with a line-anchored
-/// error instead of a silent truncation.
-fn narrow<T: TryFrom<u64>>(line: usize, x: u64) -> Result<T, CampaignError> {
-    T::try_from(x).map_err(|_| CampaignError::Parse {
-        line,
-        reason: format!("integer `{x}` out of range for this field"),
-    })
 }
 
 // ---- shard execution ---------------------------------------------------
@@ -543,13 +457,13 @@ impl ShardRow {
                 .ok_or_else(|| invalid(format!("checkpoint row `{k}` is not an integer")))
         };
         Ok(ShardRow {
-            index: narrow(0, u("index")?).map_err(|_| invalid("row index out of range"))?,
+            index: usize::try_from(u("index")?).map_err(|_| invalid("row index out of range"))?,
             site: s("site")?,
             month: s("month")?,
             mix: s("mix")?,
             policy: s("policy")?,
             scenario: s("scenario")?,
-            days: narrow(0, u("days")?).map_err(|_| invalid("row days out of range"))?,
+            days: u32::try_from(u("days")?).map_err(|_| invalid("row days out of range"))?,
             digest: parse_hex(&s("digest")?)?,
             ptp: f("ptp")?,
             utilization: f("utilization")?,
@@ -1245,37 +1159,48 @@ checkpoint_every = 1
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        match CampaignSpec::parse("[campaign]\nname = \"x\"\nbogus = 1\n") {
-            Err(CampaignError::Parse { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected parse error, got {other:?}"),
+        // Every bad value fails at its own key's line: the reason names
+        // what is wrong, and a duplicate key the line that set it first.
+        for (body, want_line, want_reason) in [
+            ("bogus = 1", 3, "unknown key `bogus`"),
+            ("sites = \"XX\"", 3, "unknown site code `XX`"),
+            ("mixes = \"NOPE\"", 3, "unknown mix `NOPE`"),
+            (
+                "policies = \"Fixed-Power\"",
+                3,
+                "unknown campaign policy `Fixed-Power`",
+            ),
+            ("months = \"Smarch\"", 3, "bad month or range `Smarch`"),
+            ("days_per_month = 0", 3, "outside 1..=31"),
+            ("\ndays_per_month = 32", 4, "outside 1..=31"),
+            ("checkpoint_every = 0", 3, "at least 1"),
+            (
+                "sites = \"AZ\"\n\nsites = \"CO\"",
+                5,
+                "duplicate key `sites` (first set on line 3)",
+            ),
+            // A repeated item would run its shards twice or be dropped.
+            ("sites = \"AZ,AZ\"", 3, "`AZ` listed twice"),
+            ("months = \"Jan,Jan-Feb\"", 3, "month `Jan` listed twice"),
+            (
+                "policies = \"MPPT&RR, MPPT&RR\"",
+                3,
+                "`MPPT&RR` listed twice",
+            ),
+        ] {
+            match CampaignSpec::parse(&format!("[campaign]\nname = \"x\"\n{body}\n")) {
+                Err(CampaignError::Parse { line, reason }) => {
+                    assert_eq!(line, want_line, "{body}: {reason}");
+                    assert!(reason.contains(want_reason), "{body}: {reason}");
+                }
+                other => panic!("{body}: expected a parse error, got {other:?}"),
+            }
         }
         match CampaignSpec::parse("name = \"x\"\n") {
             Err(CampaignError::Parse { line, .. }) => assert_eq!(line, 1),
             other => panic!("expected parse error, got {other:?}"),
         }
-        assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\nsites = \"XX\"\n").is_err());
-        assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\npolicies = \"Fixed-Power\"\n")
-            .is_err());
-        assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\nmonths = \"Smarch\"\n").is_err());
-        assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\ndays_per_month = 0\n").is_err());
-        match CampaignSpec::parse("[campaign]\nname = \"x\"\n\ndays_per_month = 32\n") {
-            Err(CampaignError::Parse { line, reason }) => {
-                assert_eq!(line, 4);
-                assert!(reason.contains("31"), "{reason}");
-            }
-            other => panic!("expected days_per_month error, got {other:?}"),
-        }
         assert!(CampaignSpec::parse("[campaign]\nname = \"x\"\ndays_per_month = 31\n").is_ok());
-        match CampaignSpec::parse("[campaign]\nname = \"x\"\nsites = \"AZ\"\n\nsites = \"CO\"\n") {
-            Err(CampaignError::Parse { line, reason }) => {
-                assert_eq!(line, 5);
-                assert!(
-                    reason.contains("`sites`") && reason.contains("line 3"),
-                    "{reason}"
-                );
-            }
-            other => panic!("expected duplicate-key error, got {other:?}"),
-        }
     }
 
     #[test]

@@ -24,11 +24,10 @@ use std::rc::Rc;
 use faults::{parse_scenario, FaultPlan};
 use solarcore::engine::DayResult;
 use solarcore::{DaySimulation, Policy};
-use solarenv::Season;
+use solarenv::{Season, Site};
 use telemetry::{JsonlSink, Telemetry};
 use workloads::Mix;
 
-use crate::campaign::site_from_code;
 use crate::determinism::CanonicalHasher;
 use crate::output::Json;
 use crate::parallel::{default_threads, parallel_map};
@@ -159,18 +158,6 @@ pub fn load_scenarios(dir: &Path) -> Result<Vec<ChaosScenario>, Box<dyn Error>> 
     Ok(scenarios)
 }
 
-/// Maps a scenario season hint to a [`Season`] (default July — the
-/// paper's stress season for Phoenix).
-fn season_from_hint(hint: Option<&str>) -> Result<Season, Box<dyn Error>> {
-    match hint.unwrap_or("Jul") {
-        "Jan" => Ok(Season::Jan),
-        "Apr" => Ok(Season::Apr),
-        "Jul" => Ok(Season::Jul),
-        "Oct" => Ok(Season::Oct),
-        other => Err(format!("unknown season hint `{other}`").into()),
-    }
-}
-
 /// Detection events extracted from one chaos run's JSONL stream.
 #[derive(Debug, Default, Clone, Copy)]
 struct DetectionTrace {
@@ -241,8 +228,12 @@ fn run_cell(
     site_code: &str,
     policy: Policy,
 ) -> Result<ChaosCell, Box<dyn Error>> {
-    let site = site_from_code(site_code).map_err(|_| format!("unknown site code `{site_code}`"))?;
-    let season = season_from_hint(scenario.plan.season_hint())?;
+    let site =
+        Site::from_code(site_code).ok_or_else(|| format!("unknown site code `{site_code}`"))?;
+    // July, the paper's stress season for Phoenix, when the file names none.
+    let season_name = scenario.plan.season_hint().unwrap_or("Jul");
+    let season = Season::from_name(season_name)
+        .ok_or_else(|| format!("unknown season hint `{season_name}`"))?;
     let day = scenario.plan.day_hint().unwrap_or(0);
     let builder = || {
         DaySimulation::builder()
@@ -424,8 +415,7 @@ mod tests {
 
     #[test]
     fn unknown_codes_are_rejected() {
-        assert!(site_from_code("XX").is_err());
-        assert!(season_from_hint(Some("Mar")).is_err());
-        assert!(season_from_hint(None).is_ok());
+        assert!(Site::from_code("XX").is_none());
+        assert!(Season::from_name("Mar").is_none());
     }
 }

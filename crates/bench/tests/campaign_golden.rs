@@ -21,6 +21,7 @@ use bench::campaign::{run, CampaignOutcome, CampaignSpec, RunOptions};
 use bench::output::Json;
 use bench::parallel::default_threads;
 use bench::pins::{assert_pins, assert_regenerates, Pins};
+use bench::tdiff::diff_artifacts;
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
@@ -138,4 +139,15 @@ fn artifact_is_bound_to_the_committed_spec() {
 fn committed_report_regenerates_byte_for_byte() {
     let fresh = run_committed(&RunOptions::default()).report_json().render();
     assert_regenerates("results/campaign_report.json", &committed_text(), &fresh);
+}
+
+/// `tdiff` reads the committed report as a campaign artifact and finds
+/// nothing in it against itself.
+#[test]
+fn committed_report_tdiffs_clean_against_itself() {
+    let report = load_report();
+    let diff = diff_artifacts(&report, &report).expect("tdiff reads the report");
+    assert_eq!(diff.kind, "campaign");
+    assert!(diff.compared > 0, "tdiff compared nothing");
+    assert!(diff.findings.is_empty(), "{:?}", diff.findings);
 }

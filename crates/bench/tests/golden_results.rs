@@ -74,10 +74,7 @@ fn engine_reproduces_committed_tracking_errors() {
     ];
     for (code, season, mix_name, mix) in cells {
         let committed = tab07_cell(&tab, code, &season.to_string(), mix_name);
-        let site = match code {
-            "AZ" => Site::phoenix_az(),
-            other => panic!("unmapped site code {other}"),
-        };
+        let site = Site::from_code(code).expect("a Table 2 site code");
         let recomputed = recompute_cell(site, season, mix);
         assert!(
             (recomputed - committed).abs() <= TOLERANCE,

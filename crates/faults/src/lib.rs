@@ -5,7 +5,8 @@
 //! just the weather. This crate provides the scenario model for exercising
 //! exactly that: a [`FaultPlan`] schedules typed [`FaultKind`]s on the
 //! sim-time axis, a hand-rolled parser ([`parse_scenario`]) loads the
-//! TOML-ish files under `scenarios/`, and a [`SensorInjector`] corrupts
+//! TOML-ish files under `scenarios/` through the workspace's one spec
+//! reader ([`read_spec`], which `bench` reads campaign specs with too), and a [`SensorInjector`] corrupts
 //! I/V readings statefully (stuck-value latching, seeded noise bursts).
 //!
 //! # Design rules
@@ -45,7 +46,7 @@ mod rng;
 
 pub use inject::SensorInjector;
 pub use kind::{FaultKind, SensorChannel};
-pub use parser::parse_scenario;
+pub use parser::{parse_scenario, read_spec, Block, Field, SpecError};
 pub use plan::{
     AtsOverride, CoreConstraint, FaultError, FaultPlan, ScheduledFault, SensorDisturbance,
 };

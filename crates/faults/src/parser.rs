@@ -1,9 +1,13 @@
-//! Hand-rolled parser for the TOML-ish scenario files under `scenarios/`.
+//! The workspace's one reader for its TOML-ish spec files: the fault
+//! scenarios under `scenarios/` ([`parse_scenario`]) and the campaign
+//! specs under `campaigns/` (`bench::campaign::CampaignSpec::parse`).
 //!
-//! The format is deliberately tiny (same dependency-free spirit as xtask's
-//! report tooling): one `[scenario]` header block with `key = value` lines,
-//! then any number of `[[fault]]` blocks. Values are double-quoted strings
-//! or bare numbers; `#` starts a comment. Example:
+//! The grammar is deliberately tiny, because the workspace has no TOML
+//! dependency. A file opens with one `[table]` header block of
+//! `key = value` lines, then any number of `[[array]]` blocks when its
+//! format has them. Values are double-quoted strings (no escapes), bare
+//! numbers, or comma lists inside one string; `#` starts a comment outside
+//! a string. A scenario, for example:
 //!
 //! ```text
 //! [scenario]
@@ -20,12 +24,225 @@
 //! end = 765
 //! ```
 //!
-//! Every error carries the 1-based line number of the offending line. A
-//! key set twice in one block, or one the block's fault kind does not
-//! read, is an error rather than a silent override or default.
+//! [`read_spec`] splits the text into [`Block`]s, borrowing every key and
+//! value from it. A [`Block`] reads typed values through [`Field`] and
+//! marks each key it reads, so [`Block::finish`] reports a key nobody read
+//! as unknown. Every [`SpecError`] carries the 1-based line it belongs to:
+//! a malformed line or value, an unknown header, a misplaced or repeated
+//! `[table]` header, a key set twice in one block, an unknown key and a
+//! repeated list item fail at their own line; a missing required key at
+//! its block's header line.
+
+use std::fmt;
 
 use crate::kind::{FaultKind, SensorChannel};
 use crate::plan::{FaultError, FaultPlan, ScheduledFault};
+
+/// A spec-file error at its 1-based line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// 1-based line number of the offending line.
+    pub line: usize,
+    /// What went wrong.
+    pub reason: String,
+}
+
+impl From<SpecError> for FaultError {
+    fn from(e: SpecError) -> Self {
+        FaultError::Parse {
+            line: e.line,
+            reason: e.reason,
+        }
+    }
+}
+
+fn err<T>(line: usize, reason: impl Into<String>) -> Result<T, SpecError> {
+    Err(SpecError {
+        line,
+        reason: reason.into(),
+    })
+}
+
+/// Splits `text` into its `head` block (the `[table]` header it must open
+/// with, once) and, in file order, the blocks of the `repeated`
+/// `[[array]]` header, if its format has one. A text with no `head` fails
+/// at line 1.
+pub fn read_spec<'a>(
+    text: &'a str,
+    head: &str,
+    repeated: Option<&str>,
+) -> Result<(Block<'a>, Vec<Block<'a>>), SpecError> {
+    let mut blocks: Vec<Block<'a>> = Vec::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line = idx + 1;
+        let content = strip_comment(raw).trim();
+        if content.is_empty() {
+            continue;
+        }
+        if content.starts_with('[') {
+            if content != head && Some(content) != repeated {
+                let or = repeated.map(|r| format!(" or {r}")).unwrap_or_default();
+                return err(line, format!("unknown block header (expected {head}{or})"));
+            }
+            if (content == head) != blocks.is_empty() {
+                return err(
+                    line,
+                    format!("{head} must be the first block and appear once"),
+                );
+            }
+            blocks.push(Block {
+                header: content,
+                line,
+                entries: Vec::new(),
+            });
+            continue;
+        }
+        let Some((key, value)) = content.split_once('=') else {
+            return err(line, "expected `key = value`");
+        };
+        let key = key.trim();
+        let Some(block) = blocks.last_mut() else {
+            return err(line, format!("key before the {head} header"));
+        };
+        if let Some(first) = block.entries.iter().find(|e| e.key == key) {
+            return err(
+                line,
+                format!("duplicate key `{key}` (first set on line {})", first.line),
+            );
+        }
+        block.entries.push(Entry {
+            line,
+            key,
+            value: value.trim(),
+            read: false,
+        });
+    }
+    let mut blocks = blocks.into_iter();
+    match blocks.next() {
+        Some(first) => Ok((first, blocks.collect())),
+        None => err(1, format!("missing the {head} block")),
+    }
+}
+
+/// One `key = value` line of a block.
+#[derive(Debug)]
+struct Entry<'a> {
+    line: usize,
+    key: &'a str,
+    value: &'a str,
+    /// Set once a reader asked for the key.
+    read: bool,
+}
+
+/// One header block and its entries, in file order.
+#[derive(Debug)]
+pub struct Block<'a> {
+    header: &'a str,
+    line: usize,
+    entries: Vec<Entry<'a>>,
+}
+
+impl<'a> Block<'a> {
+    /// The value set for `key`, if any, marking the key read.
+    pub fn get(&mut self, key: &str) -> Option<Field<'a>> {
+        let entry = self.entries.iter_mut().find(|e| e.key == key)?;
+        entry.read = true;
+        Some(Field {
+            line: entry.line,
+            raw: entry.value,
+        })
+    }
+
+    /// The value set for `key`, marking it read; an error at the block's
+    /// header line when it is missing.
+    pub fn required(&mut self, key: &str) -> Result<Field<'a>, SpecError> {
+        match self.get(key) {
+            Some(field) => Ok(field),
+            None => err(self.line, format!("{} block missing `{key}`", self.header)),
+        }
+    }
+
+    /// Rejects the first key nobody read as unknown, at its line; `what`
+    /// names the block (`"[campaign]"`, ``"fault kind `ats_flap`"``).
+    pub fn finish(&self, what: impl fmt::Display) -> Result<(), SpecError> {
+        match self.entries.iter().find(|e| !e.read) {
+            Some(e) => err(e.line, format!("unknown key `{}` for {what}", e.key)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// One value and the line it was set on, read as the type its key takes;
+/// every error is anchored at that line.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a> {
+    line: usize,
+    raw: &'a str,
+}
+
+impl<'a> Field<'a> {
+    /// An error anchored at this value's line.
+    pub fn error(&self, reason: impl Into<String>) -> SpecError {
+        SpecError {
+            line: self.line,
+            reason: reason.into(),
+        }
+    }
+
+    /// A double-quoted string, without its quotes.
+    pub fn string(&self) -> Result<&'a str, SpecError> {
+        let unquoted = self.raw.strip_prefix('"').and_then(|s| s.strip_suffix('"'));
+        unquoted.ok_or_else(|| self.error("expected a double-quoted string"))
+    }
+
+    /// A bare number.
+    pub fn number(&self) -> Result<f64, SpecError> {
+        let raw = self.raw;
+        raw.parse()
+            .map_err(|_| self.error(format!("expected a number, got `{raw}`")))
+    }
+
+    /// A non-negative integer narrowed into the field's width `T`, never
+    /// silently truncated.
+    pub fn int<T: TryFrom<u64>>(&self) -> Result<T, SpecError> {
+        let raw = self.raw;
+        let x: u64 = raw
+            .parse()
+            .map_err(|_| self.error(format!("expected a non-negative integer, got `{raw}`")))?;
+        T::try_from(x).map_err(|_| self.error(format!("integer `{x}` out of range for this field")))
+    }
+
+    /// A comma-separated list inside one string, items trimmed and empty
+    /// items skipped; an error when it holds no item or repeats one.
+    pub fn list(&self) -> Result<Vec<&'a str>, SpecError> {
+        let mut items: Vec<&'a str> = Vec::new();
+        for item in self.string()?.split(',').map(str::trim) {
+            if items.contains(&item) {
+                return Err(self.error(format!("`{item}` listed twice")));
+            }
+            if !item.is_empty() {
+                items.push(item);
+            }
+        }
+        if items.is_empty() {
+            return Err(self.error("expected a non-empty comma-separated list"));
+        }
+        Ok(items)
+    }
+}
+
+/// Strips a trailing `#` comment, respecting double-quoted strings.
+fn strip_comment(line: &str) -> &str {
+    let mut in_string = false;
+    for (i, b) in line.bytes().enumerate() {
+        match b {
+            b'"' => in_string = !in_string,
+            b'#' if !in_string => return &line[..i],
+            _ => {}
+        }
+    }
+    line
+}
 
 /// Parses scenario text into a validated [`FaultPlan`].
 ///
@@ -34,256 +251,81 @@ use crate::plan::{FaultError, FaultPlan, ScheduledFault};
 /// Returns [`FaultError::Parse`] with a line number for malformed text, or
 /// [`FaultError::InvalidFault`] when a block parses but fails validation.
 pub fn parse_scenario(text: &str) -> Result<FaultPlan, FaultError> {
-    let mut scenario: Vec<Entry> = Vec::new();
-    // Each `[[fault]]` block with the line of its header.
-    let mut fault_blocks: Vec<(usize, Vec<Entry>)> = Vec::new();
-    let mut section = Section::None;
+    let (mut head, faults) = read_spec(text, "[scenario]", Some("[[fault]]"))?;
+    let name = head.required("name")?.string()?;
+    let seed = head.get("seed").map(|f| f.int()).transpose()?.unwrap_or(0);
+    let site = head.get("site").map(|f| f.string()).transpose()?;
+    let season = head.get("season").map(|f| f.string()).transpose()?;
+    let day = head.get("day").map(|f| f.int()).transpose()?;
+    head.finish("[scenario]")?;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "[scenario]" {
-            if !scenario.is_empty() || !fault_blocks.is_empty() {
-                return err(
-                    line_no,
-                    "[scenario] must be the first block and appear once",
-                );
-            }
-            section = Section::Scenario;
-            continue;
-        }
-        if line == "[[fault]]" {
-            fault_blocks.push((line_no, Vec::new()));
-            section = Section::Fault;
-            continue;
-        }
-        if line.starts_with('[') {
-            return err(
-                line_no,
-                "unknown block header (expected [scenario] or [[fault]])",
-            );
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return err(line_no, "expected `key = value`");
-        };
-        let block = match (section, fault_blocks.last_mut()) {
-            (Section::Scenario, _) => &mut scenario,
-            (Section::Fault, Some((_, block))) => block,
-            _ => return err(line_no, "key before any block header"),
-        };
-        let key = key.trim();
-        if let Some((first, ..)) = block.iter().find(|(_, k, _)| k == key) {
-            return Err(FaultError::Parse {
-                line: line_no,
-                reason: format!("duplicate key `{key}` (first set on line {first})"),
-            });
-        }
-        block.push((line_no, key.to_owned(), value.trim().to_owned()));
-    }
-
-    let mut name = None;
-    let mut seed = 0u64;
-    let mut site = None;
-    let mut season = None;
-    let mut day = None;
-    for (line_no, key, value) in &scenario {
-        match key.as_str() {
-            "name" => name = Some(string_value(*line_no, value)?),
-            "seed" => seed = int_value(*line_no, value)?,
-            "site" => site = Some(string_value(*line_no, value)?),
-            "season" => season = Some(string_value(*line_no, value)?),
-            "day" => day = Some(narrow(*line_no, int_value(*line_no, value)?)?),
-            _ => return err(*line_no, "unknown [scenario] key"),
-        }
-    }
-    let Some(name) = name else {
-        return err(1, "[scenario] block must set `name`");
-    };
-
-    let mut plan = FaultPlan::new(&name, seed);
-    plan.set_hints(site, season, day);
-    for (header_line, entries) in &fault_blocks {
-        let mut block = FaultBlock {
-            header_line: *header_line,
-            entries,
-            used: vec![false; entries.len()],
-        };
-        plan.schedule(block.parse()?)?;
+    let mut plan = FaultPlan::new(name, seed);
+    plan.set_hints(site.map(str::to_owned), season.map(str::to_owned), day);
+    for mut block in faults {
+        plan.schedule(fault(&mut block)?)?;
     }
     Ok(plan)
 }
 
-/// One `key = value` line: its 1-based line number, key and raw value.
-type Entry = (usize, String, String);
-
-#[derive(Clone, Copy)]
-enum Section {
-    None,
-    Scenario,
-    Fault,
-}
-
-/// A `[[fault]]` block being read. Every lookup marks its key used, so a
-/// key the fault kind never reads is left over and rejected as unknown.
-struct FaultBlock<'a> {
-    /// Line of the `[[fault]]` header: where a missing key is reported.
-    header_line: usize,
-    entries: &'a [Entry],
-    used: Vec<bool>,
-}
-
-impl<'a> FaultBlock<'a> {
-    fn find(&mut self, key: &str) -> Option<(usize, &'a str)> {
-        let entries = self.entries;
-        let i = entries.iter().position(|(_, k, _)| k == key)?;
-        self.used[i] = true;
-        Some((entries[i].0, entries[i].2.as_str()))
-    }
-
-    fn required(&mut self, key: &str) -> Result<(usize, &'a str), FaultError> {
-        self.find(key).ok_or_else(|| FaultError::Parse {
-            line: self.header_line,
-            reason: format!("[[fault]] block missing `{key}`"),
-        })
-    }
-
-    fn number(&mut self, key: &str) -> Result<f64, FaultError> {
-        let (line, v) = self.required(key)?;
-        number_value(line, v)
-    }
-
-    /// An integer narrowed into the field's width, errors anchored at the
-    /// key's own line.
-    fn int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, FaultError> {
-        let (line, v) = self.required(key)?;
-        narrow(line, int_value(line, v)?)
-    }
-
-    fn parse(&mut self) -> Result<ScheduledFault, FaultError> {
-        let (kind_line, kind_raw) = self.required("kind")?;
-        let kind_name = string_value(kind_line, kind_raw)?;
-        let kind = self.kind(kind_line, &kind_name)?;
-        let fault = ScheduledFault {
-            start_minute: self.int("start")?,
-            end_minute: self.int("end")?,
-            kind,
-        };
-        if let Some(i) = self.used.iter().position(|used| !used) {
-            let (line, key, _) = &self.entries[i];
-            return Err(FaultError::Parse {
-                line: *line,
-                reason: format!("unknown key `{key}` for fault kind `{kind_name}`"),
-            });
-        }
-        Ok(fault)
-    }
-
-    fn kind(&mut self, kind_line: usize, kind_name: &str) -> Result<FaultKind, FaultError> {
-        Ok(match kind_name {
-            "sensor_stuck" => {
-                let channel = match self.find("channel") {
-                    None => SensorChannel::Both,
-                    Some((line, v)) => match string_value(line, v)?.as_str() {
-                        "voltage" => SensorChannel::Voltage,
-                        "current" => SensorChannel::Current,
-                        "both" => SensorChannel::Both,
-                        _ => return err(line, "`channel` must be voltage, current or both"),
-                    },
-                };
-                FaultKind::SensorStuck { channel }
-            }
-            "sensor_dropout" => FaultKind::SensorDropout,
-            "sensor_bias_drift" => FaultKind::SensorBiasDrift {
-                rate_per_minute: self.number("rate_per_minute")?,
-            },
-            "sensor_noise_burst" => FaultKind::SensorNoiseBurst {
-                sigma: self.number("sigma")?,
-            },
-            "converter_derate" => FaultKind::ConverterDerate {
-                factor_start: self.number("factor_start")?,
-                factor_end: self.number("factor_end")?,
-            },
-            "actuator_lag" => FaultKind::ActuatorLag {
-                steps: self.int("steps")?,
-            },
-            "ats_flap" => FaultKind::AtsFlap {
-                period_minutes: self.int("period_minutes")?,
-            },
-            "core_throttle" => FaultKind::CoreThrottle {
-                core: self.int("core")?,
-                max_level_index: self.int("max_level_index")?,
-            },
-            "core_loss" => FaultKind::CoreLoss {
-                core: self.int("core")?,
-            },
-            "irradiance_cliff" => FaultKind::IrradianceCliff {
-                factor: self.number("factor")?,
-                ramp_minutes: match self.find("ramp_minutes") {
-                    None => 0,
-                    Some((line, v)) => narrow(line, int_value(line, v)?)?,
+/// Reads one `[[fault]]` block: its kind, the keys that kind takes, and
+/// its window.
+fn fault(block: &mut Block<'_>) -> Result<ScheduledFault, SpecError> {
+    let kind_field = block.required("kind")?;
+    let kind_name = kind_field.string()?;
+    let kind = match kind_name {
+        "sensor_stuck" => {
+            let channel = match block.get("channel") {
+                None => SensorChannel::Both,
+                Some(field) => match field.string()? {
+                    "voltage" => SensorChannel::Voltage,
+                    "current" => SensorChannel::Current,
+                    "both" => SensorChannel::Both,
+                    _ => return Err(field.error("`channel` must be voltage, current or both")),
                 },
-            },
-            _ => return err(kind_line, "unknown fault kind"),
-        })
-    }
-}
-
-/// Strips a trailing `#` comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
+            };
+            FaultKind::SensorStuck { channel }
         }
-    }
-    line
-}
-
-fn string_value(line: usize, raw: &str) -> Result<String, FaultError> {
-    let raw = raw.trim();
-    if raw.len() >= 2 && raw.starts_with('"') && raw.ends_with('"') {
-        Ok(raw[1..raw.len() - 1].to_owned())
-    } else {
-        Err(FaultError::Parse {
-            line,
-            reason: "expected a double-quoted string".to_owned(),
-        })
-    }
-}
-
-fn number_value(line: usize, raw: &str) -> Result<f64, FaultError> {
-    raw.trim().parse::<f64>().map_err(|_| FaultError::Parse {
-        line,
-        reason: format!("expected a number, got `{}`", raw.trim()),
-    })
-}
-
-fn int_value(line: usize, raw: &str) -> Result<u64, FaultError> {
-    raw.trim().parse::<u64>().map_err(|_| FaultError::Parse {
-        line,
-        reason: format!("expected a non-negative integer, got `{}`", raw.trim()),
-    })
-}
-
-/// Narrows a parsed integer into the field's width with a line-anchored
-/// error instead of a silent truncation.
-fn narrow<T: TryFrom<u64>>(line: usize, x: u64) -> Result<T, FaultError> {
-    T::try_from(x).map_err(|_| FaultError::Parse {
-        line,
-        reason: format!("integer `{x}` out of range for this field"),
-    })
-}
-
-fn err<T>(line: usize, reason: &str) -> Result<T, FaultError> {
-    Err(FaultError::Parse {
-        line,
-        reason: reason.to_owned(),
-    })
+        "sensor_dropout" => FaultKind::SensorDropout,
+        "sensor_bias_drift" => FaultKind::SensorBiasDrift {
+            rate_per_minute: block.required("rate_per_minute")?.number()?,
+        },
+        "sensor_noise_burst" => FaultKind::SensorNoiseBurst {
+            sigma: block.required("sigma")?.number()?,
+        },
+        "converter_derate" => FaultKind::ConverterDerate {
+            factor_start: block.required("factor_start")?.number()?,
+            factor_end: block.required("factor_end")?.number()?,
+        },
+        "actuator_lag" => FaultKind::ActuatorLag {
+            steps: block.required("steps")?.int()?,
+        },
+        "ats_flap" => FaultKind::AtsFlap {
+            period_minutes: block.required("period_minutes")?.int()?,
+        },
+        "core_throttle" => FaultKind::CoreThrottle {
+            core: block.required("core")?.int()?,
+            max_level_index: block.required("max_level_index")?.int()?,
+        },
+        "core_loss" => FaultKind::CoreLoss {
+            core: block.required("core")?.int()?,
+        },
+        "irradiance_cliff" => FaultKind::IrradianceCliff {
+            factor: block.required("factor")?.number()?,
+            ramp_minutes: block
+                .get("ramp_minutes")
+                .map(|f| f.int())
+                .transpose()?
+                .unwrap_or(0),
+        },
+        _ => return Err(kind_field.error("unknown fault kind")),
+    };
+    let fault = ScheduledFault {
+        start_minute: block.required("start")?.int()?,
+        end_minute: block.required("end")?.int()?,
+        kind,
+    };
+    block.finish(format_args!("fault kind `{kind_name}`"))?;
+    Ok(fault)
 }
 
 #[cfg(test)]
@@ -433,6 +475,10 @@ end = 1
         let twice_scenario = "[scenario]\nname = \"x\"\nseed = 1\nseed = 2\n";
         let too_wide = "[scenario]\nname = \"x\"\n[[fault]]\nkind = \"ats_flap\"\n\
                         start = 0\nend = 1\nperiod_minutes = 4294967296\n";
+        let no_end = "[scenario]\nname = \"x\"\n\n[[fault]]\nkind = \"core_loss\"\n\
+                      core = 1\nstart = 0\n";
+        let fault_first = "# leading comment\n[[fault]]\nkind = \"core_loss\"\n";
+        let two_heads = "[scenario]\nname = \"x\"\n[scenario]\n";
         for (text, want_line, want_reason) in [
             (cliff, 6, "unknown key `ramp_minute`"),
             (stuck, 5, "unknown key `chanel`"),
@@ -443,6 +489,12 @@ end = 1
                 "duplicate key `seed` (first set on line 3)",
             ),
             (too_wide, 7, "out of range"),
+            (no_end, 4, "[[fault]] block missing `end`"),
+            (fault_first, 2, "[scenario] must be the first block"),
+            (two_heads, 3, "[scenario] must be the first block"),
+            ("[fault]\n", 1, "unknown block header"),
+            ("[scenario]\nname\n", 2, "expected `key = value`"),
+            ("", 1, "missing the [scenario] block"),
         ] {
             match parse_scenario(text) {
                 Err(FaultError::Parse { line, reason }) => {

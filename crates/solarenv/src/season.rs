@@ -30,6 +30,18 @@ impl Season {
         }
     }
 
+    /// Parses a season name (`"Jan"`, `"Apr"`, `"Jul"`, `"Oct"`,
+    /// case-sensitive), the inverse of `Display`.
+    pub fn from_name(name: &str) -> Option<Season> {
+        match name {
+            "Jan" => Some(Season::Jan),
+            "Apr" => Some(Season::Apr),
+            "Jul" => Some(Season::Jul),
+            "Oct" => Some(Season::Oct),
+            _ => None,
+        }
+    }
+
     /// Stable index 0..=3 (useful for seeding and table layout).
     pub fn index(self) -> usize {
         match self {
@@ -74,5 +86,9 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(Season::Jul.to_string(), "Jul");
+        for season in Season::ALL {
+            assert_eq!(Season::from_name(&season.to_string()), Some(season));
+        }
+        assert_eq!(Season::from_name("Mar"), None);
     }
 }

@@ -108,6 +108,18 @@ impl Site {
         ]
     }
 
+    /// Looks a site up by its [`code`](Site::code) (`"AZ"`, `"CO"`,
+    /// `"NC"`, `"TN"`, case-sensitive).
+    pub fn from_code(code: &str) -> Option<Site> {
+        match code {
+            "AZ" => Some(Site::phoenix_az()),
+            "CO" => Some(Site::golden_co()),
+            "NC" => Some(Site::elizabeth_city_nc()),
+            "TN" => Some(Site::oak_ridge_tn()),
+            _ => None,
+        }
+    }
+
     /// Full human-readable name, e.g. `"Phoenix, AZ"`.
     pub fn name(&self) -> &'static str {
         self.name
@@ -228,6 +240,11 @@ mod tests {
         assert_eq!(sites.len(), 4);
         let codes: Vec<&str> = sites.iter().map(|s| s.code()).collect();
         assert_eq!(codes, vec!["AZ", "CO", "NC", "TN"]);
+        for site in &sites {
+            assert_eq!(Site::from_code(site.code()).as_ref(), Some(site));
+        }
+        assert_eq!(Site::from_code("az"), None);
+        assert_eq!(Site::from_code("XX"), None);
     }
 
     #[test]

@@ -14,14 +14,6 @@ use solarcore::{CoreError, DaySimulation, Policy};
 use solarenv::{Season, Site};
 use workloads::Mix;
 
-fn parse_site(code: &str) -> Option<Site> {
-    Site::all().into_iter().find(|s| s.code() == code)
-}
-
-fn parse_season(name: &str) -> Option<Season> {
-    Season::ALL.iter().copied().find(|s| s.to_string() == name)
-}
-
 #[allow(clippy::cast_possible_truncation)] // bar lengths are clamped to the 60-col chart
 fn main() -> Result<ExitCode, CoreError> {
     let mut args = env::args().skip(1);
@@ -29,9 +21,11 @@ fn main() -> Result<ExitCode, CoreError> {
     let season = args.next().unwrap_or_else(|| "Jan".into());
     let mix = args.next().unwrap_or_else(|| "H1".into());
 
-    let (Some(site), Some(season), Some(mix)) =
-        (parse_site(&site), parse_season(&season), Mix::by_name(&mix))
-    else {
+    let (Some(site), Some(season), Some(mix)) = (
+        Site::from_code(&site),
+        Season::from_name(&season),
+        Mix::by_name(&mix),
+    ) else {
         eprintln!("usage: mppt_day_trace [AZ|CO|NC|TN] [Jan|Apr|Jul|Oct] [H1|H2|M1|M2|L1|L2|HM1|HM2|ML1|ML2]");
         return Ok(ExitCode::FAILURE);
     };

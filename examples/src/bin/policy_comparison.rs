@@ -22,11 +22,8 @@ fn main() -> Result<ExitCode, CoreError> {
     let mix_name = args.next().unwrap_or_else(|| "HM2".into());
 
     let (Some(site), Some(season), Some(mix)) = (
-        Site::all().into_iter().find(|s| s.code() == site_code),
-        Season::ALL
-            .iter()
-            .copied()
-            .find(|s| s.to_string() == season_name),
+        Site::from_code(&site_code),
+        Season::from_name(&season_name),
         Mix::by_name(&mix_name),
     ) else {
         eprintln!("usage: policy_comparison [site] [season] [mix]");
